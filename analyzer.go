@@ -2,8 +2,6 @@ package gpuperf
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"math"
 	"runtime"
 	"sync"
@@ -17,51 +15,13 @@ import (
 	"gpuperf/internal/timing"
 )
 
-// Options configures an Analyzer session.
-type Options struct {
-	// Device is the GPU to analyze for. The zero value (detected by
-	// an empty Name) means DefaultDevice.
-	Device Device
-	// Registry resolves kernel names. Nil means DefaultRegistry.
-	Registry *Registry
-	// Parallelism is the functional-simulation worker count per
-	// request (0 = all host cores, 1 = serial). Results are
-	// bit-identical at any setting. When set, it is also the ceiling
-	// for per-Request overrides — a service's resource policy cannot
-	// be bypassed by the request body.
-	Parallelism int
-	// CalibrationDir, when set, is an on-disk calibration cache
-	// directory keyed by device fingerprint: the session loads its
-	// device's entry if present and valid, and writes one atomically
-	// (write-temp-then-rename) after a fresh calibration. Sessions for
-	// different hardware never share an entry; sessions for identical
-	// hardware under different names do.
-	CalibrationDir string
-	// BatchConcurrency caps how many requests AnalyzeBatch runs at
-	// once (0 = GOMAXPROCS).
-	BatchConcurrency int
-	// MaxConcurrent is the session's admission limit: how many
-	// Analyze calls may hold resources (input memory, simulation,
-	// verification) at once, whatever mix of direct, batch and HTTP
-	// callers produced them. Excess callers wait, respecting their
-	// contexts, before building anything. 0 = GOMAXPROCS.
-	MaxConcurrent int
-	// DisableBlockReplay forces every functional simulation through
-	// live per-block execution instead of the engine's
-	// homogeneous-block replay (see barra.Options). Results are
-	// bit-identical either way; the escape hatch exists for
-	// debugging and for measuring replay's effect.
-	DisableBlockReplay bool
-}
-
 // Request asks for one kernel analysis.
 type Request struct {
 	// Kernel names a registry entry (GET /v1/kernels lists them).
 	Kernel string `json:"kernel"`
 	// Device names a catalog entry (GET /v1/devices lists them) and is
 	// resolved by the Fleet that routes the request; empty means the
-	// fleet's default device. A bare Analyzer serves one fixed device
-	// and rejects requests naming any other.
+	// fleet's default device.
 	Device string `json:"device,omitempty"`
 	// Size is the kernel-specific problem size (0 = kernel default).
 	Size int `json:"size,omitempty"`
@@ -70,8 +30,8 @@ type Request struct {
 	// concurrency.
 	Seed int64 `json:"seed,omitempty"`
 	// Parallelism overrides the session's worker count when > 0,
-	// capped by Options.Parallelism when the operator set one and by
-	// the host's core count otherwise.
+	// capped by FleetOptions.Parallelism when the operator set one and
+	// by the host's core count otherwise.
 	Parallelism int `json:"parallelism,omitempty"`
 	// Measure additionally runs the device (timing) simulator on a
 	// fresh copy of the inputs and reports measured vs predicted.
@@ -83,26 +43,23 @@ type Request struct {
 	SkipVerify bool `json:"skip_verify,omitempty"`
 	// NoReplay forces this request's functional simulation through
 	// live per-block execution, bypassing homogeneous-block replay
-	// (the per-request form of Options.DisableBlockReplay). Stats and
-	// the model verdict are bit-identical either way; only the
+	// (the per-request form of FleetOptions.DisableBlockReplay). Stats
+	// and the model verdict are bit-identical either way; only the
 	// Result's engine counters change.
 	NoReplay bool `json:"no_replay,omitempty"`
 }
 
-// Analyzer is a reusable session around the paper's Fig. 1 workflow:
-// it owns a device configuration and its lazily-built, cached
-// calibration, resolves kernels through a Registry, runs the
-// functional simulation with cancellation, and returns serializable
-// Results. Safe for concurrent use — a service handles all traffic
-// with one Analyzer, amortizing the (expensive) calibration across
-// every request.
+// Analyzer is one device's session inside a Fleet — the paper's
+// Fig. 1 workflow for one architecture. It owns the device
+// configuration and its lazily-built, cached calibration, and runs
+// the requests the fleet routes to it: the functional simulation
+// (with cancellation), the model, verification and the device
+// simulator. Fleet.Session hands sessions out so callers can drive
+// and inspect the calibration; requests themselves always enter
+// through the Fleet. Safe for concurrent use.
 type Analyzer struct {
-	opt Options
-	dev Device
-	reg *Registry
-
-	// admit is the Options.MaxConcurrent admission semaphore.
-	admit chan struct{}
+	fleet *Fleet
+	dev   Device
 
 	// calStart launches the one calibration goroutine; calDone closes
 	// when it finishes. Waiters block on calDone (with their contexts,
@@ -119,52 +76,14 @@ type Analyzer struct {
 	engine engineCounters
 }
 
-// NewAnalyzer builds a session. Calibration happens lazily on the
-// first Analyze (or eagerly via Calibrate).
-func NewAnalyzer(opt Options) *Analyzer { return newAnalyzer(opt, nil) }
-
-// newAnalyzer is NewAnalyzer with an optional externally-owned
-// admission semaphore: a Fleet passes one channel to every session so
-// MaxConcurrent bounds the whole fleet, not each device separately.
-func newAnalyzer(opt Options, admit chan struct{}) *Analyzer {
-	dev := opt.Device
-	if dev.Name == "" {
-		dev = DefaultDevice()
-	}
-	reg := opt.Registry
-	if reg == nil {
-		reg = DefaultRegistry()
-	}
-	if admit == nil {
-		limit := opt.MaxConcurrent
-		if limit <= 0 {
-			limit = runtime.GOMAXPROCS(0)
-		}
-		admit = make(chan struct{}, limit)
-	}
-	return &Analyzer{
-		opt:     opt,
-		dev:     dev,
-		reg:     reg,
-		admit:   admit,
-		calDone: make(chan struct{}),
-	}
-}
-
 // Device returns the session's device configuration.
 func (a *Analyzer) Device() Device { return a.dev }
 
-// Registry returns the session's kernel registry.
-func (a *Analyzer) Registry() *Registry { return a.reg }
-
-// Kernels lists the session's available kernel specs, sorted by name.
-func (a *Analyzer) Kernels() []KernelSpec { return a.reg.Specs() }
-
 // Calibrate forces the lazy calibration now (microbenchmarks on the
 // device simulator — seconds per device). Subsequent calls are free;
-// concurrent callers share one run. Persisting to CalibrationDir is
-// best-effort: a failed write never invalidates the in-memory
-// calibration (see CalibrationSaveError).
+// concurrent callers share one run. Persisting to the fleet's
+// CalibrationDir is best-effort: a failed write never invalidates the
+// in-memory calibration (see CalibrationSaveError).
 func (a *Analyzer) Calibrate() error {
 	a.calStart.Do(func() { go a.runCalibration() })
 	<-a.calDone
@@ -191,7 +110,8 @@ func (a *Analyzer) calibrationCtx(ctx context.Context) (*timing.Calibration, err
 // published to waiters by the calDone close.
 func (a *Analyzer) runCalibration() {
 	defer close(a.calDone)
-	if dir := a.opt.CalibrationDir; dir != "" {
+	dir := a.fleet.opt.CalibrationDir
+	if dir != "" {
 		// Cache entries are keyed and validated by hardware
 		// fingerprint: a session analyzing a modified configuration
 		// (different banks, clocks, segment sizes) never picks up
@@ -204,25 +124,17 @@ func (a *Analyzer) runCalibration() {
 		}
 	}
 	a.cal, a.calErr = timing.Calibrate(a.dev)
-	if a.calErr == nil && a.opt.CalibrationDir != "" {
-		a.calSaveErr = a.cal.SaveCachedCalibration(a.opt.CalibrationDir)
+	if a.calErr == nil && dir != "" {
+		a.calSaveErr = a.cal.SaveCachedCalibration(dir)
 	}
 }
 
-// StartCalibration launches the session's calibration in the
-// background without waiting for it — what a service calls at boot so
-// /healthz turns ready without blocking startup. Idempotent: later
-// calls (and every Analyze) join the same one run.
-func (a *Analyzer) StartCalibration() {
-	a.calStart.Do(func() { go a.runCalibration() })
-}
-
-// CalibrationReady reports, without blocking and without triggering
+// calibrationReady reports, without blocking and without triggering
 // anything, whether the session's calibration has finished, and with
 // what error. (false, nil) means not started or still running — the
-// readiness probe a health endpoint can poll safely, because probing
-// never forces a device nobody asked for to calibrate.
-func (a *Analyzer) CalibrationReady() (bool, error) {
+// readiness probe Fleet.Health polls safely, because probing never
+// forces a device nobody asked for to calibrate.
+func (a *Analyzer) calibrationReady() (bool, error) {
 	select {
 	case <-a.calDone:
 		return true, a.calErr
@@ -236,16 +148,16 @@ func (a *Analyzer) CalibrationReady() (bool, error) {
 func (a *Analyzer) CalibrationFromCache() bool { return a.calFromCache }
 
 // CalibrationSaveError returns the error from the best-effort write
-// to CalibrationDir, if any. A failed write leaves the session fully
-// functional on its in-memory calibration.
+// to the fleet's CalibrationDir, if any. A failed write leaves the
+// session fully functional on its in-memory calibration.
 func (a *Analyzer) CalibrationSaveError() error { return a.calSaveErr }
 
 // workers resolves the per-run worker count: the request's override,
-// capped by the session's Parallelism when the operator set one, and
+// capped by the fleet's Parallelism when the operator set one, and
 // by the host's core count otherwise — a request body can lower the
 // concurrency of its own run but never raise it past the policy.
 func (a *Analyzer) workers(req Request) int {
-	limit := a.opt.Parallelism
+	limit := a.fleet.opt.Parallelism
 	if limit <= 0 {
 		limit = runtime.GOMAXPROCS(0)
 	}
@@ -256,25 +168,24 @@ func (a *Analyzer) workers(req Request) int {
 }
 
 // simRun is the outcome of the shared request prelude (and, after
-// simulate, the functional run): the resolved spec, the built
-// workload, the run's statistics and the session calibration (nil
-// when the caller skipped it).
+// simulate, the functional run): the built workload, the run's
+// statistics and the session calibration (nil when the caller
+// skipped it).
 type simRun struct {
-	spec  KernelSpec
 	w     *Workload
 	stats *barra.Stats
 	cal   *timing.Calibration
 	// phases accumulates per-phase wall-clock seconds (calibration
 	// wait, admission wait, build, engine, model, verify, measure) for
-	// Result.Diagnostics. Only the request's own goroutine writes it.
+	// Result.Diagnostics and the fleet's phase histogram. Only the
+	// request's own goroutine writes it.
 	phases map[string]float64
 }
 
 // phase opens a span named name — joining the request's trace when
-// the context carries one, detached otherwise, so phase timings work
-// for bare library calls too — and returns the span-carrying context
-// plus a done func that closes the span and adds its duration to the
-// run's phase map.
+// the context carries one, detached otherwise — and returns the
+// span-carrying context plus a done func that closes the span and
+// adds its duration to the run's phase map.
 func (r *simRun) phase(ctx context.Context, name string) (context.Context, func()) {
 	ctx, sp := obs.StartSpan(ctx, name)
 	return ctx, func() {
@@ -283,6 +194,15 @@ func (r *simRun) phase(ctx context.Context, name string) (context.Context, func(
 			r.phases = make(map[string]float64)
 		}
 		r.phases[name] += sp.Duration().Seconds()
+	}
+}
+
+// observe feeds a computed request's phase timings into the fleet's
+// gpuperf_phase_seconds histogram, one sample per phase. Cache hits
+// never reach a session, so they record nothing.
+func (a *Analyzer) observe(r *simRun) {
+	for name, sec := range r.phases {
+		a.fleet.phaseHist.With(name).Observe(sec)
 	}
 }
 
@@ -299,40 +219,24 @@ func roundPhases(m map[string]float64) map[string]float64 {
 	return out
 }
 
-// prelude is the shared front half of every request — Analyze,
-// Advise and Measure alike, whether they arrived through the
-// library, a batch, a fleet or HTTP: validate the request (fail fast
-// — an unknown kernel, a foreign device or a rejected size pays for
-// neither calibration nor an admission slot), wait for the shared
-// calibration when the caller needs the model (needCal), take an
-// admission slot, and build the problem instance. req's Size and
-// Seed are normalized in place so callers echo the concrete values.
-// On success the admission slot is still held — the caller must call
-// release exactly once when done with the workload's memory
+// prelude is the shared front half of every session request —
+// analyze, advise and measure alike. The fleet has already routed and
+// normalized req (Fleet.prepare) and resolved its spec, so req's Size
+// and Seed are concrete. The prelude fails fast on a dead context,
+// waits for the shared calibration when the caller needs the model
+// (needCal), takes an admission slot, and builds the problem
+// instance. On success the admission slot is still held — the caller
+// must call release exactly once when done with the workload's memory
 // (simulation, verification and measurement included).
-func (a *Analyzer) prelude(ctx context.Context, req *Request, needCal, dropVerify bool) (*simRun, func(), error) {
+func (a *Analyzer) prelude(ctx context.Context, spec KernelSpec, req Request, needCal, dropVerify bool) (*simRun, func(), error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	if req.Device != "" && req.Device != a.dev.Name {
-		return nil, nil, fmt.Errorf("%w: session analyzes device %q, not %q (route multi-device requests through a Fleet)",
-			ErrInvalidRequest, a.dev.Name, req.Device)
-	}
-	spec, p, err := a.reg.prepare(req.Kernel, Params{Size: req.Size, Seed: req.Seed})
-	if err != nil {
-		return nil, nil, err
-	}
-	req.Size, req.Seed = p.Size, p.Seed
-	if spec.Unverified {
-		// Submitted kernels have no CPU reference; pin the flag so the
-		// request (and any cache key derived from it) reflects the
-		// measure-only policy whatever the caller asked for.
-		req.SkipVerify = true
-	}
-	r := &simRun{spec: spec}
+	r := &simRun{}
+	var err error
 	if needCal {
 		// Wait for the shared calibration before taking a slot, so a
-		// cold burst doesn't pin MaxConcurrent requests for its whole
+		// cold burst doesn't pin every admission slot for its whole
 		// duration; the wait itself respects ctx.
 		calCtx, calDone := r.phase(ctx, "calibration")
 		r.cal, err = a.calibrationCtx(calCtx)
@@ -341,20 +245,21 @@ func (a *Analyzer) prelude(ctx context.Context, req *Request, needCal, dropVerif
 			return nil, nil, err
 		}
 	}
-	// Admission control: at most MaxConcurrent requests hold input
-	// memory and simulation resources at a time; the rest wait here
-	// holding nothing, abandoning the queue when their context dies.
+	// Admission control: at most cap(admit) requests hold input memory
+	// and simulation resources at a time across the whole fleet; the
+	// rest wait here holding nothing, abandoning the queue when their
+	// context dies.
 	_, admitDone := r.phase(ctx, "admission")
 	select {
-	case a.admit <- struct{}{}:
+	case a.fleet.admit <- struct{}{}:
 		admitDone()
 	case <-ctx.Done():
 		admitDone()
 		return nil, nil, ctx.Err()
 	}
-	release := func() { <-a.admit }
+	release := func() { <-a.fleet.admit }
 	_, buildDone := r.phase(ctx, "build")
-	r.w, err = spec.build(a.dev, p)
+	r.w, err = spec.build(a.dev, Params{Size: req.Size, Seed: req.Seed})
 	buildDone()
 	if err != nil {
 		release()
@@ -370,18 +275,18 @@ func (a *Analyzer) prelude(ctx context.Context, req *Request, needCal, dropVerif
 }
 
 // simulate runs the prelude and the functional simulation — the
-// common front half of Analyze and Advise.
-func (a *Analyzer) simulate(ctx context.Context, req *Request, dropVerify bool) (*simRun, func(), error) {
-	r, release, err := a.prelude(ctx, req, true, dropVerify)
+// common front half of analyze and advise.
+func (a *Analyzer) simulate(ctx context.Context, spec KernelSpec, req Request, dropVerify bool) (*simRun, func(), error) {
+	r, release, err := a.prelude(ctx, spec, req, true, dropVerify)
 	if err != nil {
 		return nil, nil, err
 	}
 	engCtx, engDone := r.phase(ctx, "engine")
 	r.stats, err = barra.RunContext(engCtx, a.dev, r.w.Launch, r.w.Mem,
 		&barra.Options{
-			Parallelism:         a.workers(*req),
+			Parallelism:         a.workers(req),
 			Regions:             r.w.Regions,
-			DisableBlockReplay:  a.opt.DisableBlockReplay || req.NoReplay,
+			DisableBlockReplay:  a.fleet.opt.DisableBlockReplay || req.NoReplay,
 			MaxWarpInstructions: r.w.MaxWarpInstructions,
 		})
 	engDone()
@@ -394,10 +299,10 @@ func (a *Analyzer) simulate(ctx context.Context, req *Request, dropVerify bool) 
 }
 
 // EngineCounters is the cumulative functional-engine effectiveness
-// summary of a session (or, summed, a fleet): how many blocks were
-// actually simulated vs served by homogeneous-block replay, and how
-// much single-step dispatch batched warp stepping absorbed. Exposed
-// through GET /v1/stats.
+// summary of a fleet, summed across its sessions: how many blocks
+// were actually simulated vs served by homogeneous-block replay, and
+// how much single-step dispatch batched warp stepping absorbed.
+// Exposed through GET /v1/stats.
 type EngineCounters struct {
 	// BlocksSimulated/BlocksReplayed split every simulated launch's
 	// blocks by how the engine derived their statistics. Runs with
@@ -422,9 +327,9 @@ func (c *engineCounters) add(e barra.EngineStats) {
 	c.instrs.Add(e.BatchedInstrs)
 }
 
-// EngineCounters returns the session's cumulative simulation-engine
+// engineCounters returns the session's cumulative simulation-engine
 // counters across every request it has served.
-func (a *Analyzer) EngineCounters() EngineCounters {
+func (a *Analyzer) engineCounters() EngineCounters {
 	return EngineCounters{
 		BlocksSimulated: a.engine.simulated.Load(),
 		BlocksReplayed:  a.engine.replayed.Load(),
@@ -433,14 +338,14 @@ func (a *Analyzer) EngineCounters() EngineCounters {
 	}
 }
 
-// Analyze runs the full workflow for one request: build the kernel's
-// deterministic problem instance, functionally simulate it (sharded
-// across workers, abortable through ctx), apply the calibrated
-// three-component model, verify the output against the CPU reference
-// when the kernel has one, and — with Measure — time the same launch
-// on the device simulator.
-func (a *Analyzer) Analyze(ctx context.Context, req Request) (*Result, error) {
-	r, release, err := a.simulate(ctx, &req, req.SkipVerify)
+// analyze runs the full workflow for one prepared request: build the
+// kernel's deterministic problem instance, functionally simulate it
+// (sharded across workers, abortable through ctx), apply the
+// calibrated three-component model, verify the output against the
+// CPU reference when the kernel has one, and — with Measure — time
+// the same launch on the device simulator.
+func (a *Analyzer) analyze(ctx context.Context, spec KernelSpec, req Request) (*Result, error) {
+	r, release, err := a.simulate(ctx, spec, req, req.SkipVerify)
 	if err != nil {
 		return nil, err
 	}
@@ -452,7 +357,7 @@ func (a *Analyzer) Analyze(ctx context.Context, req Request) (*Result, error) {
 		return nil, err
 	}
 	res := newResult(req, a.dev, r.w, est, r.stats)
-	if r.spec.Unverified {
+	if spec.Unverified {
 		res.VerifyError = "unverified: user-submitted"
 	}
 
@@ -473,9 +378,8 @@ func (a *Analyzer) Analyze(ctx context.Context, req Request) (*Result, error) {
 		measCtx, measDone := r.phase(ctx, "measure")
 		// The functional run consumed the inputs; builders are
 		// deterministic per (size, seed), so rebuilding yields the
-		// identical problem instance on fresh memory (req holds the
-		// normalized size and seed).
-		w2, err := r.spec.build(a.dev, Params{Size: req.Size, Seed: req.Seed})
+		// identical problem instance on fresh memory.
+		w2, err := spec.build(a.dev, Params{Size: req.Size, Seed: req.Seed})
 		if err != nil {
 			measDone()
 			return nil, err
@@ -492,26 +396,27 @@ func (a *Analyzer) Analyze(ctx context.Context, req Request) (*Result, error) {
 	// The phase breakdown rides Diagnostics so every response answers
 	// "where did the time go" without a metrics endpoint.
 	res.Diagnostics.PhaseSeconds = roundPhases(r.phases)
+	a.observe(r)
 	return res, nil
 }
 
-// Advise runs the counterfactual advisor for one request: build the
-// kernel's problem instance, functionally simulate it once (sharded
-// like Analyze, abortable through ctx), then re-evaluate the
+// advise runs the counterfactual advisor for one prepared request:
+// build the kernel's problem instance, functionally simulate it once
+// (sharded like analyze, abortable through ctx), then re-evaluate the
 // calibrated model under the full what-if portfolio — perfect
 // coalescing, conflict-free shared memory, no divergence, ideal
 // stage overlap, and an occupancy mini-sweep — returning the ranked,
 // quantified headroom per scenario (the paper's §4 analysis as a
 // service). The scenarios are pure stat transforms over that single
-// run, so Advise costs one simulation regardless of portfolio size;
+// run, so advice costs one simulation regardless of portfolio size;
 // the request's Measure and SkipVerify flags are ignored (advice
 // never verifies or times the device simulator — pair it with
 // Analyze on a variant kernel to compare predicted headroom against
 // a measured sibling).
-func (a *Analyzer) Advise(ctx context.Context, req Request) (*Advice, error) {
+func (a *Analyzer) advise(ctx context.Context, spec KernelSpec, req Request) (*Advice, error) {
 	// Advice needs only the statistics, so the verification closure
 	// is always dropped.
-	r, release, err := a.simulate(ctx, &req, true)
+	r, release, err := a.simulate(ctx, spec, req, true)
 	if err != nil {
 		return nil, err
 	}
@@ -522,6 +427,7 @@ func (a *Analyzer) Advise(ctx context.Context, req Request) (*Advice, error) {
 	if err != nil {
 		return nil, err
 	}
+	a.observe(r)
 	return newAdvice(req, a.dev, r.w, rep), nil
 }
 
@@ -538,14 +444,13 @@ type Measurement struct {
 	Dominant string  `json:"dominant"`
 }
 
-// Measure runs only the device simulator for the request's kernel.
-// It shares the request prelude with Analyze and Advise — identical
-// validation, error wrapping, context handling and admission — but
-// never waits for (or triggers) the model calibration: timing-only
-// sweeps stay calibration-free.
-func (a *Analyzer) Measure(ctx context.Context, req Request) (*Measurement, error) {
+// measure runs only the device simulator for one prepared request. It
+// shares the prelude with analyze and advise — identical context
+// handling and admission — but never waits for (or triggers) the
+// model calibration: timing-only sweeps stay calibration-free.
+func (a *Analyzer) measure(ctx context.Context, spec KernelSpec, req Request) (*Measurement, error) {
 	// The timing simulator never reads the verification closure.
-	r, release, err := a.prelude(ctx, &req, false, true)
+	r, release, err := a.prelude(ctx, spec, req, false, true)
 	if err != nil {
 		return nil, err
 	}
@@ -556,6 +461,7 @@ func (a *Analyzer) Measure(ctx context.Context, req Request) (*Measurement, erro
 	if err != nil {
 		return nil, err
 	}
+	a.observe(r)
 	return &Measurement{
 		Kernel:   req.Kernel,
 		Device:   a.dev.Name,
@@ -564,56 +470,4 @@ func (a *Analyzer) Measure(ctx context.Context, req Request) (*Measurement, erro
 		Seconds:  meas.Seconds,
 		Dominant: meas.DominantComponent(),
 	}, nil
-}
-
-// AnalyzeBatch analyzes many requests concurrently, amortizing the
-// session's calibration across all of them. results[i] answers
-// reqs[i]; a request that fails leaves a nil entry and its error —
-// wrapped with the request's index and kernel name, so a joined
-// multi-error still identifies its sources — joined into the
-// returned error in request order. errors.Is still matches the
-// underlying condition (ErrUnknownKernel, ErrInvalidRequest, context
-// errors) through the wrapping. One failing request does not cancel
-// its siblings — only ctx does.
-func (a *Analyzer) AnalyzeBatch(ctx context.Context, reqs []Request) ([]*Result, error) {
-	return analyzeBatch(ctx, a.opt.BatchConcurrency, reqs, a.Analyze)
-}
-
-// forEachLimit runs fn(i) for every i in [0, n) on goroutines, at
-// most limit (≤0 = GOMAXPROCS) at a time, and waits for all of them.
-func forEachLimit(n, limit int, fn func(i int)) {
-	if limit <= 0 {
-		limit = runtime.GOMAXPROCS(0)
-	}
-	if limit > n {
-		limit = n
-	}
-	sem := make(chan struct{}, limit)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			fn(i)
-		}(i)
-	}
-	wg.Wait()
-}
-
-// analyzeBatch is the one batch fan-out both Analyzer.AnalyzeBatch
-// and Fleet.AnalyzeBatch delegate to, so concurrency limiting and
-// error attribution cannot drift between the two front doors.
-func analyzeBatch(ctx context.Context, limit int, reqs []Request,
-	analyze func(context.Context, Request) (*Result, error)) ([]*Result, error) {
-	results := make([]*Result, len(reqs))
-	errs := make([]error, len(reqs))
-	forEachLimit(len(reqs), limit, func(i int) {
-		results[i], errs[i] = analyze(ctx, reqs[i])
-		if errs[i] != nil {
-			errs[i] = fmt.Errorf("request %d (kernel %q): %w", i, reqs[i].Kernel, errs[i])
-		}
-	})
-	return results, errors.Join(errs...)
 }

@@ -1,7 +1,9 @@
 package gpuperf
 
-// Facade tests. One Analyzer (and so one calibration — the expensive
-// part) is shared across the API and HTTP tests via testAnalyzer.
+// Facade tests. One fleet (and so one 6-SM calibration — the
+// expensive part) is shared across the API and HTTP tests via
+// testFleet; private fleets load that calibration from a
+// fingerprint-keyed cache directory instead of recalibrating.
 
 import (
 	"context"
@@ -15,27 +17,6 @@ import (
 	"sync"
 	"testing"
 )
-
-var (
-	taOnce sync.Once
-	ta     *Analyzer
-)
-
-// testAnalyzer returns the shared session: a 6-SM slice (fast, same
-// per-SM behaviour), serial simulation by default.
-func testAnalyzer(t *testing.T) *Analyzer {
-	t.Helper()
-	taOnce.Do(func() {
-		ta = NewAnalyzer(Options{Device: SliceDevice(DefaultDevice(), 6)})
-		if err := ta.Calibrate(); err != nil {
-			t.Fatalf("calibrate: %v", err)
-		}
-	})
-	if err := ta.Calibrate(); err != nil {
-		t.Fatalf("calibrate: %v", err)
-	}
-	return ta
-}
 
 var (
 	tfOnce sync.Once
@@ -56,14 +37,11 @@ func TestMain(m *testing.M) {
 }
 
 // testFleet returns the shared fleet: the default catalog with
-// "gtx285-6sm" as the default device, seeded with testAnalyzer's
-// calibration through the fingerprint-keyed cache directory — the
-// catalog entry's hardware is identical to the shared session's, so
-// the fleet's 6-SM session loads from cache instead of recalibrating
-// (names differ; fingerprints don't).
+// "gtx285-6sm" (a 6-SM slice — fast, same per-SM behaviour as the
+// full chip) as the default device, its calibration built once and
+// written to the fleet's calibration directory.
 func testFleet(t *testing.T) *Fleet {
 	t.Helper()
-	a := testAnalyzer(t)
 	tfOnce.Do(func() {
 		// Failures are stored, not t.Fatal-ed: the Once would stay
 		// spent and every later caller would hit a nil fleet instead
@@ -72,18 +50,45 @@ func testFleet(t *testing.T) *Fleet {
 		if tfErr != nil {
 			return
 		}
-		if tfErr = a.cal.SaveCachedCalibration(tfDir); tfErr != nil {
-			return
+		f := NewFleet(FleetOptions{DefaultDevice: "gtx285-6sm", CalibrationDir: tfDir})
+		a, err := f.Session("")
+		if err == nil {
+			err = a.Calibrate()
 		}
-		tf = NewFleet(FleetOptions{
-			DefaultDevice:  "gtx285-6sm",
-			CalibrationDir: tfDir,
-		})
+		if tfErr = err; err == nil {
+			tf = f
+		}
 	})
 	if tf == nil {
 		t.Fatalf("shared fleet init failed: %v", tfErr)
 	}
 	return tf
+}
+
+// testAnalyzer returns the shared fleet's calibrated default-device
+// session.
+func testAnalyzer(t *testing.T) *Analyzer {
+	t.Helper()
+	a, err := testFleet(t).Session("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
+// prepared routes and normalizes req through f exactly as every fleet
+// request is, returning the session, the resolved spec and the
+// normalized request — for tests that call the session's
+// analyze/advise/measure directly. That path bypasses the result
+// cache, so each call recomputes: what tests comparing two
+// computations (across parallelism, across sessions) need.
+func prepared(t *testing.T, f *Fleet, req Request) (*Analyzer, KernelSpec, Request) {
+	t.Helper()
+	a, spec, err := f.prepare(&req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a, spec, req
 }
 
 // TestRegistryDeterministicInputs: identical (kernel, size, seed)
@@ -147,8 +152,8 @@ func TestRegistryDeterministicInputs(t *testing.T) {
 // result carries a verdict, diagnostics, stats, stages, and a
 // passing CPU verification.
 func TestAnalyzeHappyPath(t *testing.T) {
-	a := testAnalyzer(t)
-	res, err := a.Analyze(context.Background(), Request{Kernel: "matmul16", Size: 64, Seed: 7})
+	f := testFleet(t)
+	res, err := f.Analyze(context.Background(), Request{Kernel: "matmul16", Size: 64, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,8 +186,8 @@ func TestAnalyzeHappyPath(t *testing.T) {
 // TestAnalyzeSkipVerify: the CPU-reference check (single-threaded
 // host code) is skippable per request.
 func TestAnalyzeSkipVerify(t *testing.T) {
-	a := testAnalyzer(t)
-	res, err := a.Analyze(context.Background(), Request{Kernel: "matmul16", Size: 64, Seed: 7, SkipVerify: true})
+	f := testFleet(t)
+	res, err := f.Analyze(context.Background(), Request{Kernel: "matmul16", Size: 64, Seed: 7, SkipVerify: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,8 +214,8 @@ func TestVerifyCancellable(t *testing.T) {
 // TestAnalyzeMeasure: Measure adds the device simulator's time and
 // the prediction-error metric.
 func TestAnalyzeMeasure(t *testing.T) {
-	a := testAnalyzer(t)
-	res, err := a.Analyze(context.Background(), Request{Kernel: "matmul16", Size: 64, Seed: 7, Measure: true})
+	f := testFleet(t)
+	res, err := f.Analyze(context.Background(), Request{Kernel: "matmul16", Size: 64, Seed: 7, Measure: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,13 +234,14 @@ func stripPhases(results ...*Result) {
 }
 
 // TestAnalyzeDeterministicAcrossParallelism: the Result is
-// bit-identical however the functional run is sharded (the PR-1
-// engine guarantee, surfaced through the facade).
+// bit-identical however the functional run is sharded (the engine's
+// guarantee, surfaced through the session). Parallelism is not part
+// of the cache key, so both runs go to the session directly.
 func TestAnalyzeDeterministicAcrossParallelism(t *testing.T) {
-	a := testAnalyzer(t)
 	var blobs [][]byte
 	for _, p := range []int{1, 4} {
-		res, err := a.Analyze(context.Background(), Request{Kernel: "spmv-ell", Size: 512, Seed: 3, Parallelism: p})
+		a, spec, req := prepared(t, testFleet(t), Request{Kernel: "spmv-ell", Size: 512, Seed: 3, Parallelism: p})
+		res, err := a.analyze(context.Background(), spec, req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -256,8 +262,8 @@ func TestAnalyzeDeterministicAcrossParallelism(t *testing.T) {
 
 // TestAnalyzeUnknownKernel maps to the sentinel error.
 func TestAnalyzeUnknownKernel(t *testing.T) {
-	a := testAnalyzer(t)
-	_, err := a.Analyze(context.Background(), Request{Kernel: "nope"})
+	f := testFleet(t)
+	_, err := f.Analyze(context.Background(), Request{Kernel: "nope"})
 	if !errors.Is(err, ErrUnknownKernel) {
 		t.Fatalf("got %v, want ErrUnknownKernel", err)
 	}
@@ -268,40 +274,44 @@ func TestAnalyzeUnknownKernel(t *testing.T) {
 // a network client cannot make the service allocate unbounded
 // memory.
 func TestAnalyzeInvalidSize(t *testing.T) {
-	a := testAnalyzer(t)
+	f := testFleet(t)
 	for _, req := range []Request{
 		{Kernel: "matmul32", Size: 32768}, // beyond MaxSize (and the kernel's uint32 edge)
 		{Kernel: "matmul16", Size: 100},   // builder rejects: not a power of two
 		{Kernel: "cr", Size: -4},          // negative
 		{Kernel: "spmv-ell", Size: 1 << 30},
 	} {
-		if _, err := a.Analyze(context.Background(), req); !errors.Is(err, ErrInvalidRequest) {
+		if _, err := f.Analyze(context.Background(), req); !errors.Is(err, ErrInvalidRequest) {
 			t.Errorf("%+v: got %v, want ErrInvalidRequest", req, err)
 		}
 	}
 }
 
-// TestAnalyzeCancelled: a dead context aborts the request.
+// TestAnalyzeCancelled: a dead context aborts the session's run.
 func TestAnalyzeCancelled(t *testing.T) {
-	a := testAnalyzer(t) // warm calibration so cancellation hits the run itself
+	// The shared session is calibrated, so cancellation hits the run
+	// itself.
+	a, spec, req := prepared(t, testFleet(t), Request{Kernel: "spmv-ell", Size: 4096, Seed: 3})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := a.Analyze(ctx, Request{Kernel: "spmv-ell", Size: 4096, Seed: 3})
+	_, err := a.analyze(ctx, spec, req)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
 }
 
 // TestAnalyzeBatch: results align with requests, one bad request
-// doesn't sink the batch, and batch answers match serial ones.
+// doesn't sink the batch, and batch answers match serial ones
+// computed on the session directly (not served from the cache the
+// batch just filled).
 func TestAnalyzeBatch(t *testing.T) {
-	a := testAnalyzer(t)
+	f := testFleet(t)
 	reqs := []Request{
 		{Kernel: "matmul16", Size: 64, Seed: 7},
 		{Kernel: "bogus"},
 		{Kernel: "cr", Size: 8, Seed: 2},
 	}
-	results, err := a.AnalyzeBatch(context.Background(), reqs)
+	results, err := f.AnalyzeBatch(context.Background(), reqs)
 	if err == nil || !errors.Is(err, ErrUnknownKernel) {
 		t.Fatalf("batch error should join the unknown-kernel failure, got %v", err)
 	}
@@ -315,7 +325,8 @@ func TestAnalyzeBatch(t *testing.T) {
 		if results[i] == nil {
 			t.Fatalf("request %d should have succeeded", i)
 		}
-		serial, err := a.Analyze(context.Background(), reqs[i])
+		a, spec, req := prepared(t, f, reqs[i])
+		serial, err := a.analyze(context.Background(), spec, req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -337,7 +348,11 @@ func TestCalibrationDirReuse(t *testing.T) {
 	if err := a.cal.SaveCachedCalibration(dir); err != nil {
 		t.Fatal(err)
 	}
-	a2 := NewAnalyzer(Options{Device: a.Device(), CalibrationDir: dir})
+	f2 := NewFleet(FleetOptions{DefaultDevice: "gtx285-6sm", CalibrationDir: dir})
+	a2, err := f2.Session("")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := a2.Calibrate(); err != nil {
 		t.Fatal(err)
 	}
@@ -347,12 +362,13 @@ func TestCalibrationDirReuse(t *testing.T) {
 	if a2.cal == a.cal {
 		t.Fatal("second session should have loaded its own calibration")
 	}
-	req := Request{Kernel: "matmul16", Size: 64, Seed: 7}
-	r1, err := a.Analyze(context.Background(), req)
+	// Both sessions compute (no result cache in between).
+	_, spec, req := prepared(t, f2, Request{Kernel: "matmul16", Size: 64, Seed: 7})
+	r1, err := a.analyze(context.Background(), spec, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := a2.Analyze(context.Background(), req)
+	r2, err := a2.analyze(context.Background(), spec, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,17 +391,18 @@ func TestCalibrationSaveFailureDoesNotPoison(t *testing.T) {
 	if err := os.WriteFile(block, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	a := NewAnalyzer(Options{
-		Device:         SliceDevice(DefaultDevice(), 6),
-		CalibrationDir: filepath.Join(block, "cache"),
-	})
+	f := NewFleet(FleetOptions{DefaultDevice: "gtx285-6sm", CalibrationDir: filepath.Join(block, "cache")})
+	a, err := f.Session("")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := a.Calibrate(); err != nil {
 		t.Fatalf("calibration should survive a failed cache write, got %v", err)
 	}
 	if a.CalibrationSaveError() == nil {
 		t.Error("the failed cache write should be reported via CalibrationSaveError")
 	}
-	if _, err := a.Analyze(context.Background(), Request{Kernel: "matmul16", Size: 64}); err != nil {
+	if _, err := f.Analyze(context.Background(), Request{Kernel: "matmul16", Size: 64}); err != nil {
 		t.Fatalf("analysis should work on the in-memory calibration: %v", err)
 	}
 }
@@ -403,7 +420,14 @@ func TestCalibrationCacheRejectsModifiedDevice(t *testing.T) {
 	}
 	dev := a.Device()
 	dev.SharedMemBanks = 17 // same Name, different hardware
-	a2 := NewAnalyzer(Options{Device: dev, CalibrationDir: dir})
+	cat := NewDeviceCatalog()
+	if err := cat.Register(dev.Name, dev); err != nil {
+		t.Fatal(err)
+	}
+	a2, err := NewFleet(FleetOptions{Catalog: cat, DefaultDevice: dev.Name, CalibrationDir: dir}).Session("")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := a2.Calibrate(); err != nil {
 		t.Fatal(err)
 	}
@@ -442,7 +466,15 @@ func TestCorruptCalibrationCacheFallsBack(t *testing.T) {
 	if err := os.WriteFile(slot, []byte("{truncated"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	a2 := NewAnalyzer(Options{Device: a.Device(), CalibrationDir: dir})
+	session := func() *Analyzer {
+		t.Helper()
+		s, err := NewFleet(FleetOptions{DefaultDevice: "gtx285-6sm", CalibrationDir: dir}).Session("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	a2 := session()
 	if err := a2.Calibrate(); err != nil {
 		t.Fatalf("corrupt cache must fall back to fresh calibration, got %v", err)
 	}
@@ -453,7 +485,7 @@ func TestCorruptCalibrationCacheFallsBack(t *testing.T) {
 		t.Errorf("repairing the slot failed: %v", a2.CalibrationSaveError())
 	}
 	// The repaired slot is valid again.
-	a3 := NewAnalyzer(Options{Device: a.Device(), CalibrationDir: dir})
+	a3 := session()
 	if err := a3.Calibrate(); err != nil {
 		t.Fatal(err)
 	}
@@ -481,7 +513,10 @@ func TestWorkersCappedBySession(t *testing.T) {
 		{2, 8, 2},          // request cannot exceed the session cap
 		{4, 1, 1},          // request may lower it
 	} {
-		a := NewAnalyzer(Options{Parallelism: tc.session})
+		a, err := NewFleet(FleetOptions{Parallelism: tc.session}).Session("")
+		if err != nil {
+			t.Fatal(err)
+		}
 		if got := a.workers(Request{Parallelism: tc.request}); got != tc.want {
 			t.Errorf("session %d, request %d: workers %d, want %d",
 				tc.session, tc.request, got, tc.want)
@@ -489,31 +524,55 @@ func TestWorkersCappedBySession(t *testing.T) {
 	}
 }
 
-// TestAdmissionControl: with every MaxConcurrent slot held, a caller
+// fillAdmission occupies every slot of f's admission semaphore and
+// returns the func that releases them.
+func fillAdmission(f *Fleet) (release func()) {
+	for i := 0; i < cap(f.admit); i++ {
+		f.admit <- struct{}{}
+	}
+	return func() {
+		for i := 0; i < cap(f.admit); i++ {
+			<-f.admit
+		}
+	}
+}
+
+// TestAdmissionControl: with every admission slot held, a caller
 // waits without building anything and leaves the queue the moment
 // its context dies.
 func TestAdmissionControl(t *testing.T) {
-	a := NewAnalyzer(Options{Device: SliceDevice(DefaultDevice(), 6), MaxConcurrent: 1})
-	a.admit <- struct{}{} // occupy the only slot
+	// A private fleet on the shared calibration: the session is
+	// calibrated, so the only thing the request can block on is the
+	// admission gate.
+	f := NewFleet(FleetOptions{DefaultDevice: "gtx285-6sm", CalibrationDir: testFleet(t).opt.CalibrationDir})
+	a, spec, req := prepared(t, f, Request{Kernel: "matmul16", Size: 64})
+	if err := a.Calibrate(); err != nil {
+		t.Fatal(err)
+	}
+	release := fillAdmission(f)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := a.Analyze(ctx, Request{Kernel: "matmul16", Size: 64})
+		_, err := a.analyze(ctx, spec, req)
 		done <- err
 	}()
 	cancel()
 	if err := <-done; !errors.Is(err, context.Canceled) {
 		t.Fatalf("queued request returned %v, want context.Canceled", err)
 	}
-	<-a.admit // release; the slot must still be intact
+	if len(f.admit) != cap(f.admit) {
+		t.Fatalf("the abandoned request disturbed the admission gate: %d of %d slots held", len(f.admit), cap(f.admit))
+	}
+	release()
 }
 
 // TestMeasureNoCalibration: Measure works on a fresh session without
 // ever calibrating (the architect-sweep path), and echoes the
 // normalized size and seed.
 func TestMeasureNoCalibration(t *testing.T) {
-	a := NewAnalyzer(Options{Device: SliceDevice(DefaultDevice(), 6)})
-	m, err := a.Measure(context.Background(), Request{Kernel: "matmul16", Size: 64})
+	f := NewFleet(FleetOptions{DefaultDevice: "gtx285-6sm"})
+	a, spec, req := prepared(t, f, Request{Kernel: "matmul16", Size: 64})
+	m, err := a.measure(context.Background(), spec, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -523,32 +582,35 @@ func TestMeasureNoCalibration(t *testing.T) {
 	if m.Size != 64 || m.Seed != 1 {
 		t.Errorf("measurement should echo normalized size/seed, got %d/%d", m.Size, m.Seed)
 	}
+	if n := len(f.admit); n != 0 {
+		t.Errorf("Measure leaked %d admission slots", n)
+	}
 	select {
-	case a.admit <- struct{}{}:
-		<-a.admit
+	case <-a.calDone:
+		t.Error("Measure triggered a calibration")
 	default:
-		t.Error("Measure leaked an admission slot")
 	}
 }
 
 // TestMeasureSharesPrelude: Measure validates exactly like Analyze —
-// same sentinel errors for unknown kernels, rejected sizes, foreign
-// devices and dead contexts — without ever touching the calibration.
+// same sentinel errors for unknown kernels, rejected sizes and dead
+// contexts — without ever touching the calibration.
 func TestMeasureSharesPrelude(t *testing.T) {
-	a := NewAnalyzer(Options{Device: SliceDevice(DefaultDevice(), 6)})
+	f := NewFleet(FleetOptions{DefaultDevice: "gtx285-6sm"})
+	a, err := f.Session("")
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx := context.Background()
-	if _, err := a.Measure(ctx, Request{Kernel: "nope"}); !errors.Is(err, ErrUnknownKernel) {
+	if _, err := f.Measure(ctx, Request{Kernel: "nope"}); !errors.Is(err, ErrUnknownKernel) {
 		t.Errorf("unknown kernel: got %v", err)
 	}
-	if _, err := a.Measure(ctx, Request{Kernel: "matmul32", Size: 32768}); !errors.Is(err, ErrInvalidRequest) {
+	if _, err := f.Measure(ctx, Request{Kernel: "matmul32", Size: 32768}); !errors.Is(err, ErrInvalidRequest) {
 		t.Errorf("oversized request: got %v", err)
-	}
-	if _, err := a.Measure(ctx, Request{Kernel: "matmul16", Size: 64, Device: "some-other-chip"}); !errors.Is(err, ErrInvalidRequest) {
-		t.Errorf("foreign device: got %v", err)
 	}
 	dead, cancel := context.WithCancel(ctx)
 	cancel()
-	if _, err := a.Measure(dead, Request{Kernel: "matmul16", Size: 64}); !errors.Is(err, context.Canceled) {
+	if _, err := f.Measure(dead, Request{Kernel: "matmul16", Size: 64}); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled: got %v", err)
 	}
 	// None of the failures (nor the admission path) may have kicked
@@ -557,25 +619,6 @@ func TestMeasureSharesPrelude(t *testing.T) {
 	case <-a.calDone:
 		t.Error("Measure triggered a calibration")
 	default:
-	}
-}
-
-// TestAnalyzeRejectsForeignDevice: a bare Analyzer serves exactly one
-// device; requests naming another are the caller's error, directing
-// them at a Fleet.
-func TestAnalyzeRejectsForeignDevice(t *testing.T) {
-	a := testAnalyzer(t)
-	_, err := a.Analyze(context.Background(), Request{Kernel: "matmul16", Size: 64, Device: "gtx280"})
-	if !errors.Is(err, ErrInvalidRequest) {
-		t.Fatalf("got %v, want ErrInvalidRequest", err)
-	}
-	// Naming the session's own device is fine.
-	res, err := a.Analyze(context.Background(), Request{Kernel: "matmul16", Size: 64, Device: a.Device().Name})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Device != a.Device().Name {
-		t.Errorf("result device %q, want %q", res.Device, a.Device().Name)
 	}
 }
 
@@ -629,8 +672,8 @@ func TestSliceDeviceIdempotent(t *testing.T) {
 // coalescing as the top opportunity — the §4 walk's first step — with
 // every cataloged scenario present and ranked.
 func TestAdviseHappyPath(t *testing.T) {
-	a := testAnalyzer(t)
-	adv, err := a.Advise(context.Background(), Request{Kernel: "matmul-naive", Size: 128, Seed: 7})
+	f := testFleet(t)
+	adv, err := f.Advise(context.Background(), Request{Kernel: "matmul-naive", Size: 128, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -661,14 +704,13 @@ func TestAdviseHappyPath(t *testing.T) {
 
 // TestAdviseDeterministicAcrossParallelism: the ranked advice is
 // bit-identical whether the functional run and scenario fan-out use
-// one worker or eight.
+// one worker or eight. Both runs go to the session directly, since
+// Parallelism is not part of the cache key.
 func TestAdviseDeterministicAcrossParallelism(t *testing.T) {
-	a := testAnalyzer(t)
 	var reports [2]*Advice
 	for i, p := range []int{1, 8} {
-		adv, err := a.Advise(context.Background(), Request{
-			Kernel: "cr", Size: 16, Seed: 5, Parallelism: p,
-		})
+		a, spec, req := prepared(t, testFleet(t), Request{Kernel: "cr", Size: 16, Seed: 5, Parallelism: p})
+		adv, err := a.advise(context.Background(), spec, req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -684,15 +726,15 @@ func TestAdviseDeterministicAcrossParallelism(t *testing.T) {
 // recommendation is the bank-conflict remedy — the very optimization
 // the registry's cr-nbc variant implements (paper Fig. 8).
 func TestAdviseCRTopAdvice(t *testing.T) {
-	a := testAnalyzer(t)
-	adv, err := a.Advise(context.Background(), Request{Kernel: "cr", Size: 16, Seed: 5})
+	f := testFleet(t)
+	adv, err := f.Advise(context.Background(), Request{Kernel: "cr", Size: 16, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if adv.Top != "conflict-free-shared" {
 		t.Errorf("cr top advice %q, want conflict-free-shared", adv.Top)
 	}
-	spec, ok := a.Registry().Lookup("cr-nbc")
+	spec, ok := f.Registry().Lookup("cr-nbc")
 	if !ok {
 		t.Fatal("cr-nbc missing from the registry")
 	}
@@ -701,15 +743,17 @@ func TestAdviseCRTopAdvice(t *testing.T) {
 	}
 }
 
-// TestAdviseUnknownKernelAndCancelled: Advise fails fast like Analyze.
+// TestAdviseUnknownKernelAndCancelled: Advise fails fast like Analyze,
+// and a dead context aborts the session's run.
 func TestAdviseUnknownKernelAndCancelled(t *testing.T) {
-	a := testAnalyzer(t)
-	if _, err := a.Advise(context.Background(), Request{Kernel: "nope"}); !errors.Is(err, ErrUnknownKernel) {
+	f := testFleet(t)
+	if _, err := f.Advise(context.Background(), Request{Kernel: "nope"}); !errors.Is(err, ErrUnknownKernel) {
 		t.Errorf("unknown kernel: got %v", err)
 	}
+	a, spec, req := prepared(t, f, Request{Kernel: "matmul16", Size: 64})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := a.Advise(ctx, Request{Kernel: "matmul16", Size: 64}); !errors.Is(err, context.Canceled) {
+	if _, err := a.advise(ctx, spec, req); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled: got %v", err)
 	}
 }
@@ -718,13 +762,13 @@ func TestAdviseUnknownKernelAndCancelled(t *testing.T) {
 // its index and kernel name, in request order, and errors.Is still
 // matches the underlying condition through the wrapping.
 func TestAnalyzeBatchErrorIndexing(t *testing.T) {
-	a := testAnalyzer(t)
+	f := testFleet(t)
 	reqs := []Request{
 		{Kernel: "matmul16", Size: 64, Seed: 7},
 		{Kernel: "no-such-kernel"},
 		{Kernel: "matmul16", Size: 1 << 20},
 	}
-	results, err := a.AnalyzeBatch(context.Background(), reqs)
+	results, err := f.AnalyzeBatch(context.Background(), reqs)
 	if err == nil {
 		t.Fatal("batch with bad requests returned no error")
 	}

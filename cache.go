@@ -36,8 +36,8 @@ const (
 	// CacheCoalesced: an identical request was already in flight;
 	// this one waited for the leader's result instead of computing.
 	CacheCoalesced CacheStatus = "COALESCED"
-	// CacheBypass: the fleet was built with DisableCache (or the
-	// request failed before reaching the cache).
+	// CacheBypass: the request failed before reaching the cache, or
+	// the response (a static listing) is not a cached result.
 	CacheBypass CacheStatus = "BYPASS"
 )
 
@@ -48,9 +48,6 @@ const DefaultCacheBytes int64 = 32 << 20
 // CacheStats is the GET /v1/stats wire type: the fleet result cache's
 // counters and gauges.
 type CacheStats struct {
-	// Enabled is false when the fleet was built with DisableCache —
-	// every other field is then zero.
-	Enabled bool `json:"enabled"`
 	// Hits = MemoryHits + DiskHits.
 	Hits       int64 `json:"hits"`
 	MemoryHits int64 `json:"memory_hits"`
@@ -74,14 +71,13 @@ type CacheStats struct {
 	// Submissions/SubmissionBytes gauge the resident user-submitted
 	// kernels (the POST /v1/kernels store); SubmissionEvictions counts
 	// the ones removed for any reason (LRU pressure, TTL expiry,
-	// deletion). Populated even when the result cache is disabled.
+	// deletion).
 	Submissions         int   `json:"submissions"`
 	SubmissionBytes     int64 `json:"submission_bytes"`
 	SubmissionEvictions int64 `json:"submission_evictions"`
 	// Engine reports the fleet's cumulative simulation-engine
 	// effectiveness (blocks replayed vs simulated, batched stepping),
-	// summed across sessions. Populated even when the result cache is
-	// disabled.
+	// summed across sessions.
 	Engine EngineCounters `json:"engine"`
 	// UptimeSeconds is the time since the fleet was built; on the
 	// router path it aggregates as the oldest worker's uptime.
@@ -105,11 +101,7 @@ func (f *Fleet) CacheStats() CacheStats {
 	if f.subs != nil {
 		cs.Submissions, cs.SubmissionBytes, cs.SubmissionEvictions = f.subs.Stats()
 	}
-	if f.store == nil {
-		return cs
-	}
 	st := f.store.Stats()
-	cs.Enabled = true
 	cs.Hits = st.Hits
 	cs.MemoryHits = st.MemoryHits
 	cs.DiskHits = st.DiskHits
@@ -223,10 +215,6 @@ func compareKey(req CompareRequest, fps []string, baselineFP string) string {
 // responses are byte-identical to freshly computed ones by
 // construction.
 func cachedFetch[T any](ctx context.Context, f *Fleet, key string, compute func(context.Context) (*T, error)) (*T, CacheStatus, error) {
-	if f.store == nil {
-		v, err := compute(ctx)
-		return v, CacheBypass, err
-	}
 	// The cache span covers the whole store.Do call: on a hit it is
 	// the probe itself; on a miss the computation's spans nest inside
 	// it, so a slow-request tree shows probe-turned-compute honestly.

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
-	"reflect"
 	"sync"
 	"testing"
 
@@ -94,16 +93,11 @@ func TestCompareFingerprint(t *testing.T) {
 
 // TestFingerprintNormalization: "size 0" and the kernel's explicit
 // default size are the same request, so they must share a slot after
-// the fleet's normalize pass.
+// the fleet's prepare pass.
 func TestFingerprintNormalization(t *testing.T) {
 	f := NewFleet(FleetOptions{})
-	implicit := Request{Kernel: "spmv-ell"}
-	explicit := Request{Kernel: "spmv-ell", Size: 8192, Seed: 1}
-	for _, r := range []*Request{&implicit, &explicit} {
-		if err := f.normalize(r); err != nil {
-			t.Fatal(err)
-		}
-	}
+	_, _, implicit := prepared(t, f, Request{Kernel: "spmv-ell"})
+	_, _, explicit := prepared(t, f, Request{Kernel: "spmv-ell", Size: 8192, Seed: 1})
 	if implicit != explicit {
 		t.Fatalf("normalize disagreed: %+v vs %+v", implicit, explicit)
 	}
@@ -113,7 +107,8 @@ func TestFingerprintNormalization(t *testing.T) {
 }
 
 // TestFleetCacheBitIdentical: a cached answer is byte-for-byte the
-// computed one — across MISS/HIT and against an uncached fleet.
+// computed one — across MISS/HIT and against a fleet that stores
+// nothing and so recomputes.
 func TestFleetCacheBitIdentical(t *testing.T) {
 	f := cacheTestFleet(t, FleetOptions{})
 	ctx := context.Background()
@@ -136,30 +131,18 @@ func TestFleetCacheBitIdentical(t *testing.T) {
 		t.Fatalf("repeat: %s, want HIT", st)
 	}
 
-	bare := NewFleet(FleetOptions{DefaultDevice: "gtx285-6sm", CalibrationDir: f.opt.CalibrationDir, DisableCache: true})
-	fresh, st, err := bare.AnalyzeCached(ctx, req)
+	// No memory tier and no CacheDir: the fleet stores nothing, so its
+	// answer is a fresh computation.
+	bare := NewFleet(FleetOptions{DefaultDevice: "gtx285-6sm", CalibrationDir: f.opt.CalibrationDir, CacheBytes: -1})
+	fresh, err := bare.Analyze(ctx, req)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if st != CacheBypass {
-		t.Fatalf("DisableCache fleet reported %s, want BYPASS", st)
-	}
-	// Uptime, request counts and engine counters are live on every
-	// fleet; the CACHE fields proper must all be zero with caching
-	// disabled.
-	s := bare.CacheStats()
-	s.Engine, s.Requests, s.UptimeSeconds = EngineCounters{}, nil, 0
-	if bs := bare.CacheStats(); bs.Enabled || !reflect.DeepEqual(s, CacheStats{}) {
-		t.Errorf("DisableCache fleet has live cache stats: %+v", s)
-	} else if bs.Engine.BlocksSimulated == 0 {
-		// The engine counters ride on /v1/stats but are independent of
-		// the result cache: they stay live with caching disabled.
-		t.Errorf("DisableCache fleet lost its engine counters: %+v", bs.Engine)
 	}
 
 	// PhaseSeconds is wall-clock telemetry, deliberately outside the
 	// determinism contract: the cached HIT replays cold's breakdown
-	// verbatim, but the bypass fleet's fresh computation times its own.
+	// verbatim, but the storeless fleet's fresh computation times its
+	// own.
 	fresh.Diagnostics.PhaseSeconds = cold.Diagnostics.PhaseSeconds
 	for name, v := range map[string]*Result{"hit": warm, "uncached": fresh} {
 		a, _ := json.Marshal(cold)
@@ -265,11 +248,7 @@ func TestFleetCacheDiskPersistence(t *testing.T) {
 	}
 	slot := slots[0]
 	// The slot's name is the content address of the normalized request.
-	norm := req
-	a1, _ := f1.Session("")
-	if err := f1.normalize(&norm); err != nil {
-		t.Fatal(err)
-	}
+	a1, _, norm := prepared(t, f1, req)
 	want := resultstore.SlotPath(cacheDir, analyzeKey(norm, DeviceFingerprint(a1.Device())))
 	if slot != want {
 		t.Errorf("slot %s, want %s", slot, want)

@@ -169,7 +169,7 @@ func run(req gpuperf.Request, sub *submitOpts, compare string, advse, disasm boo
 		return err
 	}
 	if disasm {
-		text, err := a.Registry().Disassemble(a.Device(), req.Kernel, gpuperf.Params{Size: req.Size, Seed: req.Seed})
+		text, err := f.Registry().Disassemble(a.Device(), req.Kernel, gpuperf.Params{Size: req.Size, Seed: req.Seed})
 		if err != nil {
 			return err
 		}

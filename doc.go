@@ -12,18 +12,17 @@
 //     GTX 285, its cluster slices, the paper's §5 study variants —
 //     each with a canonical hardware fingerprint that keys the
 //     on-disk calibration cache.
-//   - An Analyzer is a reusable single-device session: it owns a
-//     Device configuration and its lazily-built, cached calibration,
-//     runs the functional simulation (sharded across workers,
-//     abortable via context), applies the three-component model, and
-//     returns a fully JSON-serializable Result with the bottleneck
-//     verdict, causes, per-stage breakdown and dynamic-statistics
-//     summary. AnalyzeBatch amortizes the calibration across many
-//     requests.
-//   - A Fleet routes requests to one session per catalog entry
-//     behind a shared admission limit and calibration cache
-//     directory; Fleet.Compare ranks one kernel across a device set
-//     (the architect question, answered in one call).
+//   - A Fleet is the front door for every request: it routes each
+//     one to a per-device Analyzer session (a Device configuration
+//     and its lazily-built, cached calibration) behind a shared
+//     admission limit, calibration cache directory and result cache.
+//     Fleet.Analyze runs the functional simulation (sharded across
+//     workers, abortable via context), applies the three-component
+//     model, and returns a fully JSON-serializable Result with the
+//     bottleneck verdict, causes, per-stage breakdown and
+//     dynamic-statistics summary; Advise, Measure and AnalyzeBatch
+//     share the same path, and Compare ranks one kernel across a
+//     device set (the architect question, answered in one call).
 //   - NewHandler exposes a fleet over HTTP (cmd/gpuperfd):
 //     POST /v1/analyze, /v1/advise, /v1/measure, /v1/compare,
 //     GET /v1/kernels, /v1/devices, /healthz.

@@ -34,26 +34,21 @@ func main() {
 
 	// A 6-SM slice keeps the walk fast while preserving per-SM
 	// occupancy, conflict and coalescing behaviour.
-	a := gpuperf.NewAnalyzer(gpuperf.Options{
-		Device: gpuperf.SliceDevice(gpuperf.DefaultDevice(), 6),
-	})
+	f := gpuperf.NewFleet(gpuperf.FleetOptions{DefaultDevice: "gtx285-6sm"})
 	fmt.Println("calibrating...")
-	if err := a.Calibrate(); err != nil {
-		log.Fatal(err)
-	}
 
-	walk(a, "matmul-naive", "matmul16", *n, 7,
+	walk(f, "matmul-naive", "matmul16", *n, 7,
 		"the tiled kernel also stages B in shared memory, reusing each fetched byte across the tile — headroom beyond what coalescing alone predicts")
-	walk(a, "cr", "cr-nbc", *systems, 5,
+	walk(f, "cr", "cr-nbc", *systems, 5,
 		"padding is a pure layout change, so the realized speedup tracks the counterfactual (paper Fig. 8 measures ~1.6x)")
 }
 
 // walk advises on the baseline kernel, measures baseline and variant,
 // and lines the top counterfactual up against the realized speedup.
-func walk(a *gpuperf.Analyzer, baseline, variant string, size int, seed int64, note string) {
+func walk(f *gpuperf.Fleet, baseline, variant string, size int, seed int64, note string) {
 	ctx := context.Background()
 
-	adv, err := a.Advise(ctx, gpuperf.Request{Kernel: baseline, Size: size, Seed: seed})
+	adv, err := f.Advise(ctx, gpuperf.Request{Kernel: baseline, Size: size, Seed: seed})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -70,7 +65,7 @@ func walk(a *gpuperf.Analyzer, baseline, variant string, size int, seed int64, n
 	// The registry variant that realizes the advisor's scenario: same
 	// family, same (size, seed) inputs, measured on the device
 	// simulator.
-	spec, ok := a.Registry().Lookup(variant)
+	spec, ok := f.Registry().Lookup(variant)
 	if !ok {
 		log.Fatalf("variant %s missing from the registry", variant)
 	}
@@ -80,13 +75,13 @@ func walk(a *gpuperf.Analyzer, baseline, variant string, size int, seed int64, n
 			predicted = s.Speedup
 		}
 	}
-	base, err := a.Analyze(ctx, gpuperf.Request{
+	base, err := f.Analyze(ctx, gpuperf.Request{
 		Kernel: baseline, Size: size, Seed: seed, Measure: true, SkipVerify: true,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	opt, err := a.Analyze(ctx, gpuperf.Request{
+	opt, err := f.Analyze(ctx, gpuperf.Request{
 		Kernel: variant, Size: size, Seed: seed, Measure: true, SkipVerify: true,
 	})
 	if err != nil {

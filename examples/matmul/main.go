@@ -1,7 +1,7 @@
 // Case study 1 (paper §5.1): dense matrix multiply at three
 // sub-matrix sizes. Reproduces the Table 2 / Figure 4 analysis end
-// to end through the public API — one AnalyzeBatch over the three
-// tile kernels returns occupancy, the model's breakdown and
+// to end through the public API — one Fleet.AnalyzeBatch over the
+// three tile kernels returns occupancy, the model's breakdown and
 // bottleneck, and measured time — explaining why the 16×16 tile
 // wins even though 32×32 has the best memory behaviour.
 //
@@ -23,15 +23,15 @@ func main() {
 
 	// A 6-SM slice keeps the run fast while preserving per-SM
 	// occupancy behaviour (use the full 30-SM chip for large n).
-	dev := gpuperf.DefaultDevice()
+	device := "gtx285"
 	if *n <= 256 {
-		dev = gpuperf.SliceDevice(dev, 6)
+		device = "gtx285-6sm"
 	}
-	a := gpuperf.NewAnalyzer(gpuperf.Options{Device: dev})
+	f := gpuperf.NewFleet(gpuperf.FleetOptions{DefaultDevice: device})
 	fmt.Println("calibrating...")
 
-	// One batch, three tiles: the session calibrates once and the
-	// same seed builds the same A and B for every tile. One tile
+	// One batch, three tiles: the fleet calibrates the device once
+	// and the same seed builds the same A and B for every tile. One tile
 	// verifies against the CPU reference; the others skip it — same
 	// inputs, and the reference product costs O(n³) on one host core.
 	reqs := []gpuperf.Request{
@@ -39,7 +39,7 @@ func main() {
 		{Kernel: "matmul16", Size: *n, Seed: 3, Measure: true, SkipVerify: true},
 		{Kernel: "matmul32", Size: *n, Seed: 3, Measure: true, SkipVerify: true},
 	}
-	results, err := a.AnalyzeBatch(context.Background(), reqs)
+	results, err := f.AnalyzeBatch(context.Background(), reqs)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,7 +1,6 @@
-// Quickstart: the public gpuperf API in one page. Build an Analyzer
-// session, analyze a built-in kernel, read the bottleneck verdict
-// off the serializable Result — the same three calls a service
-// makes per request.
+// Quickstart: the public gpuperf API in one page. Build a Fleet,
+// analyze a built-in kernel, read the bottleneck verdict off the
+// serializable Result — the same calls a service makes per request.
 //
 //	go run ./examples/quickstart
 package main
@@ -16,15 +15,14 @@ import (
 )
 
 func main() {
-	// A 6-SM slice of the GTX 285 keeps calibration and the run
-	// fast; per-SM behaviour is identical to the full chip.
-	dev := gpuperf.SliceDevice(gpuperf.DefaultDevice(), 6)
-	a := gpuperf.NewAnalyzer(gpuperf.Options{Device: dev})
+	// The catalog's 6-SM slice of the GTX 285 keeps calibration and
+	// the run fast; per-SM behaviour is identical to the full chip.
+	f := gpuperf.NewFleet(gpuperf.FleetOptions{DefaultDevice: "gtx285-6sm"})
 
-	fmt.Printf("device: %s — kernels: %v\n", a.Device().Name, a.Registry().Names())
-	fmt.Println("calibrating (the first analysis pays it; the session reuses it)...")
+	fmt.Printf("device: %s — kernels: %v\n", f.DefaultDevice(), f.Registry().Names())
+	fmt.Println("calibrating (the first analysis pays it; the fleet reuses it)...")
 
-	res, err := a.Analyze(context.Background(), gpuperf.Request{
+	res, err := f.Analyze(context.Background(), gpuperf.Request{
 		Kernel: "matmul16",
 		Size:   128,
 		Seed:   7,

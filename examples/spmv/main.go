@@ -24,17 +24,17 @@ func main() {
 
 	// A 6-SM slice keeps small runs realistic (see paper §5.1's
 	// occupancy analysis); use the full chip for big matrices.
-	dev := gpuperf.DefaultDevice()
+	device := "gtx285"
 	if *rows <= 8192 {
-		dev = gpuperf.SliceDevice(dev, 6)
+		device = "gtx285-6sm"
 	}
-	a := gpuperf.NewAnalyzer(gpuperf.Options{Device: dev})
+	f := gpuperf.NewFleet(gpuperf.FleetOptions{DefaultDevice: device})
 	fmt.Println("calibrating...")
 
 	for _, kernel := range []string{"spmv-ell", "spmv-bell-im", "spmv-bell-imiv"} {
 		// The same seed regenerates the same matrix and vector for
 		// every format, so the comparison is apples to apples.
-		res, err := a.Analyze(context.Background(), gpuperf.Request{
+		res, err := f.Analyze(context.Background(), gpuperf.Request{
 			Kernel:  kernel,
 			Size:    *rows,
 			Seed:    5,

@@ -21,12 +21,12 @@ func main() {
 	nsys := flag.Int("systems", 64, "number of independent systems")
 	flag.Parse()
 
-	a := gpuperf.NewAnalyzer(gpuperf.Options{})
+	f := gpuperf.NewFleet(gpuperf.FleetOptions{})
 	fmt.Println("calibrating...")
 
 	var measured [2]float64
 	for i, kernel := range []string{"cr", "cr-nbc"} {
-		res, err := a.Analyze(context.Background(), gpuperf.Request{
+		res, err := f.Analyze(context.Background(), gpuperf.Request{
 			Kernel:  kernel,
 			Size:    *nsys,
 			Seed:    4,

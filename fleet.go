@@ -19,9 +19,6 @@ type FleetOptions struct {
 	// Catalog names the devices the fleet serves. Nil means
 	// DefaultCatalog().
 	Catalog *DeviceCatalog
-	// Registry resolves kernel names for every session. Nil means
-	// DefaultRegistry.
-	Registry *Registry
 	// DefaultDevice is the catalog entry used when a request leaves
 	// its Device field empty ("" = DefaultCatalogDevice). It must name
 	// a catalog entry; the first request to rely on it fails otherwise.
@@ -33,14 +30,6 @@ type FleetOptions struct {
 	// cache: one file per device fingerprint, shared by every session
 	// (and every fleet pointed at the same directory).
 	CalibrationDir string
-	// BatchConcurrency caps how many requests AnalyzeBatch and Compare
-	// fan out at once (0 = GOMAXPROCS).
-	BatchConcurrency int
-	// MaxConcurrent is the fleet-wide admission limit: how many
-	// requests may hold resources at once across ALL devices — one
-	// semaphore shared by every session, so adding catalog entries
-	// never multiplies the operator's resource budget. 0 = GOMAXPROCS.
-	MaxConcurrent int
 	// CacheDir, when set, is the fleet's on-disk result cache: one
 	// content-addressed slot per request fingerprint, surviving
 	// restarts and shared by every fleet (and process) pointed at the
@@ -49,15 +38,14 @@ type FleetOptions struct {
 	// CacheBytes is the in-memory result-cache budget (sum of cached
 	// payload sizes). 0 means DefaultCacheBytes; a negative value
 	// disables the memory tier, leaving disk-only caching when
-	// CacheDir is set.
+	// CacheDir is set — and no caching at all without it (identical
+	// in-flight requests still coalesce).
 	CacheBytes int64
-	// DisableCache turns the result cache off entirely: every
-	// Analyze/Advise/Compare recomputes and reports CacheBypass.
-	DisableCache bool
 	// DisableBlockReplay forces every session's functional
-	// simulations through live per-block execution (see
-	// Options.DisableBlockReplay). Results are bit-identical either
-	// way.
+	// simulations through live per-block execution instead of the
+	// engine's homogeneous-block replay (see barra.Options). Results
+	// are bit-identical either way; the escape hatch exists for
+	// debugging and for measuring replay's effect.
 	DisableBlockReplay bool
 	// SubmissionDir, when set, persists accepted kernel submissions
 	// (POST /v1/kernels) as on-disk slots so a daemon restart keeps
@@ -69,23 +57,27 @@ type FleetOptions struct {
 	SubmissionLimits SubmissionLimits
 }
 
-// Fleet is the multi-device front door: one lazily-calibrated
+// Fleet is the front door: every analyze, advise, measure and
+// compare request enters here. It owns one lazily-calibrated
 // Analyzer session per catalog entry, created on first use and
 // reused for every later request naming that device, all behind one
-// shared admission semaphore and one calibration cache directory.
-// Safe for concurrent use — a service handles all traffic with one
-// Fleet.
+// shared admission semaphore, one calibration cache directory and
+// one result cache. Safe for concurrent use — a service handles all
+// traffic with one Fleet.
 type Fleet struct {
 	opt     FleetOptions
 	catalog *DeviceCatalog
 	reg     *Registry
 	def     string
-	admit   chan struct{}
-	// store is the result cache behind Analyze/Advise/Compare (nil
-	// when DisableCache): deterministic requests are memoized by
-	// fingerprint and identical in-flight requests coalesce onto one
-	// simulation. Measure stays uncached — it is calibration-free and
-	// cheap.
+	// admit is the fleet-wide admission semaphore (GOMAXPROCS slots):
+	// at most that many requests hold input memory and simulation
+	// resources at once across ALL devices, so adding catalog entries
+	// never multiplies the host's resource budget.
+	admit chan struct{}
+	// store is the result cache behind Analyze/Advise/Compare:
+	// deterministic requests are memoized by fingerprint and identical
+	// in-flight requests coalesce onto one simulation. Measure stays
+	// uncached — it is calibration-free and cheap.
 	store *resultstore.Store
 	// subs holds accepted kernel submissions; subsErr defers a
 	// submission-store open failure (an unwritable SubmissionDir) to
@@ -113,38 +105,25 @@ func NewFleet(opt FleetOptions) *Fleet {
 	if catalog == nil {
 		catalog = DefaultCatalog()
 	}
-	// Clone the registry so submission entries registered at runtime
-	// never leak into the configured (possibly process-global) one.
-	reg := opt.Registry
-	if reg == nil {
-		reg = DefaultRegistry()
-	}
-	reg = reg.Clone()
 	def := opt.DefaultDevice
 	if def == "" {
 		def = DefaultCatalogDevice
 	}
-	limit := opt.MaxConcurrent
-	if limit <= 0 {
-		limit = runtime.GOMAXPROCS(0)
-	}
-	var store *resultstore.Store
-	if !opt.DisableCache {
-		budget := opt.CacheBytes
-		if budget == 0 {
-			budget = DefaultCacheBytes
-		} else if budget < 0 {
-			budget = 0
-		}
-		store = resultstore.New(resultstore.Config{MemoryBytes: budget, Dir: opt.CacheDir})
+	budget := opt.CacheBytes
+	if budget == 0 {
+		budget = DefaultCacheBytes
+	} else if budget < 0 {
+		budget = 0
 	}
 	f := &Fleet{
-		opt:      opt,
-		catalog:  catalog,
-		reg:      reg,
+		opt:     opt,
+		catalog: catalog,
+		// Clone the registry so submission entries registered at
+		// runtime never leak into the process-global one.
+		reg:      DefaultRegistry().Clone(),
 		def:      def,
-		admit:    make(chan struct{}, limit),
-		store:    store,
+		admit:    make(chan struct{}, runtime.GOMAXPROCS(0)),
+		store:    resultstore.New(resultstore.Config{MemoryBytes: budget, Dir: opt.CacheDir}),
 		start:    time.Now(),
 		sessions: map[string]*Analyzer{},
 	}
@@ -176,9 +155,10 @@ func (f *Fleet) Devices() []DeviceProfile { return f.catalog.Profiles() }
 func (f *Fleet) DefaultDevice() string { return f.def }
 
 // Session returns the per-device Analyzer for the named catalog
-// entry ("" = the fleet default), creating it on first use. All
-// sessions share the fleet's admission semaphore and calibration
-// cache directory; each owns its device's calibration.
+// entry ("" = the fleet default), creating it on first use — what a
+// caller uses to calibrate a device ahead of traffic and inspect the
+// outcome. All sessions share the fleet's admission semaphore and
+// calibration cache directory; each owns its device's calibration.
 func (f *Fleet) Session(device string) (*Analyzer, error) {
 	if device == "" {
 		device = f.def
@@ -192,14 +172,7 @@ func (f *Fleet) Session(device string) (*Analyzer, error) {
 	if err != nil {
 		return nil, err
 	}
-	a := newAnalyzer(Options{
-		Device:             dev,
-		Registry:           f.reg,
-		Parallelism:        f.opt.Parallelism,
-		CalibrationDir:     f.opt.CalibrationDir,
-		BatchConcurrency:   f.opt.BatchConcurrency,
-		DisableBlockReplay: f.opt.DisableBlockReplay,
-	}, f.admit)
+	a := &Analyzer{fleet: f, dev: dev, calDone: make(chan struct{})}
 	f.sessions[device] = a
 	return a, nil
 }
@@ -211,7 +184,7 @@ func (f *Fleet) EngineCounters() EngineCounters {
 	defer f.mu.Unlock()
 	var total EngineCounters
 	for _, a := range f.sessions {
-		c := a.EngineCounters()
+		c := a.engineCounters()
 		total.BlocksSimulated += c.BlocksSimulated
 		total.BlocksReplayed += c.BlocksReplayed
 		total.BatchedRuns += c.BatchedRuns
@@ -220,38 +193,40 @@ func (f *Fleet) EngineCounters() EngineCounters {
 	return total
 }
 
-// route resolves the request's device to its session and pins the
-// resolved name into the request so results echo the catalog name.
-func (f *Fleet) route(req *Request) (*Analyzer, error) {
+// prepare is the front half every analyze, advise and measure
+// request shares: route it to its device's session, pinning the
+// resolved catalog name so results echo it, then normalize it against
+// the registry. The concrete size and seed are pinned in place, so
+// cache keys treat "size 0" and the kernel's explicit default as one
+// request, and unverified (submitted) kernels get SkipVerify pinned
+// true, so a caller toggling the flag cannot split one submission's
+// results across two cache slots. An unknown device or kernel, or a
+// rejected size, fails here — before any calibration wait, admission
+// slot or cache probe.
+func (f *Fleet) prepare(req *Request) (*Analyzer, KernelSpec, error) {
 	a, err := f.Session(req.Device)
 	if err != nil {
-		return nil, err
+		return nil, KernelSpec{}, err
 	}
-	req.Device = a.Device().Name
-	return a, nil
-}
-
-// normalize pins the registry's concrete size and seed into the
-// request (the cheap prepare half, no build), so cache keys treat
-// "size 0" and the kernel's explicit default as the same request.
-// Unverified (submitted) kernels also get SkipVerify pinned true, so
-// a caller toggling the flag cannot split one submission's results
-// across two cache slots.
-func (f *Fleet) normalize(req *Request) error {
+	req.Device = a.dev.Name
 	spec, p, err := f.reg.prepare(req.Kernel, Params{Size: req.Size, Seed: req.Seed})
 	if err != nil {
-		return err
+		return nil, KernelSpec{}, err
 	}
 	req.Size, req.Seed = p.Size, p.Seed
 	if spec.Unverified {
 		req.SkipVerify = true
 	}
-	return nil
+	return a, spec, nil
 }
 
 // Analyze routes the request to its device's session and runs the
-// full workflow there (see Analyzer.Analyze), served through the
-// fleet's result cache.
+// full workflow there, served through the fleet's result cache: build
+// the kernel's deterministic problem instance, functionally simulate
+// it (sharded across workers, abortable through ctx), apply the
+// calibrated three-component model, verify the output against the
+// CPU reference when the kernel has one, and — with Measure — time
+// the same launch on the device simulator.
 func (f *Fleet) Analyze(ctx context.Context, req Request) (*Result, error) {
 	res, _, err := f.AnalyzeCached(ctx, req)
 	return res, err
@@ -268,43 +243,25 @@ func (f *Fleet) AnalyzeCached(ctx context.Context, req Request) (*Result, CacheS
 }
 
 // analyzeCached is AnalyzeCached without the per-op request count —
-// the path internal fan-outs (Compare's per-device analyses) take so
-// they don't inflate the "analyze" counter.
+// the path Compare's per-device analyses take so they don't inflate
+// the "analyze" counter.
 func (f *Fleet) analyzeCached(ctx context.Context, req Request) (*Result, CacheStatus, error) {
-	a, err := f.route(&req)
+	a, spec, err := f.prepare(&req)
 	if err != nil {
 		return nil, CacheBypass, err
 	}
-	if f.store == nil {
-		res, err := f.analyze(ctx, a, req)
-		return res, CacheBypass, err
-	}
-	if err := f.normalize(&req); err != nil {
-		return nil, CacheBypass, err
-	}
-	key := analyzeKey(req, DeviceFingerprint(a.Device()))
+	key := analyzeKey(req, DeviceFingerprint(a.dev))
 	return cachedFetch(ctx, f, key, func(ctx context.Context) (*Result, error) {
-		return f.analyze(ctx, a, req)
+		return a.analyze(ctx, spec, req)
 	})
 }
 
-// analyze runs one session analysis and feeds its phase breakdown
-// into the fleet's phase histogram — computed requests only; cache
-// hits replay the original breakdown in Diagnostics but record no new
-// samples.
-func (f *Fleet) analyze(ctx context.Context, a *Analyzer, req Request) (*Result, error) {
-	res, err := a.Analyze(ctx, req)
-	if err == nil {
-		for name, sec := range res.Diagnostics.PhaseSeconds {
-			f.phaseHist.With(name).Observe(sec)
-		}
-	}
-	return res, err
-}
-
 // Advise routes the request to its device's session and runs the
-// counterfactual advisor there (see Analyzer.Advise), served through
-// the fleet's result cache.
+// counterfactual advisor there, served through the fleet's result
+// cache: one functional simulation, then the calibrated model
+// re-evaluated under the what-if portfolio (perfect coalescing,
+// conflict-free shared memory, no divergence, ideal stage overlap, an
+// occupancy mini-sweep), ranked by predicted speedup.
 func (f *Fleet) Advise(ctx context.Context, req Request) (*Advice, error) {
 	adv, _, err := f.AdviseCached(ctx, req)
 	return adv, err
@@ -315,40 +272,63 @@ func (f *Fleet) Advise(ctx context.Context, req Request) (*Advice, error) {
 // differing only there share one cached slot.
 func (f *Fleet) AdviseCached(ctx context.Context, req Request) (*Advice, CacheStatus, error) {
 	f.countRequest("advise")
-	a, err := f.route(&req)
+	a, spec, err := f.prepare(&req)
 	if err != nil {
 		return nil, CacheBypass, err
 	}
-	if f.store == nil {
-		adv, err := a.Advise(ctx, req)
-		return adv, CacheBypass, err
-	}
-	if err := f.normalize(&req); err != nil {
-		return nil, CacheBypass, err
-	}
-	key := adviseKey(req, DeviceFingerprint(a.Device()))
+	key := adviseKey(req, DeviceFingerprint(a.dev))
 	return cachedFetch(ctx, f, key, func(ctx context.Context) (*Advice, error) {
-		return a.Advise(ctx, req)
+		return a.advise(ctx, spec, req)
 	})
 }
 
 // Measure routes the request to its device's session and runs only
-// the device simulator there — no calibration cost (see
-// Analyzer.Measure).
+// the device simulator there — no model, so no calibration cost, and
+// no result cache.
 func (f *Fleet) Measure(ctx context.Context, req Request) (*Measurement, error) {
 	f.countRequest("measure")
-	a, err := f.route(&req)
+	a, spec, err := f.prepare(&req)
 	if err != nil {
 		return nil, err
 	}
-	return a.Measure(ctx, req)
+	return a.measure(ctx, spec, req)
 }
 
 // AnalyzeBatch analyzes many requests concurrently, routing each to
-// its device's session. results[i] answers reqs[i]; failures are
-// joined like Analyzer.AnalyzeBatch, wrapped with index and kernel.
+// its device's session. results[i] answers reqs[i]; a request that
+// fails leaves a nil entry and its error — wrapped with the request's
+// index and kernel name, so a joined multi-error still identifies its
+// sources — joined into the returned error in request order.
+// errors.Is still matches the underlying condition (ErrUnknownKernel,
+// ErrInvalidRequest, context errors) through the wrapping. One
+// failing request does not cancel its siblings — only ctx does.
 func (f *Fleet) AnalyzeBatch(ctx context.Context, reqs []Request) ([]*Result, error) {
-	return analyzeBatch(ctx, f.opt.BatchConcurrency, reqs, f.Analyze)
+	results := make([]*Result, len(reqs))
+	errs := make([]error, len(reqs))
+	fanOut(len(reqs), func(i int) {
+		results[i], errs[i] = f.Analyze(ctx, reqs[i])
+		if errs[i] != nil {
+			errs[i] = fmt.Errorf("request %d (kernel %q): %w", i, reqs[i].Kernel, errs[i])
+		}
+	})
+	return results, errors.Join(errs...)
+}
+
+// fanOut runs fn(i) for every i in [0, n) on goroutines, at most
+// GOMAXPROCS at a time, and waits for all of them.
+func fanOut(n int, fn func(i int)) {
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			sem <- struct{}{}
+			defer func() { <-sem }()
+			fn(i)
+		}(i)
+	}
+	wg.Wait()
 }
 
 // CompareRequest asks how one kernel behaves across a set of catalog
@@ -450,13 +430,13 @@ func validateCompare(cat *DeviceCatalog, req CompareRequest) (baseline string, f
 // the router's scatter-gather — then ranks the entries and assembles
 // the Comparison. One implementation, so a proxied comparison is
 // byte-identical to a local one.
-func compareFanout(ctx context.Context, cat *DeviceCatalog, limit int, req CompareRequest, baseline string,
+func compareFanout(ctx context.Context, cat *DeviceCatalog, req CompareRequest, baseline string,
 	analyzeFn func(context.Context, Request) (*Result, error)) (*Comparison, error) {
 	entries := make([]ComparisonEntry, len(req.Devices))
 	errs := make([]error, len(req.Devices))
 	sizes := make([]int, len(req.Devices))
 	seeds := make([]int64, len(req.Devices))
-	forEachLimit(len(req.Devices), limit, func(i int) {
+	fanOut(len(req.Devices), func(i int) {
 		name := req.Devices[i]
 		res, err := analyzeFn(ctx, Request{
 			Kernel:      req.Kernel,
@@ -534,33 +514,27 @@ func (f *Fleet) CompareCached(ctx context.Context, req CompareRequest) (*Compari
 	if err != nil {
 		return nil, CacheBypass, err
 	}
-	compute := func(ctx context.Context) (*Comparison, error) {
-		// Per-device fan-out analyses skip the request counter: the
-		// caller asked for one compare, not N analyzes.
-		return compareFanout(ctx, f.catalog, f.opt.BatchConcurrency, req, baseline,
-			func(ctx context.Context, r Request) (*Result, error) {
-				res, _, err := f.analyzeCached(ctx, r)
-				return res, err
-			})
-	}
-	if f.store == nil {
-		c, err := compute(ctx)
-		return c, CacheBypass, err
+	_, p, err := f.reg.prepare(req.Kernel, Params{Size: req.Size, Seed: req.Seed})
+	if err != nil {
+		return nil, CacheBypass, err
 	}
 	norm := req
-	if _, p, err := f.reg.prepare(req.Kernel, Params{Size: req.Size, Seed: req.Seed}); err != nil {
-		return nil, CacheBypass, err
-	} else {
-		norm.Size, norm.Seed = p.Size, p.Seed
-	}
+	norm.Size, norm.Seed = p.Size, p.Seed
 	var baselineFP string
 	for i, d := range req.Devices {
 		if d == baseline {
 			baselineFP = fps[i]
 		}
 	}
-	key := compareKey(norm, fps, baselineFP)
-	return cachedFetch(ctx, f, key, compute)
+	return cachedFetch(ctx, f, compareKey(norm, fps, baselineFP), func(ctx context.Context) (*Comparison, error) {
+		// Per-device fan-out analyses skip the request counter: the
+		// caller asked for one compare, not N analyzes.
+		return compareFanout(ctx, f.catalog, req, baseline,
+			func(ctx context.Context, r Request) (*Result, error) {
+				res, _, err := f.analyzeCached(ctx, r)
+				return res, err
+			})
+	})
 }
 
 // FleetHealth is the GET /healthz wire type: overall readiness plus
@@ -591,8 +565,8 @@ type DeviceHealth struct {
 // probing never opens a session, never starts a calibration, and
 // never blocks on one in progress — so a router polling every
 // worker's /healthz cannot force workers to calibrate devices their
-// shard will never be asked about. Use Session + StartCalibration (or
-// the daemon's -precalibrate) to drive readiness.
+// shard will never be asked about. Use Session(...).Calibrate (the
+// daemon's -precalibrate) to drive readiness.
 func (f *Fleet) Health() FleetHealth {
 	f.mu.Lock()
 	sessions := make(map[string]*Analyzer, len(f.sessions))
@@ -615,7 +589,7 @@ func (f *Fleet) Health() FleetHealth {
 		d := DeviceHealth{Device: name, Default: name == f.def}
 		if a, ok := sessions[name]; ok {
 			d.Fingerprint = DeviceFingerprint(a.Device())
-			done, err := a.CalibrationReady()
+			done, err := a.calibrationReady()
 			d.Calibrated = done && err == nil
 			d.FromCache = a.CalibrationFromCache()
 			if done && err != nil {

@@ -111,9 +111,10 @@ func TestFleetRouting(t *testing.T) {
 // TestFleetSessionsSharedState: repeated lookups reuse one session
 // per device, every session shares the fleet's admission semaphore,
 // and a queued request abandons the fleet-wide queue when its
-// context dies — MaxConcurrent bounds the fleet, not each device.
+// context dies — the admission limit bounds the fleet, not each
+// device.
 func TestFleetSessionsSharedState(t *testing.T) {
-	f := NewFleet(FleetOptions{MaxConcurrent: 1, DefaultDevice: "gtx285-6sm"})
+	f := NewFleet(FleetOptions{DefaultDevice: "gtx285-6sm"})
 	a1, err := f.Session("gtx285-6sm")
 	if err != nil {
 		t.Fatal(err)
@@ -129,10 +130,12 @@ func TestFleetSessionsSharedState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a1.admit != a2.admit {
-		t.Fatal("sessions do not share the admission semaphore")
+	if a1.fleet != f || a2.fleet != f {
+		t.Fatal("sessions do not share their fleet's admission semaphore")
 	}
-	a1.admit <- struct{}{} // occupy the fleet's only slot via device 1
+	// Fill every slot by hand, then queue a request for the OTHER
+	// device: it must wait on the same gate.
+	release := fillAdmission(f)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
@@ -145,7 +148,10 @@ func TestFleetSessionsSharedState(t *testing.T) {
 	if err := <-done; !errors.Is(err, context.Canceled) {
 		t.Fatalf("queued cross-device request returned %v, want context.Canceled", err)
 	}
-	<-a1.admit // release; the slot must still be intact
+	if len(f.admit) != cap(f.admit) {
+		t.Fatalf("the abandoned request disturbed the admission gate: %d of %d slots held", len(f.admit), cap(f.admit))
+	}
+	release()
 }
 
 // TestFleetCompare: one kernel ranked across two slices of the same
@@ -265,7 +271,7 @@ func TestFleetCompareValidation(t *testing.T) {
 
 // TestFleetAnalyzeBatchRoutes: a batch mixing devices routes each
 // request, keeps slots aligned, and wraps failures with index and
-// kernel like the single-session batch.
+// kernel.
 func TestFleetAnalyzeBatchRoutes(t *testing.T) {
 	f := testFleet(t)
 	reqs := []Request{

@@ -54,10 +54,9 @@ import (
 // Responses are deterministic per request tuple, so the cacheable
 // routes carry caching headers: analyze/advise/compare report how the
 // fleet's result cache served them via X-Cache (HIT, MISS or
-// COALESCED — absent when the fleet runs with DisableCache), and
-// every deterministic body gets a strong ETag honoring If-None-Match
-// with 304 Not Modified. The fully static kernel and device listings
-// additionally set Cache-Control.
+// COALESCED), and every deterministic body gets a strong ETag
+// honoring If-None-Match with 304 Not Modified. The fully static
+// kernel and device listings additionally set Cache-Control.
 func NewHandler(f *Fleet) http.Handler { return NewObservedHandler(f, Telemetry{}) }
 
 // NewObservedHandler is NewHandler with the observability layer

@@ -13,9 +13,9 @@
 // (model.AnalyzeWith) over the statistics of a single functional
 // run: one simulation answers the whole portfolio. Changes the
 // transforms cannot express — a different block size or tile, an
-// algorithmic rewrite — require resimulation (model.PredictWith on a
-// rebuilt workload); the registry's kernel-variant families serve
-// those, as examples/advisor shows. Scenario evaluations fan out
+// algorithmic rewrite — require resimulating a rebuilt workload; the
+// registry's kernel-variant families serve those, as examples/advisor
+// shows. Scenario evaluations fan out
 // across goroutines; results are deterministic for any fan-out width
 // because each scenario's arithmetic depends only on the shared
 // stats and calibration.

@@ -10,7 +10,6 @@ import (
 	"gpuperf/internal/isa"
 	"gpuperf/internal/kbuild"
 	"gpuperf/internal/microbench"
-	"gpuperf/internal/model"
 	"gpuperf/internal/timing"
 )
 
@@ -191,28 +190,5 @@ func TestScenarioEstimateConsistency(t *testing.T) {
 		} else if s.TargetBlocks != 0 {
 			t.Errorf("%s: unexpected TargetBlocks %d", s.Scenario, s.TargetBlocks)
 		}
-	}
-}
-
-// TestModelPredictWithMatchesAnalyzeWith: the resimulate entry point
-// agrees with the stat-transform path on identical inputs.
-func TestModelPredictWithMatchesAnalyzeWith(t *testing.T) {
-	c := cal(t)
-	l, mem := conflictedLaunch(t)
-	stats, err := barra.Run(c.Config(), l, barra.NewMemory(mem), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ov := model.Overrides{ConflictFreeShared: true}
-	want, err := model.AnalyzeWith(c, l, stats, ov)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := model.PredictWith(t.Context(), c, l, barra.NewMemory(mem), nil, ov)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.TotalSeconds != want.TotalSeconds || got.Component != want.Component {
-		t.Errorf("PredictWith drifted from AnalyzeWith: %+v vs %+v", got.Component, want.Component)
 	}
 }

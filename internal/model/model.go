@@ -24,7 +24,6 @@
 package model
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -469,39 +468,6 @@ func (e *Estimate) Report() string {
 			st.Times[CompGlobal]*1e3, st.Bottleneck, st.Warps)
 	}
 	return b.String()
-}
-
-// Predict is a convenience wrapper: run barra, then Analyze — the
-// full Fig. 1 workflow in one call. The memory is consumed by the
-// functional run. opt.Parallelism shards the functional run across
-// host cores (the statistics are bit-identical at any setting); the
-// remaining options thread through to barra.Run unchanged.
-func Predict(cal *timing.Calibration, l barra.Launch, mem *barra.Memory, opt *barra.Options) (*Estimate, *barra.Stats, error) {
-	return PredictContext(context.Background(), cal, l, mem, opt)
-}
-
-// PredictContext is Predict with cancellation: the functional run
-// aborts promptly (between blocks / budget refills) once ctx is done.
-func PredictContext(ctx context.Context, cal *timing.Calibration, l barra.Launch, mem *barra.Memory, opt *barra.Options) (*Estimate, *barra.Stats, error) {
-	return PredictWith(ctx, cal, l, mem, opt, Overrides{})
-}
-
-// PredictWith runs the functional simulation and evaluates the model
-// under counterfactual overrides — the resimulate-then-transform
-// entry point for callers without a prior run's statistics. Callers
-// that already hold a run's Stats should use AnalyzeWith instead:
-// every override is a pure stat transform, so one simulation can
-// answer any number of what-if questions.
-func PredictWith(ctx context.Context, cal *timing.Calibration, l barra.Launch, mem *barra.Memory, opt *barra.Options, ov Overrides) (*Estimate, *barra.Stats, error) {
-	stats, err := barra.RunContext(ctx, cal.Config(), l, mem, opt)
-	if err != nil {
-		return nil, nil, err
-	}
-	est, err := AnalyzeWith(cal, l, stats, ov)
-	if err != nil {
-		return nil, nil, err
-	}
-	return est, stats, nil
 }
 
 // CompareError returns |predicted-measured|/measured for the

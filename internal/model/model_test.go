@@ -64,14 +64,32 @@ func streamKernel(t *testing.T, threads int) *isa.Program {
 	return p
 }
 
+// runStats executes the launch functionally and returns its stats.
+func runStats(t *testing.T, c *timing.Calibration, l barra.Launch, memBytes int) *barra.Stats {
+	t.Helper()
+	stats, err := barra.Run(c.Config(), l, barra.NewMemory(memBytes), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return stats
+}
+
+// predict runs the launch functionally on fresh memory, then the
+// model — the paper's Fig. 1 workflow in one call.
+func predict(t *testing.T, c *timing.Calibration, l barra.Launch, memBytes int) *Estimate {
+	t.Helper()
+	est, err := Analyze(c, l, runStats(t, c, l, memBytes))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return est
+}
+
 // predictAndMeasure runs the full workflow plus the device
 // simulator and returns both.
 func predictAndMeasure(t *testing.T, c *timing.Calibration, l barra.Launch, memBytes int) (*Estimate, device.Result) {
 	t.Helper()
-	est, _, err := Predict(c, l, barra.NewMemory(memBytes), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	est := predict(t, c, l, memBytes)
 	meas, err := device.Run(c.Config(), l, barra.NewMemory(memBytes))
 	if err != nil {
 		t.Fatal(err)
@@ -158,10 +176,7 @@ func TestStageSerialization(t *testing.T) {
 	}
 	b.Exit()
 	l := barra.Launch{Prog: b.MustProgram(), Grid: 30, Block: 128}
-	est, _, err := Predict(c, l, barra.NewMemory(4096), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	est := predict(t, c, l, 4096)
 	if !est.Serialized {
 		t.Fatal("16 KB block not serialized (should be one block/SM)")
 	}
@@ -186,10 +201,7 @@ func TestStageSerialization(t *testing.T) {
 func TestOverlappedTotal(t *testing.T) {
 	c := cal(t)
 	l := barra.Launch{Prog: aluKernel(t), Grid: 60, Block: 256}
-	est, _, err := Predict(c, l, barra.NewMemory(4096), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	est := predict(t, c, l, 4096)
 	if est.Serialized {
 		t.Fatal("small kernel serialized unexpectedly")
 	}
@@ -203,10 +215,7 @@ func TestDiagnostics(t *testing.T) {
 	c := cal(t)
 	// Conflicted shared kernel: factor ≈ 8, shared-bound.
 	l := barra.Launch{Prog: conflictedSharedKernel(t), Grid: 60, Block: 256}
-	est, _, err := Predict(c, l, barra.NewMemory(4096), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	est := predict(t, c, l, 4096)
 	if est.BankConflictFactor < 7 || est.BankConflictFactor > 9 {
 		t.Errorf("conflict factor = %.2f, want ≈8", est.BankConflictFactor)
 	}
@@ -223,10 +232,7 @@ func TestDiagnostics(t *testing.T) {
 
 	// Dense ALU kernel: high density.
 	l2 := barra.Launch{Prog: aluKernel(t), Grid: 60, Block: 256}
-	est2, _, err := Predict(c, l2, barra.NewMemory(4096), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	est2 := predict(t, c, l2, 4096)
 	if est2.Density < 0.9 {
 		t.Errorf("FMAD chain density = %.2f, want ≈1", est2.Density)
 	}
@@ -254,10 +260,7 @@ func TestWarpDeration(t *testing.T) {
 	b.SetTarget(skip, end)
 	b.Exit()
 	l := barra.Launch{Prog: b.MustProgram(), Grid: 30, Block: 128}
-	est, _, err := Predict(c, l, barra.NewMemory(4096), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	est := predict(t, c, l, 4096)
 	if len(est.Stages) != 2 {
 		t.Fatalf("stages = %d", len(est.Stages))
 	}
@@ -340,11 +343,7 @@ func TestOverlapBracket(t *testing.T) {
 // a pure-ALU kernel is not.
 func TestOverlapSensitive(t *testing.T) {
 	c := cal(t)
-	est, _, err := Predict(c, barra.Launch{Prog: aluKernel(t), Grid: 60, Block: 256},
-		barra.NewMemory(4096), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	est := predict(t, c, barra.Launch{Prog: aluKernel(t), Grid: 60, Block: 256}, 4096)
 	if est.OverlapSensitive(0.5) {
 		t.Error("pure ALU kernel flagged overlap-sensitive")
 	}
@@ -360,17 +359,7 @@ func TestOverlapSensitive(t *testing.T) {
 	}
 }
 
-// --- Counterfactual overrides (AnalyzeWith / PredictWith) ---
-
-// runStats executes the launch functionally and returns its stats.
-func runStats(t *testing.T, c *timing.Calibration, l barra.Launch, memBytes int) *barra.Stats {
-	t.Helper()
-	stats, err := barra.Run(c.Config(), l, barra.NewMemory(memBytes), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return stats
-}
+// --- Counterfactual overrides (AnalyzeWith) ---
 
 // divergentKernel splits every warp into odd/even paths that each run
 // their own FMAD chain — half the lanes idle through each side.

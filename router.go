@@ -31,9 +31,6 @@ type RouterOptions struct {
 	// HealthInterval is the delay between worker /healthz polls
 	// (0 = 2s).
 	HealthInterval time.Duration
-	// BatchConcurrency caps the compare scatter-gather fan-out
-	// (0 = GOMAXPROCS).
-	BatchConcurrency int
 	// Client issues the proxied requests (nil = http.DefaultClient,
 	// which imposes no overall timeout — analyses can run long and
 	// respect the inbound request's context instead).
@@ -458,10 +455,9 @@ func (rt *Router) aggregateStats(ctx context.Context) CacheStats {
 			continue
 		}
 		var st CacheStats
-		if err := rt.getJSON(ctx, wk+"/v1/stats", &st); err != nil {
+		if err := rt.getJSON(ctx, wk, "/v1/stats", &st); err != nil {
 			continue
 		}
-		agg.Enabled = agg.Enabled || st.Enabled
 		agg.Hits += st.Hits
 		agg.MemoryHits += st.MemoryHits
 		agg.DiskHits += st.DiskHits
@@ -491,18 +487,21 @@ func (rt *Router) aggregateStats(ctx context.Context) CacheStats {
 	return agg
 }
 
-func (rt *Router) getJSON(ctx context.Context, url string, v any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+// getJSON fetches one worker path through rt.do (so the call carries
+// the request id and is timed like every other proxied request) and
+// decodes the JSON body into v.
+func (rt *Router) getJSON(ctx context.Context, wk, path string, v any) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, wk+path, nil)
 	if err != nil {
 		return err
 	}
-	resp, err := rt.client.Do(req)
+	resp, err := rt.do(wk, req)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("gpuperf: %s answered %d", url, resp.StatusCode)
+		return fmt.Errorf("gpuperf: %s%s answered %d", wk, path, resp.StatusCode)
 	}
 	return json.NewDecoder(io.LimitReader(resp.Body, 1<<22)).Decode(v)
 }
@@ -593,14 +592,10 @@ func (rt *Router) proxyByDevice(w http.ResponseWriter, r *http.Request, path str
 			fmt.Errorf("gpuperf: shard %s (device %q) is down", wk, name))
 		return
 	}
-	req, err := http.NewRequestWithContext(r.Context(), http.MethodPost, wk+path, bytes.NewReader(body))
+	req, err := forwardPost(r, wk+path, body)
 	if err != nil {
 		writeError(w, r, http.StatusInternalServerError, err)
 		return
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if inm := r.Header.Get("If-None-Match"); inm != "" {
-		req.Header.Set("If-None-Match", inm)
 	}
 	resp, err := rt.do(wk, req)
 	if err != nil {
@@ -616,12 +611,11 @@ func (rt *Router) proxyByDevice(w http.ResponseWriter, r *http.Request, path str
 		if owner := rt.shardFor(peek.Kernel); owner != wk && rt.isUp(owner) {
 			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
-			req2, err := http.NewRequestWithContext(r.Context(), http.MethodPost, owner+path, bytes.NewReader(body))
+			req2, err := forwardPost(r, owner+path, body)
 			if err != nil {
 				writeError(w, r, http.StatusInternalServerError, err)
 				return
 			}
-			req2.Header.Set("Content-Type", "application/json")
 			resp2, err := rt.do(owner, req2)
 			if err != nil {
 				rt.markDown(owner)
@@ -633,6 +627,22 @@ func (rt *Router) proxyByDevice(w http.ResponseWriter, r *http.Request, path str
 		}
 	}
 	relay(w, resp, wk)
+}
+
+// forwardPost builds the proxied copy of the inbound POST r with the
+// already-read body, for url. It carries the inbound If-None-Match,
+// so revalidation answers 304 end to end on every hop — retries
+// included.
+func forwardPost(r *http.Request, url string, body []byte) (*http.Request, error) {
+	req, err := http.NewRequestWithContext(r.Context(), http.MethodPost, url, bytes.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	req.Header.Set("Content-Type", "application/json")
+	if inm := r.Header.Get("If-None-Match"); inm != "" {
+		req.Header.Set("If-None-Match", inm)
+	}
+	return req, nil
 }
 
 // handleSubmit routes POST /v1/kernels to the worker owning the
@@ -666,12 +676,11 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusServiceUnavailable, fmt.Errorf("gpuperf: submission shard is down"))
 		return
 	}
-	req, err := http.NewRequestWithContext(r.Context(), http.MethodPost, wk+"/v1/kernels", bytes.NewReader(body))
+	req, err := forwardPost(r, wk+"/v1/kernels", body)
 	if err != nil {
 		writeError(w, r, http.StatusInternalServerError, err)
 		return
 	}
-	req.Header.Set("Content-Type", "application/json")
 	resp, err := rt.do(wk, req)
 	if err != nil {
 		rt.markDown(wk)
@@ -809,7 +818,7 @@ func (rt *Router) handleCompare(w http.ResponseWriter, r *http.Request) {
 		mu.Unlock()
 		return res, err
 	}
-	cmp, err := compareFanout(r.Context(), rt.catalog, rt.opt.BatchConcurrency, req, baseline, analyzeFn)
+	cmp, err := compareFanout(r.Context(), rt.catalog, req, baseline, analyzeFn)
 	if err != nil {
 		writeProxyError(w, r, err)
 		return

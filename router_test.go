@@ -3,6 +3,7 @@ package gpuperf
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -20,11 +21,13 @@ type fakeWorker struct {
 
 	mu   sync.Mutex
 	seen []string // "METHOD path device"
+	ids  []string // each request's X-Request-ID, parallel to seen
 }
 
 func (fw *fakeWorker) record(r *http.Request, device string) {
 	fw.mu.Lock()
 	fw.seen = append(fw.seen, r.Method+" "+r.URL.Path+" "+device)
+	fw.ids = append(fw.ids, r.Header.Get("X-Request-ID"))
 	fw.mu.Unlock()
 }
 
@@ -36,7 +39,7 @@ func (fw *fakeWorker) handler(t *testing.T) http.Handler {
 	})
 	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
 		fw.record(r, "")
-		writeJSON(w, r, http.StatusOK, CacheStats{Enabled: true, Hits: 2, Misses: 1, Entries: 1, Bytes: 100})
+		writeJSON(w, r, http.StatusOK, CacheStats{Hits: 2, Misses: 1, Entries: 1, Bytes: 100})
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		fw.record(r, "")
@@ -274,8 +277,54 @@ func TestRouterStatsAggregation(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
 		t.Fatal(err)
 	}
-	if !st.Enabled || st.Hits != 4 || st.Misses != 2 || st.Entries != 2 || st.Bytes != 200 {
+	if st.Hits != 4 || st.Misses != 2 || st.Entries != 2 || st.Bytes != 200 {
 		t.Errorf("aggregated stats %+v, want sums of two canned workers", st)
+	}
+}
+
+// TestRouterStatsForwardsRequestID: the /v1/stats fan-out is a
+// proxied request like any other — every worker sees the inbound
+// X-Request-ID, and each call lands in the per-worker proxy latency
+// histogram.
+func TestRouterStatsForwardsRequestID(t *testing.T) {
+	var fws []*fakeWorker
+	var urls []string
+	for _, name := range []string{"w1", "w2"} {
+		fw := &fakeWorker{name: name, healthStatus: http.StatusOK}
+		srv := httptest.NewServer(fw.handler(t))
+		t.Cleanup(srv.Close)
+		fws = append(fws, fw)
+		urls = append(urls, srv.URL)
+	}
+	rt := routerOver(t, RouterOptions{Workers: urls})
+	req := httptest.NewRequest("GET", "/v1/stats", nil)
+	req.Header.Set("X-Request-ID", "stats-fanout-7")
+	rec := httptest.NewRecorder()
+	rt.Handler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("/v1/stats: %d", rec.Code)
+	}
+	for i, fw := range fws {
+		fw.mu.Lock()
+		var got []string
+		for j, s := range fw.seen {
+			if strings.HasPrefix(s, "GET /v1/stats") {
+				got = append(got, fw.ids[j])
+			}
+		}
+		fw.mu.Unlock()
+		if len(got) != 1 || got[0] != "stats-fanout-7" {
+			t.Errorf("worker %s saw /v1/stats request ids %q, want [stats-fanout-7]", urls[i], got)
+		}
+	}
+	var expo bytes.Buffer
+	if err := rt.Metrics().WritePrometheus(&expo); err != nil {
+		t.Fatal(err)
+	}
+	for _, u := range urls {
+		if want := fmt.Sprintf(`gpuperf_router_proxy_seconds_count{worker=%q} 1`, u); !strings.Contains(expo.String(), want) {
+			t.Errorf("router exposition is missing %q", want)
+		}
 	}
 }
 

@@ -140,7 +140,7 @@ func TestSubmitKernelLifecycle(t *testing.T) {
 }
 
 func TestSubmitKernelRejections(t *testing.T) {
-	f := NewFleet(FleetOptions{DisableCache: true})
+	f := NewFleet(FleetOptions{})
 	oob := submitReduceRequest(4)
 	oob.Buffers[0].Count = 3 * 64 // program addresses 4*64 elements
 	_, err := f.SubmitKernel(oob)
@@ -151,10 +151,7 @@ func TestSubmitKernelRejections(t *testing.T) {
 		t.Fatalf("rejection does not name the envelope: %v", err)
 	}
 
-	tight := NewFleet(FleetOptions{
-		DisableCache:     true,
-		SubmissionLimits: SubmissionLimits{MaxInstructions: 4},
-	})
+	tight := NewFleet(FleetOptions{SubmissionLimits: SubmissionLimits{MaxInstructions: 4}})
 	_, err = tight.SubmitKernel(submitReduceRequest(4))
 	if !errors.Is(err, ErrInvalidRequest) || !strings.Contains(err.Error(), "instruction ceiling") {
 		t.Fatalf("over-budget submission: %v", err)
@@ -162,10 +159,7 @@ func TestSubmitKernelRejections(t *testing.T) {
 }
 
 func TestSubmitKernelEvictionDeregisters(t *testing.T) {
-	f := NewFleet(FleetOptions{
-		DisableCache:     true,
-		SubmissionLimits: SubmissionLimits{MaxCount: 1},
-	})
+	f := NewFleet(FleetOptions{SubmissionLimits: SubmissionLimits{MaxCount: 1}})
 	a, err := f.SubmitKernel(submitReduceRequest(2))
 	if err != nil {
 		t.Fatal(err)
@@ -272,7 +266,7 @@ func TestHandlerSubmitKernelRoundTrip(t *testing.T) {
 }
 
 func TestHandlerSubmitKernelRejections(t *testing.T) {
-	h := NewHandler(NewFleet(FleetOptions{DisableCache: true}))
+	h := NewHandler(NewFleet(FleetOptions{}))
 	do := func(body string) *httptest.ResponseRecorder {
 		t.Helper()
 		req := httptest.NewRequest("POST", "/v1/kernels", strings.NewReader(body))
@@ -397,6 +391,15 @@ func TestRouterSubmitEndToEnd(t *testing.T) {
 	if got := warm.Header().Get("X-Cache"); got != "HIT" {
 		t.Fatalf("second analyze X-Cache %q", got)
 	}
+	// Revalidation takes the same retry: the If-None-Match must reach
+	// the owner shard too, so the client gets a bare 304.
+	req := httptest.NewRequest("POST", "/v1/analyze", strings.NewReader(analyzeBody))
+	req.Header.Set("If-None-Match", warm.Header().Get("ETag"))
+	rec = httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	if rec.Code != http.StatusNotModified || rec.Body.Len() != 0 {
+		t.Fatalf("cross-shard revalidation: %d with %d body bytes, want bare 304", rec.Code, rec.Body.Len())
+	}
 
 	// Delete routes by id; afterwards analyze 404s on every shard.
 	if rec = do("DELETE", "/v1/kernels/"+id, ""); rec.Code != http.StatusNoContent {
@@ -409,12 +412,12 @@ func TestRouterSubmitEndToEnd(t *testing.T) {
 
 func TestSubmitKernelPersistenceAcrossFleets(t *testing.T) {
 	dir := t.TempDir()
-	f1 := NewFleet(FleetOptions{DisableCache: true, SubmissionDir: dir})
+	f1 := NewFleet(FleetOptions{SubmissionDir: dir})
 	rec, err := f1.SubmitKernel(submitReduceRequest(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	f2 := NewFleet(FleetOptions{DisableCache: true, SubmissionDir: dir})
+	f2 := NewFleet(FleetOptions{SubmissionDir: dir})
 	if _, ok := f2.Registry().Lookup(rec.ID); !ok {
 		t.Fatal("submission not reloaded by a fresh fleet")
 	}

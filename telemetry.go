@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"gpuperf/internal/obs"
+	"gpuperf/internal/resultstore"
 )
 
 // Metrics is the service's metric registry — atomic counters, gauges
@@ -58,29 +59,29 @@ func (f *Fleet) registerMetrics() {
 	f.metrics.NewCounterFunc("gpuperf_engine_batched_instrs_total",
 		"Instructions covered by batched warp stepping.", engine(func(c EngineCounters) int64 { return c.BatchedInstrs }))
 
-	if f.store != nil {
-		cache := func(field func() float64) func() float64 { return field }
-		f.metrics.NewCounterFunc("gpuperf_cache_hits_total", "Result-cache hits (memory + disk).",
-			cache(func() float64 { return float64(f.store.Stats().Hits) }))
-		f.metrics.NewCounterFunc("gpuperf_cache_memory_hits_total", "Result-cache memory-tier hits.",
-			cache(func() float64 { return float64(f.store.Stats().MemoryHits) }))
-		f.metrics.NewCounterFunc("gpuperf_cache_disk_hits_total", "Result-cache disk-tier hits.",
-			cache(func() float64 { return float64(f.store.Stats().DiskHits) }))
-		f.metrics.NewCounterFunc("gpuperf_cache_misses_total", "Result-cache misses (simulations run).",
-			cache(func() float64 { return float64(f.store.Stats().Misses) }))
-		f.metrics.NewCounterFunc("gpuperf_cache_coalesced_total", "Requests coalesced onto an in-flight computation.",
-			cache(func() float64 { return float64(f.store.Stats().Coalesced) }))
-		f.metrics.NewCounterFunc("gpuperf_cache_evictions_total", "Memory-tier entries evicted for the byte budget.",
-			cache(func() float64 { return float64(f.store.Stats().Evictions) }))
-		f.metrics.NewCounterFunc("gpuperf_cache_save_errors_total", "Failed best-effort disk writes.",
-			cache(func() float64 { return float64(f.store.Stats().SaveErrors) }))
-		f.metrics.NewGaugeFunc("gpuperf_cache_entries", "Resident memory-tier entries.",
-			cache(func() float64 { return float64(f.store.Stats().Entries) }))
-		f.metrics.NewGaugeFunc("gpuperf_cache_bytes", "Memory-tier payload bytes.",
-			cache(func() float64 { return float64(f.store.Stats().Bytes) }))
-		f.metrics.NewGaugeFunc("gpuperf_cache_inflight", "Simulations running right now.",
-			cache(func() float64 { return float64(f.store.Stats().InFlight) }))
+	cache := func(field func(resultstore.Stats) int64) func() float64 {
+		return func() float64 { return float64(field(f.store.Stats())) }
 	}
+	f.metrics.NewCounterFunc("gpuperf_cache_hits_total", "Result-cache hits (memory + disk).",
+		cache(func(s resultstore.Stats) int64 { return s.Hits }))
+	f.metrics.NewCounterFunc("gpuperf_cache_memory_hits_total", "Result-cache memory-tier hits.",
+		cache(func(s resultstore.Stats) int64 { return s.MemoryHits }))
+	f.metrics.NewCounterFunc("gpuperf_cache_disk_hits_total", "Result-cache disk-tier hits.",
+		cache(func(s resultstore.Stats) int64 { return s.DiskHits }))
+	f.metrics.NewCounterFunc("gpuperf_cache_misses_total", "Result-cache misses (simulations run).",
+		cache(func(s resultstore.Stats) int64 { return s.Misses }))
+	f.metrics.NewCounterFunc("gpuperf_cache_coalesced_total", "Requests coalesced onto an in-flight computation.",
+		cache(func(s resultstore.Stats) int64 { return s.Coalesced }))
+	f.metrics.NewCounterFunc("gpuperf_cache_evictions_total", "Memory-tier entries evicted for the byte budget.",
+		cache(func(s resultstore.Stats) int64 { return s.Evictions }))
+	f.metrics.NewCounterFunc("gpuperf_cache_save_errors_total", "Failed best-effort disk writes.",
+		cache(func(s resultstore.Stats) int64 { return s.SaveErrors }))
+	f.metrics.NewGaugeFunc("gpuperf_cache_entries", "Resident memory-tier entries.",
+		cache(func(s resultstore.Stats) int64 { return int64(s.Entries) }))
+	f.metrics.NewGaugeFunc("gpuperf_cache_bytes", "Memory-tier payload bytes.",
+		cache(func(s resultstore.Stats) int64 { return s.Bytes }))
+	f.metrics.NewGaugeFunc("gpuperf_cache_inflight", "Simulations running right now.",
+		cache(func(s resultstore.Stats) int64 { return int64(s.InFlight) }))
 	if f.subs != nil {
 		f.metrics.NewGaugeFunc("gpuperf_submissions", "Resident user-submitted kernels.",
 			func() float64 { n, _, _ := f.subs.Stats(); return float64(n) })

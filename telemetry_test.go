@@ -17,16 +17,19 @@ import (
 // TestWorkerMetricsEndpoint: GET /metrics serves a Prometheus text
 // exposition whose counters reflect served traffic — the per-op
 // request counter, the per-route HTTP counter, the latency histogram
-// labeled by op and cache status, and the always-on runtime/engine
-// series.
+// labeled by op and cache status, one phase sample per phase of every
+// computed analyze, advise and measure, and the always-on
+// runtime/engine series.
 func TestWorkerMetricsEndpoint(t *testing.T) {
 	h := NewHandler(cacheTestFleet(t, FleetOptions{}))
-	req := httptest.NewRequest("POST", "/v1/analyze",
-		strings.NewReader(`{"kernel":"matmul16","size":64,"seed":7}`))
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, req)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("analyze: %d %s", rec.Code, rec.Body)
+	for _, path := range []string{"/v1/analyze", "/v1/advise", "/v1/measure"} {
+		req := httptest.NewRequest("POST", path,
+			strings.NewReader(`{"kernel":"matmul16","size":64,"seed":7}`))
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: %d %s", path, rec.Code, rec.Body)
+		}
 	}
 
 	mrec := httptest.NewRecorder()
@@ -43,7 +46,9 @@ func TestWorkerMetricsEndpoint(t *testing.T) {
 		`gpuperf_requests_total{op="compare"} 0`, // pre-created: absence of traffic is visible
 		`gpuperf_http_requests_total{route="/v1/analyze",method="POST",code="200"} 1`,
 		`gpuperf_http_request_seconds_count{op="analyze",cache="miss"} 1`,
-		`gpuperf_phase_seconds_count{phase="engine"} 1`,
+		`gpuperf_phase_seconds_count{phase="engine"} 2`,  // analyze + advise
+		`gpuperf_phase_seconds_count{phase="measure"} 1`, // measure
+		`gpuperf_phase_seconds_count{phase="build"} 3`,   // all three
 		"# TYPE gpuperf_http_request_seconds histogram",
 		"gpuperf_uptime_seconds",
 		"gpuperf_engine_blocks_simulated_total",
