@@ -41,12 +41,6 @@ type Request struct {
 	// (O(n³) for matmul), so large requests that only need the model
 	// verdict can opt out of paying for it.
 	SkipVerify bool `json:"skip_verify,omitempty"`
-	// NoReplay forces this request's functional simulation through
-	// live per-block execution, bypassing homogeneous-block replay
-	// (the per-request form of FleetOptions.DisableBlockReplay). Stats
-	// and the model verdict are bit-identical either way; only the
-	// Result's engine counters change.
-	NoReplay bool `json:"no_replay,omitempty"`
 }
 
 // Analyzer is one device's session inside a Fleet — the paper's
@@ -286,7 +280,6 @@ func (a *Analyzer) simulate(ctx context.Context, spec KernelSpec, req Request, d
 		&barra.Options{
 			Parallelism:         a.workers(req),
 			Regions:             r.w.Regions,
-			DisableBlockReplay:  a.fleet.opt.DisableBlockReplay || req.NoReplay,
 			MaxWarpInstructions: r.w.MaxWarpInstructions,
 		})
 	engDone()
@@ -305,8 +298,8 @@ func (a *Analyzer) simulate(ctx context.Context, spec KernelSpec, req Request, d
 // Exposed through GET /v1/stats.
 type EngineCounters struct {
 	// BlocksSimulated/BlocksReplayed split every simulated launch's
-	// blocks by how the engine derived their statistics. Runs with
-	// replay bypassed (hooks, -no-replay) count nothing.
+	// blocks by how the engine derived their statistics; together
+	// they count every block the fleet simulated.
 	BlocksSimulated int64 `json:"blocks_simulated"`
 	BlocksReplayed  int64 `json:"blocks_replayed"`
 	// BatchedRuns/BatchedInstrs count the batched warp-stepping runs
@@ -384,7 +377,7 @@ func (a *Analyzer) analyze(ctx context.Context, spec KernelSpec, req Request) (*
 			measDone()
 			return nil, err
 		}
-		meas, err := device.RunContext(measCtx, a.dev, w2.Launch, w2.Mem)
+		meas, err := device.RunBudget(measCtx, a.dev, w2.Launch, w2.Mem, w2.MaxWarpInstructions)
 		measDone()
 		if err != nil {
 			return nil, err
@@ -456,7 +449,7 @@ func (a *Analyzer) measure(ctx context.Context, spec KernelSpec, req Request) (*
 	}
 	defer release()
 	measCtx, measDone := r.phase(ctx, "measure")
-	meas, err := device.RunContext(measCtx, a.dev, r.w.Launch, r.w.Mem)
+	meas, err := device.RunBudget(measCtx, a.dev, r.w.Launch, r.w.Mem, r.w.MaxWarpInstructions)
 	measDone()
 	if err != nil {
 		return nil, err

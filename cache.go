@@ -135,10 +135,6 @@ type requestKey struct {
 	// leaves them false.
 	Measure    bool `json:"measure,omitempty"`
 	SkipVerify bool `json:"skip_verify,omitempty"`
-	// NoReplay zeroes Result's engine counters (the stats themselves
-	// are bit-identical). Advice carries no engine counters, so
-	// adviseKey leaves it false too.
-	NoReplay bool `json:"no_replay,omitempty"`
 	// Device is the hardware fingerprint for analyze/advise.
 	Device string `json:"device,omitempty"`
 	// Devices/Baseline are the compare set's hardware fingerprints
@@ -171,7 +167,6 @@ func analyzeKey(req Request, devFP string) string {
 		Seed:       req.Seed,
 		Measure:    req.Measure,
 		SkipVerify: req.SkipVerify,
-		NoReplay:   req.NoReplay,
 		Device:     devFP,
 	}.digest()
 }

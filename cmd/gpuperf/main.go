@@ -64,7 +64,6 @@ func main() {
 	cacheDir := flag.String("cache-dir", "", "result cache directory (one content-addressed slot per request fingerprint; repeats skip simulation entirely)")
 	parallel := flag.Int("p", 0, "functional-simulation worker goroutines (0 = all cores, 1 = serial)")
 	skipVerify := flag.Bool("skip-verify", false, "skip the (single-threaded) CPU-reference check of the functional output")
-	noReplay := flag.Bool("no-replay", false, "force live per-block simulation, bypassing homogeneous-block replay (results are bit-identical; this is the slow path)")
 	submit := flag.String("submit", "", "submit this assembly file as a user kernel and analyze it (overrides -kernel; see -grid/-block/-buffers)")
 	grid := flag.Int("grid", 1, "submission launch grid (CTAs; with -submit)")
 	block := flag.Int("block", 64, "submission launch block (threads per CTA; with -submit)")
@@ -90,7 +89,6 @@ func main() {
 		Seed:       *seed,
 		Measure:    true,
 		SkipVerify: *skipVerify,
-		NoReplay:   *noReplay,
 	}, sub, *compare, *advse, *disasm, *calDir, *cacheDir, *parallel, *asJSON)
 	if err := stopProf(); err != nil && runErr == nil {
 		runErr = err

@@ -101,7 +101,6 @@ func main() {
 	cacheMem := flag.Int64("cache-mem", 0, "in-memory result cache budget in bytes (0 = 32 MiB default, negative = disk-only)")
 	parallel := flag.Int("p", 0, "functional-simulation worker goroutines per request (0 = all cores)")
 	precalibrate := flag.Bool("precalibrate", false, "calibrate every served device before accepting traffic instead of on first use")
-	noReplay := flag.Bool("no-replay", false, "force live per-block simulation for every request, bypassing homogeneous-block replay (results are bit-identical; this is the slow path)")
 	subsDir := flag.String("subs-dir", "", "submission store directory (one slot per user-submitted kernel; accepted submissions survive restarts)")
 	subsMax := flag.Int("subs-max", 0, "max resident user submissions (0 = library default)")
 	subsMem := flag.Int64("subs-mem", 0, "submission store byte budget (0 = library default)")
@@ -176,14 +175,13 @@ func main() {
 		}
 	} else {
 		f := gpuperf.NewFleet(gpuperf.FleetOptions{
-			Catalog:            served,
-			DefaultDevice:      names[0],
-			Parallelism:        *parallel,
-			CalibrationDir:     *calDir,
-			CacheDir:           *cacheDir,
-			CacheBytes:         *cacheMem,
-			DisableBlockReplay: *noReplay,
-			SubmissionDir:      *subsDir,
+			Catalog:        served,
+			DefaultDevice:  names[0],
+			Parallelism:    *parallel,
+			CalibrationDir: *calDir,
+			CacheDir:       *cacheDir,
+			CacheBytes:     *cacheMem,
+			SubmissionDir:  *subsDir,
 			SubmissionLimits: gpuperf.SubmissionLimits{
 				MaxCount: *subsMax,
 				MaxBytes: *subsMem,

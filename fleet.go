@@ -41,12 +41,6 @@ type FleetOptions struct {
 	// CacheDir is set — and no caching at all without it (identical
 	// in-flight requests still coalesce).
 	CacheBytes int64
-	// DisableBlockReplay forces every session's functional
-	// simulations through live per-block execution instead of the
-	// engine's homogeneous-block replay (see barra.Options). Results
-	// are bit-identical either way; the escape hatch exists for
-	// debugging and for measuring replay's effect.
-	DisableBlockReplay bool
 	// SubmissionDir, when set, persists accepted kernel submissions
 	// (POST /v1/kernels) as on-disk slots so a daemon restart keeps
 	// them; empty keeps the submission store in memory only.

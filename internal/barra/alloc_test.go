@@ -57,9 +57,8 @@ func allocProbeKernel() *isa.Program {
 	return b.MustProgram()
 }
 
-// newAllocCtx assembles a runContext the way Run does, with the
-// given collectors.
-func newAllocCtx(t testing.TB, collectors ...Collector) (*runContext, Launch) {
+// newAllocCtx assembles a runContext the way Run does.
+func newAllocCtx(t testing.TB) *runContext {
 	t.Helper()
 	c := cfg()
 	prog := allocProbeKernel()
@@ -75,32 +74,36 @@ func newAllocCtx(t testing.TB, collectors ...Collector) (*runContext, Launch) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	segs := []int{c.MinSegmentBytes}
 	ctx := &runContext{
-		cfg:        c,
-		launch:     l,
-		mem:        NewMemory(1 << 20),
-		banks:      bsim,
-		coal:       []*coalesce.Sim{csim},
-		segs:       []int{c.MinSegmentBytes},
-		collectors: collectors,
-		maxInstr:   1 << 40,
+		cfg:      c,
+		launch:   l,
+		mem:      NewMemory(1 << 20),
+		banks:    bsim,
+		coal:     []*coalesce.Sim{csim},
+		segs:     segs,
+		stats:    newStatsCollector(l, nil, segs),
+		maxInstr: 1 << 40,
 	}
 	ctx.budget.Store(ctx.maxInstr)
-	return ctx, l
+	return ctx
 }
 
-// TestSteadyStateZeroAllocs: with no collectors attached, re-running
-// a block on a warmed worker performs zero heap allocations — the
-// engine's per-instruction path (step, masks, bank conflicts,
-// coalescing, hookless recording) is allocation-free.
+// TestSteadyStateZeroAllocs: re-running a block on a warmed worker
+// into a caller-owned stats shard performs zero heap allocations —
+// the engine's per-instruction path (step, masks, bank conflicts,
+// coalescing, hookless stats accounting) is allocation-free. The
+// shard is reused across iterations, so the pin does not depend on
+// sync.Pool (which drops items at random under the race detector).
 func TestSteadyStateZeroAllocs(t *testing.T) {
-	ctx, _ := newAllocCtx(t)
+	ctx := newAllocCtx(t)
 	w := &worker{ctx: ctx}
-	if _, _, err := w.runBlock(0); err != nil { // warm-up: builds arenas
+	bs := ctx.stats.shard()
+	if _, err := w.runBlock(0, bs); err != nil { // warm-up: builds arenas
 		t.Fatal(err)
 	}
 	avg := testing.AllocsPerRun(50, func() {
-		if _, _, err := w.runBlock(0); err != nil {
+		if _, err := w.runBlock(0, bs); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -109,34 +112,31 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestSteadyStateCollectorAllocs: with the built-in stats collector
-// attached and its per-block sink recycled through Merge (as Run's
-// steady state across launches does via the pool), execution stays
-// allocation-free up to pool jitter.
+// TestSteadyStateCollectorAllocs: with each block's shard taken from
+// the pool and recycled through merge (as Run's steady state across
+// launches does), execution stays allocation-free up to pool jitter.
 func TestSteadyStateCollectorAllocs(t *testing.T) {
-	sc := newStatsCollector(Launch{Grid: 4, Block: 128}, nil, []int{32})
-	ctx, _ := newAllocCtx(t, sc)
+	ctx := newAllocCtx(t)
+	sc := ctx.stats
 	w := &worker{ctx: ctx}
-	nb, bcs, err := w.runBlock(0)
+	bs := sc.shard()
+	nb, err := w.runBlock(0, bs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sc.Merge(0, bcs[0], nb); err != nil { // seeds the sink pool
-		t.Fatal(err)
-	}
+	sc.merge(0, bs, nb) // seeds the shard pool
 	avg := testing.AllocsPerRun(50, func() {
-		nb, bcs, err := w.runBlock(0)
+		bs := sc.shard()
+		nb, err := w.runBlock(0, bs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sc.Merge(0, bcs[0], nb); err != nil {
-			t.Fatal(err)
-		}
+		sc.merge(0, bs, nb)
 	})
 	// sync.Pool may shed its cache across a GC cycle; allow one stray
 	// refill but nothing per-step.
 	if avg > 1 {
-		t.Fatalf("steady-state execution with pooled stats sink allocates %.1f times per block; want ~0", avg)
+		t.Fatalf("steady-state execution with pooled stats shards allocates %.1f times per block; want ~0", avg)
 	}
 }
 
@@ -146,9 +146,10 @@ func TestSteadyStateCollectorAllocs(t *testing.T) {
 // hot-path garbage. This pins "metrics enabled" to the same zero
 // allocations per block as the bare engine.
 func TestSteadyStateZeroAllocsWithMetrics(t *testing.T) {
-	ctx, _ := newAllocCtx(t)
+	ctx := newAllocCtx(t)
 	w := &worker{ctx: ctx}
-	if _, _, err := w.runBlock(0); err != nil { // warm-up: builds arenas
+	bs := ctx.stats.shard()
+	if _, err := w.runBlock(0, bs); err != nil { // warm-up: builds arenas
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
@@ -156,7 +157,7 @@ func TestSteadyStateZeroAllocsWithMetrics(t *testing.T) {
 	lat := reg.NewHistogram("test_block_seconds", "", obs.DefLatencyBuckets)
 	avg := testing.AllocsPerRun(50, func() {
 		start := time.Now()
-		if _, _, err := w.runBlock(0); err != nil {
+		if _, err := w.runBlock(0, bs); err != nil {
 			t.Fatal(err)
 		}
 		blocks.Inc()

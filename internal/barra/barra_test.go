@@ -589,21 +589,30 @@ func TestWarpsWithWorkTracking(t *testing.T) {
 func TestStatsReport(t *testing.T) {
 	b := kbuild.New("report")
 	b.SharedBytes(256)
+	// Global words are addressed by flat thread id, so the two blocks
+	// touch disjoint words (the engine's disjoint-writes contract);
+	// shared words by thread id within the block.
 	tid := b.Reg()
-	addr := b.Reg()
+	saddr := b.Reg()
+	gaddr := b.Reg()
 	v := b.Reg()
 	b.S2R(tid, isa.SRTid)
-	b.ShlImm(addr, tid, 2)
-	b.Gld(v, addr)
-	b.Sst(addr, v)
+	b.ShlImm(saddr, tid, 2)
+	b.ShlImm(gaddr, flatID(b), 2)
+	b.Gld(v, gaddr)
+	b.Sst(saddr, v)
 	b.Bar()
-	b.Sld(v, addr)
+	b.Sld(v, saddr)
 	b.FMad(v, v, v, v)
-	b.Gst(addr, v)
+	b.Gst(gaddr, v)
 	b.Exit()
 	mem := NewMemory(4096)
 	stats, err := Run(cfg(), Launch{Prog: b.MustProgram(), Grid: 2, Block: 64}, mem,
-		&Options{ExtraSegments: []int{16}, Regions: []Region{{Name: "data", Lo: 0, Hi: 4096}}})
+		&Options{
+			ExtraSegments:        []int{16},
+			Regions:              []Region{{Name: "data", Lo: 0, Hi: 4096}},
+			VerifyBlockIsolation: true,
+		})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,7 @@ package barra
 //	go test -run - -bench BenchmarkWarpStep -benchmem ./internal/barra/
 //
 // so the engine's per-instruction cost is measured in isolation from
-// the scheduler, collectors and memory simulators.
+// the scheduler, stats accounting and memory simulators.
 
 import (
 	"testing"

@@ -138,7 +138,10 @@ type hookRecord struct {
 	addrs []uint32
 }
 
-func captureHooks(t *testing.T, p int) []hookRecord {
+// captureHooks runs the SpMV case at parallelism p with a recording
+// GlobalAccessHook and returns the callback stream and the run's
+// Stats.
+func captureHooks(t *testing.T, p int) ([]hookRecord, *barra.Stats) {
 	t.Helper()
 	c := detCases()[1] // SpMV: the kernel Fig. 12 replays through the hook
 	l, mem, opt := c.build(t)
@@ -147,22 +150,34 @@ func captureHooks(t *testing.T, p int) []hookRecord {
 	opt.GlobalAccessHook = func(blockID int, load bool, addrs []uint32) {
 		recs = append(recs, hookRecord{blockID, load, append([]uint32(nil), addrs...)})
 	}
-	if _, err := barra.Run(gpu.GTX285(), l, mem, opt); err != nil {
+	st, err := barra.Run(gpu.GTX285(), l, mem, opt)
+	if err != nil {
 		t.Fatalf("P=%d: %v", p, err)
 	}
-	return recs
+	return recs, st
 }
 
 // TestHookOrdering: hook callbacks of a parallel run arrive in the
 // exact order of the serial run — ascending block ID, program order
 // within a block — so stateful replay consumers (the texture-cache
-// experiments) see one stream regardless of Parallelism.
+// experiments) see one stream regardless of Parallelism. A hooked run
+// accounts like an unhooked one: its Stats, engine counters aside,
+// equal the unhooked run's, and the hook fires once per global
+// request.
 func TestHookOrdering(t *testing.T) {
-	want := captureHooks(t, 1)
-	for _, p := range parallelisms[1:] {
-		got := captureHooks(t, p)
+	want, _ := captureHooks(t, 1)
+	for _, p := range parallelisms {
+		got, hooked := captureHooks(t, p)
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("P=%d hook stream differs from serial run (%d vs %d events)", p, len(got), len(want))
+		}
+		if int64(len(got)) != hooked.Total.GlobalRequests {
+			t.Errorf("P=%d: hook fired %d times, stats count %d global requests", p, len(got), hooked.Total.GlobalRequests)
+		}
+		plain, _ := runAt(t, detCases()[1], p)
+		hooked.Engine, plain.Engine = barra.EngineStats{}, barra.EngineStats{}
+		if !reflect.DeepEqual(plain, hooked) {
+			t.Errorf("P=%d hooked Stats differ from unhooked run:\nunhooked: %+v\nhooked:   %+v", p, plain, hooked)
 		}
 	}
 	last := -1

@@ -30,13 +30,14 @@
 //
 // The annotated roots are Warp.Step and Warp.stepRun (the per-
 // instruction interpreter), worker.leanBlock (the homogeneous-block
-// lean pass), bank.Sim.Transactions, coalesce.Sim.HalfWarpInto (the
-// per-access memory models), and statsCollector.Merge (the per-block
-// stats fold).
+// lean pass), worker.record and worker.stageEnd (the live per-step
+// stats accounting), bank.Sim.Transactions, coalesce.Sim.HalfWarpInto
+// (the per-access memory models), and statsCollector.merge (the
+// per-block stats fold).
 //
 // Where a reachable line deliberately allocates — amortized growth
 // into caller-owned scratch, a cold fallback the engine never takes,
-// opt-in journaling — it carries //gpuperf:alloc-ok <why>. The
+// the opt-in access hook — it carries //gpuperf:alloc-ok <why>. The
 // justification is mandatory (the analyzer flags a bare directive),
 // so every exception in the tree documents why the invariant
 // legitimately bends there. Constructs inside a `return` that yields

@@ -3,9 +3,7 @@ package barra
 import (
 	"context"
 	"errors"
-	"sort"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -200,53 +198,5 @@ func TestBlockIsolationWriteAfterRead(t *testing.T) {
 		&Options{Parallelism: 1, VerifyBlockIsolation: true})
 	if err == nil || !strings.Contains(err.Error(), "disjoint-writes contract") {
 		t.Fatalf("write after foreign read should fail verification, got %v", err)
-	}
-}
-
-// countingCollector counts Step events and records Merge order.
-type countingCollector struct {
-	mu     sync.Mutex
-	steps  int64
-	merged []int
-}
-
-type countingBlock struct {
-	c     *countingCollector
-	steps int64
-}
-
-func (c *countingCollector) Block(blockID int) BlockCollector { return &countingBlock{c: c} }
-
-func (b *countingBlock) Step(stage int, tr *StepTrace)    { b.steps++ }
-func (b *countingBlock) StageEnd(stage int, work []int64) {}
-func (c *countingCollector) Merge(blockID int, bc BlockCollector, barriers int) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.steps += bc.(*countingBlock).steps
-	c.merged = append(c.merged, blockID)
-	return nil
-}
-
-// TestPluggableCollector: an Options.Collectors sink sees every
-// instruction exactly once and is merged in ascending block order
-// even under a parallel run.
-func TestPluggableCollector(t *testing.T) {
-	prog := storeKernel("disjoint-store", func(b *kbuild.Builder) {
-		flat := flatID(b)
-		addr := b.Reg()
-		b.ShlImm(addr, flat, 2)
-		b.Gst(addr, flat)
-	})
-	cc := &countingCollector{}
-	st, err := Run(cfg(), Launch{Prog: prog, Grid: 16, Block: 64}, NewMemory(1<<16),
-		&Options{Parallelism: 4, Collectors: []Collector{cc}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cc.steps != st.Total.WarpInstrs {
-		t.Errorf("collector saw %d steps, stats count %d", cc.steps, st.Total.WarpInstrs)
-	}
-	if len(cc.merged) != 16 || !sort.IntsAreSorted(cc.merged) {
-		t.Errorf("merge order not ascending block IDs: %v", cc.merged)
 	}
 }

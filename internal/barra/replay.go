@@ -11,10 +11,10 @@ import (
 )
 
 // This file implements homogeneous-block replay: the engine-path
-// execution mode (no access hook, no foreign collectors, replay not
-// disabled) that exploits the redundancy of regular kernels, whose
-// thousands of blocks execute identical instruction streams over
-// identically-shaped address patterns.
+// execution mode (no access hook, replay not disabled) that exploits
+// the redundancy of regular kernels, whose thousands of blocks
+// execute identical instruction streams over identically-shaped
+// address patterns.
 //
 // Every block still executes functionally — its memory writes and
 // the run's verification depend on real execution — but the stats
@@ -25,11 +25,11 @@ import (
 // 128-bit signature over everything its statistics depend on — the
 // interleaved instruction stream, active masks, and the shape of
 // every memory access — while recording an undo log of its global
-// stores. On a signature hit the canonical block's per-block Stats
-// shard is cloned into the Collector merge layer and the block is
-// done. On a miss the undo log rewinds the block's global stores and
-// the block re-runs on the ordinary live path, which derives its
-// stats shard the usual way; that shard becomes the class canonical.
+// stores. On a signature hit the canonical block's stats shard is
+// copied into the block's own shard and the block is done. On a miss
+// the undo log rewinds the block's global stores and the block
+// re-runs on the ordinary live path, which derives its stats shard
+// the usual way; that shard becomes the class canonical.
 // Misses are therefore twice as expensive as live simulation, but a
 // regular kernel pays that price once per class, not once per block.
 //
@@ -61,7 +61,7 @@ import (
 // uniform stream. The class canonical stores the uniform complement
 // (the canonical block's full shard minus its own variant shard,
 // which is class-invariant because every statistic is additive per
-// step and StageEnd's warp-work thresholds are mask-derived); a hit
+// step and stageEnd's warp-work thresholds are mask-derived); a hit
 // combines it with the block's own variant shard. Mis-tainting is
 // harmless either way: under-taint hashes varying addresses
 // (signature misses, block simulates live), over-taint computes more
@@ -393,19 +393,20 @@ func (w *worker) foldEnvelope(a0, lo, hi uint32) {
 	}
 }
 
-// runBlockEngine executes one block on the engine path: a lean pass
-// (batched functional execution folding the block signature and
-// logging store undos), then replay on a hit or an unwind-and-re-run
-// on a miss. Scheduling (warp order, barrier staging, budget
-// accounting, error cases) mirrors runBlock exactly.
-func (w *worker) runBlockEngine(blockID int) (int, []BlockCollector, error) {
+// runBlockEngine executes one block on the engine path, recording its
+// statistics into bs: a lean pass (batched functional execution
+// folding the block signature and logging store undos), then replay
+// on a hit or an unwind-and-re-run on a miss. Scheduling (warp order,
+// barrier staging, budget accounting, error cases) mirrors runBlock
+// exactly.
+func (w *worker) runBlockEngine(blockID int, bs *blockStats) (int, error) {
 	rs := w.ctx.replay
 	if w.engMisses >= engineFallbackMisses && w.engHits == 0 {
 		rs.liveBlocks.Add(1)
-		return w.runBlock(blockID)
+		return w.runBlock(blockID, bs)
 	}
 	if err := w.initBlock(blockID); err != nil {
-		return 0, nil, err
+		return 0, err
 	}
 	e := &w.eng
 	e.reset()
@@ -414,14 +415,14 @@ func (w *worker) runBlockEngine(blockID int) (int, []BlockCollector, error) {
 	}
 	// varBS accumulates the block's data-derived (variant) memory
 	// statistics during the lean pass.
-	varBS := w.ctx.collectors[0].(*statsCollector).Block(blockID).(*blockStats)
+	varBS := w.ctx.stats.shard()
 	barriers, err := w.leanBlock(varBS)
 	for _, warp := range w.warps {
 		warp.undo = nil
 	}
 	if err != nil {
 		varBS.release()
-		return 0, nil, err
+		return 0, err
 	}
 	rs.batchedRuns.Add(e.runs)
 	rs.batchedInstrs.Add(e.instrs)
@@ -432,11 +433,10 @@ func (w *worker) runBlockEngine(blockID int) (int, []BlockCollector, error) {
 	rs.mu.RUnlock()
 	if canon != nil {
 		w.engHits++
-		bs := w.bcs[0].(*blockStats)
 		bs.copyFrom(canon)
 		bs.add(varBS)
 		varBS.release()
-		return barriers, w.bcs, nil
+		return barriers, nil
 	}
 	w.engMisses++
 
@@ -445,21 +445,21 @@ func (w *worker) runBlockEngine(blockID int) (int, []BlockCollector, error) {
 	// drawn budget back to this worker's batch — the re-run redraws
 	// exactly the same instructions, keeping the shared pool's
 	// accounting identical to a live run — and re-run the block on
-	// the live path. The re-run's full shard is this block's result;
-	// minus the block's own variant shard it is also the class's
-	// canonical uniform shard, identical whichever member computes it.
+	// the live path into bs, which the lean pass left untouched. The
+	// re-run's full shard is this block's result; minus the block's
+	// own variant shard it is also the class's canonical uniform
+	// shard, identical whichever member computes it.
 	words := w.ctx.mem.words
 	for i := len(e.undo) - 2; i >= 0; i -= 2 {
 		words[e.undo[i]] = e.undo[i+1]
 	}
 	w.avail += e.charged
-	w.bcs[0].(*blockStats).release()
-	barriers, bcs, err := w.runBlock(blockID)
+	barriers, err = w.runBlock(blockID, bs)
 	if err != nil {
 		varBS.release()
-		return 0, nil, err
+		return 0, err
 	}
-	c := bcs[0].(*blockStats).clone()
+	c := bs.clone()
 	c.sub(varBS)
 	varBS.release()
 	rs.mu.Lock()
@@ -469,7 +469,7 @@ func (w *worker) runBlockEngine(blockID int) (int, []BlockCollector, error) {
 	// A concurrent worker may have inserted the same class first; its
 	// canonical is identical by construction, ours is dropped.
 	rs.mu.Unlock()
-	return barriers, bcs, nil
+	return barriers, nil
 }
 
 // leanBlock runs the current block functionally to completion,
@@ -553,7 +553,7 @@ func (w *worker) leanBlock(varBS *blockStats) (int, error) {
 				e.charged++
 				w.foldStep()
 				if variant[w.info.PC] {
-					varBS.Step(stage, w.buildTrace())
+					w.account(varBS, stage)
 				}
 				if w.info.Barrier {
 					w.atBarrier[wi] = true

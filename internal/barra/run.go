@@ -72,29 +72,27 @@ type Options struct {
 	// half-warp access: the issuing block, whether it was a load,
 	// and the active lanes' byte addresses (valid only during the
 	// call). Used by cache-replay experiments (paper Fig. 12's
-	// texture-cache variants). Calls are serialized and delivered in
-	// ascending block order regardless of Parallelism, so stateful
-	// consumers observe the same stream a serial run produces.
+	// texture-cache variants). A hooked run uses one worker whatever
+	// Parallelism says and calls the hook inline, so calls arrive in
+	// ascending block order, program order within a block — the
+	// stream stateful consumers need.
 	GlobalAccessHook func(blockID int, load bool, addrs []uint32)
 	// Parallelism is the number of worker goroutines the grid's
 	// blocks are sharded across. 0 (the default) uses
-	// runtime.GOMAXPROCS(0); 1 runs every block on one goroutine,
-	// preserving the serial engine's behaviour exactly. Every setting
-	// produces bit-identical Stats: per-block statistics are merged
-	// in ascending block-ID order after the workers join.
+	// runtime.GOMAXPROCS(0); 1 runs every block on one goroutine. A
+	// GlobalAccessHook forces 1. Every setting produces bit-identical
+	// Stats: per-block statistics are merged in ascending block-ID
+	// order after the workers join.
 	Parallelism int
-	// Collectors are additional statistics sinks driven alongside the
-	// built-in Stats collector; they receive every execution event
-	// and are merged in block order (see Collector).
-	Collectors []Collector
 	// DisableBlockReplay forces every block through live per-step
 	// simulation. By default the engine detects blocks whose
 	// instruction stream and address shape match a previously
 	// executed block's signature and replays that block's stats shard
 	// instead of re-deriving it (see replay.go) — functional
-	// execution and the returned Stats are bit-identical either way.
-	// Replay is bypassed automatically when a GlobalAccessHook or
-	// extra Collectors are armed, since both observe per-step events.
+	// execution and the returned Stats are bit-identical either way,
+	// which the replay differential tests check against this live
+	// path. Replay is also bypassed when a GlobalAccessHook is armed,
+	// since the hook observes every step.
 	DisableBlockReplay bool
 	// VerifyBlockIsolation enables the cross-block sharing detector:
 	// the run fails if a block reads or writes a global-memory word
@@ -181,17 +179,17 @@ func RunContext(ctx context.Context, cfg gpu.Config, l Launch, mem *Memory, opt 
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	if rc.hook != nil {
+		// One worker visits blocks in launch order, the order the
+		// hook's consumers depend on.
+		workers = 1
+	}
 	if workers > l.Grid {
 		workers = l.Grid
 	}
-	if rc.hook != nil && workers > 1 {
-		rc.dispatch = newHookDispatcher(rc.hook, workers)
-	}
 
-	sc := newStatsCollector(l, opt.Regions, rc.segs)
-	rc.collectors = append([]Collector{sc}, opt.Collectors...)
-
-	if !opt.DisableBlockReplay && rc.hook == nil && len(opt.Collectors) == 0 {
+	rc.stats = newStatsCollector(l, opt.Regions, rc.segs)
+	if !opt.DisableBlockReplay && rc.hook == nil {
 		maxA := cfg.MaxSegmentBytes
 		for _, s := range rc.segs {
 			if s > maxA {
@@ -206,7 +204,7 @@ func RunContext(ctx context.Context, cfg gpu.Config, l Launch, mem *Memory, opt 
 		defer mem.stopTracking()
 	}
 
-	barriers, results, err := rc.execute(workers)
+	barriers, shards, err := rc.execute(workers)
 	if err != nil {
 		return nil, err
 	}
@@ -218,14 +216,10 @@ func RunContext(ctx context.Context, cfg gpu.Config, l Launch, mem *Memory, opt 
 	}
 	// Deterministic join: fold every block back in ascending block
 	// order, whatever order the workers finished in.
-	for ci, c := range rc.collectors {
-		for b := 0; b < l.Grid; b++ {
-			if err := c.Merge(b, results[b][ci], barriers[b]); err != nil {
-				return nil, err
-			}
-		}
+	for b, bs := range shards {
+		rc.stats.merge(b, bs, barriers[b])
 	}
-	st := sc.finish()
+	st := rc.stats.finish()
 	if rc.replay != nil {
 		sim := int64(len(rc.replay.classes)) + rc.replay.liveBlocks.Load()
 		st.Engine = EngineStats{

@@ -1,7 +1,6 @@
 package barra
 
 import (
-	"fmt"
 	"sync"
 
 	"gpuperf/internal/gpu"
@@ -92,8 +91,8 @@ type Stats struct {
 	Grid, Block int
 
 	// Engine reports how the execution engine produced these stats
-	// (all zero on the live path: hooks armed, foreign collectors, or
-	// replay disabled). The counters are deterministic at a fixed
+	// (all zero on the live path: a GlobalAccessHook armed, or replay
+	// disabled). The counters are deterministic at a fixed
 	// Parallelism; the per-worker adaptive fallback can shift a few
 	// blocks between simulated and replayed across different worker
 	// counts on irregular workloads. Every other Stats field is
@@ -233,9 +232,9 @@ func deaccumulate(dst, src *StageStats) {
 	dst.WarpsWithWork -= src.WarpsWithWork
 }
 
-// statsCollector is the built-in Collector producing *Stats. Blocks
-// record into index-keyed slices (cheaper than maps in the hot loop);
-// Merge converts to the public map form.
+// statsCollector builds one run's *Stats. Blocks record into
+// index-keyed shards (cheaper than maps in the hot loop); merge
+// converts them to the public map form.
 type statsCollector struct {
 	regions []Region
 	segs    []int // granularities, segs[0] native
@@ -261,15 +260,14 @@ func newStatsCollector(l Launch, regions []Region, segs []int) *statsCollector {
 	return c
 }
 
-// blockStats is one block's shard of the statistics. Shards are
-// pooled process-wide: Merge returns each folded shard to
-// blockStatsPool, so the paper's rerun-per-figure workflow — many
-// Run calls in one process — stops churning per-block slices after
-// the first launch warms the pool.
+// blockStats is one block's shard of the statistics, written by the
+// one worker running the block. Shards are pooled process-wide: merge
+// returns each folded shard to blockStatsPool, so the paper's
+// rerun-per-figure workflow — many Run calls in one process — stops
+// churning per-block slices after the first launch warms the pool.
 type blockStats struct {
-	c             *statsCollector
 	stages        []StageStats
-	globalAt      []MemTraffic   // indexed like c.segs
+	globalAt      []MemTraffic   // indexed like statsCollector.segs
 	regionTraffic [][]MemTraffic // [region][seg]
 	regionUseful  []int64        // [region]
 }
@@ -287,12 +285,13 @@ func trafficRow(prev []MemTraffic, n int) []MemTraffic {
 	return prev
 }
 
-func (c *statsCollector) Block(blockID int) BlockCollector {
+// shard returns a zeroed shard sized for this run, reusing a pooled
+// one when available.
+func (c *statsCollector) shard() *blockStats {
 	bs, _ := blockStatsPool.Get().(*blockStats)
 	if bs == nil {
 		bs = &blockStats{}
 	}
-	bs.c = c
 	bs.stages = bs.stages[:0]
 	bs.globalAt = trafficRow(bs.globalAt, len(c.segs))
 	if cap(bs.regionUseful) < len(c.regions) {
@@ -319,9 +318,9 @@ func (c *statsCollector) Block(blockID int) BlockCollector {
 }
 
 // copyFrom overwrites b's counters with src's, reusing b's backing
-// storage. Both shards must belong to the same collector (identical
-// segment and region geometry) — the replay path copying a class's
-// canonical shard into a pooled per-block one.
+// storage. Both shards must come from the same run (identical segment
+// and region geometry) — the replay path copying a class's canonical
+// shard into a block's own.
 func (b *blockStats) copyFrom(src *blockStats) {
 	b.stages = append(b.stages[:0], src.stages...)
 	copy(b.globalAt, src.globalAt)
@@ -332,7 +331,7 @@ func (b *blockStats) copyFrom(src *blockStats) {
 }
 
 // add folds src's counters into b, field by field. Both shards must
-// belong to the same collector. Stages b lacks are created — a
+// come from the same run. Stages b lacks are created — a
 // variant shard can end before the block's last stage.
 func (b *blockStats) add(src *blockStats) {
 	for i := range src.stages {
@@ -375,18 +374,14 @@ func (b *blockStats) sub(src *blockStats) {
 	}
 }
 
-// release returns an unmerged shard to the pool (the replay path
-// abandoning a lean pass's shard, or retiring a scratch one).
-func (b *blockStats) release() {
-	b.c = nil
-	blockStatsPool.Put(b)
-}
+// release returns a shard to the pool: merge retiring a folded
+// shard, or the replay path a lean pass's variant shard.
+func (b *blockStats) release() { blockStatsPool.Put(b) }
 
 // clone returns an independent deep copy of b, retained as a replay
 // class's canonical shard for the rest of the run.
 func (b *blockStats) clone() *blockStats {
 	c := &blockStats{
-		c:             b.c,
 		stages:        append([]StageStats(nil), b.stages...),
 		globalAt:      append([]MemTraffic(nil), b.globalAt...),
 		regionTraffic: make([][]MemTraffic, len(b.regionTraffic)),
@@ -415,92 +410,13 @@ func (c *statsCollector) regionOf(addr uint32) int {
 	return -1
 }
 
-func (b *blockStats) Step(stage int, tr *StepTrace) {
-	st := b.stage(stage)
-	info := tr.Info
-	st.WarpInstrs++
-	st.ByClass[info.Class]++
-	if info.In.Op == isa.OpFMAD {
-		st.FMADs++
-	}
-	st.SharedAccesses += tr.SharedAccesses
-	st.SharedTx += tr.SharedTx
-	st.SharedTxNoConflict += tr.SharedTxIdeal
-	st.SharedBytes += tr.SharedBytes
-	for _, deg := range tr.SharedDeg {
-		if deg > 0 {
-			st.ConflictDeg[deg]++
-		}
-	}
-	if info.Diverged {
-		st.DivByClass[info.Class]++
-		st.DivActiveLanes += int64(info.ActiveCount)
-	}
-
-	if len(tr.Global) == 0 {
-		return
-	}
-	st.GlobalUsefulBytes += int64(info.ActiveCount) * 4
-	st.GlobalRequests += int64(len(tr.Global))
-	for i := range tr.Global {
-		hw := &tr.Global[i]
-		for si, txs := range hw.Tx {
-			var bytes int64
-			for _, tx := range txs {
-				bytes += int64(tx.Size)
-			}
-			b.globalAt[si].Transactions += int64(len(txs))
-			b.globalAt[si].Bytes += bytes
-			if si == 0 { // native granularity
-				st.Global.Transactions += int64(len(txs))
-				st.Global.Bytes += bytes
-			}
-			// Region attribution per transaction base address.
-			for _, tx := range txs {
-				if ri := b.c.regionOf(tx.Addr); ri >= 0 {
-					b.regionTraffic[ri][si].Transactions++
-					b.regionTraffic[ri][si].Bytes += int64(tx.Size)
-				}
-			}
-		}
-		for _, a := range hw.Addrs {
-			if ri := b.c.regionOf(a); ri >= 0 {
-				b.regionUseful[ri] += 4
-			}
-		}
-	}
-}
-
-// StageEnd folds the block's per-warp stage work counts into the
-// stage stats. A warp counts as working when it executed at least
-// half as many unskipped non-control instructions as the busiest warp
-// of its block — enough to exclude warps that only ran the guard test
-// and skip branch.
-func (b *blockStats) StageEnd(stage int, workCount []int64) {
-	st := b.stage(stage)
-	var max int64
-	for _, c := range workCount {
-		if c > max {
-			max = c
-		}
-	}
-	threshold := (max + 1) / 2
-	for _, c := range workCount {
-		if max > 0 && c >= threshold {
-			st.WarpsWithWork++
-		}
-	}
-}
-
-// Merge folds one finished block's shard into the run totals, in
-// ascending block order (the Collector contract).
+// merge folds one finished block's shard into the run totals and
+// returns the shard to the pool. Run merges every block in ascending
+// block order after the workers join, so Stats never depends on
+// which worker ran which block.
 //
 //gpuperf:noalloc
-func (c *statsCollector) Merge(blockID int, bc BlockCollector, barriers int) error {
-	bs, ok := bc.(*blockStats)
-	if !ok {
-		return fmt.Errorf("barra: foreign BlockCollector %T merged into statsCollector", bc)
-	}
+func (c *statsCollector) merge(blockID int, bs *blockStats, barriers int) {
 	s := c.stats
 	if blockID == 0 {
 		s.Barriers = barriers
@@ -526,9 +442,7 @@ func (c *statsCollector) Merge(blockID int, bc BlockCollector, barriers int) err
 		}
 		s.RegionUseful[reg.Name] += bs.regionUseful[ri]
 	}
-	bs.c = nil
-	blockStatsPool.Put(bs)
-	return nil
+	bs.release()
 }
 
 // finish computes the run totals after all blocks have merged.

@@ -24,26 +24,30 @@ const budgetBatch = 8192
 
 // runContext is the immutable state of one Run, shared read-only by
 // every worker: launch, device, simulators (bank and coalesce are
-// stateless), collectors, and the two pieces of cross-worker
-// coordination — the block cursor and the shared instruction budget.
+// stateless), the statistics layout, and the two pieces of
+// cross-worker coordination — the block cursor and the shared
+// instruction budget.
 type runContext struct {
 	// goCtx is the caller's cancellation context (nil when absent —
 	// tests that assemble a runContext by hand run uncancellable).
-	goCtx      context.Context
-	cfg        gpu.Config
-	launch     Launch
-	mem        *Memory
-	banks      *bank.Sim
-	coal       []*coalesce.Sim // parallel to segs
-	segs       []int           // granularities; segs[0] is the device's native
-	collectors []Collector
+	goCtx  context.Context
+	cfg    gpu.Config
+	launch Launch
+	mem    *Memory
+	banks  *bank.Sim
+	coal   []*coalesce.Sim // parallel to segs
+	segs   []int           // granularities; segs[0] is the device's native
+	// stats sizes the per-block shards and folds them into the run's
+	// Stats.
+	stats *statsCollector
 
-	hook     func(blockID int, load bool, addrs []uint32)
-	dispatch *hookDispatcher // non-nil iff hook set and >1 worker
+	// hook is Options.GlobalAccessHook. A hooked run has one worker,
+	// which calls it inline.
+	hook func(blockID int, load bool, addrs []uint32)
 
 	// replay is the homogeneous-block replay machinery; non-nil iff
-	// the run takes the engine path (no hook, no foreign collectors,
-	// replay not disabled — see replay.go).
+	// the run takes the engine path (no hook, replay not disabled —
+	// see replay.go).
 	replay *replayState
 
 	// maxInstr is the per-run warp-instruction budget
@@ -91,10 +95,10 @@ func (ctx *runContext) cancelled() error {
 }
 
 // worker executes blocks one at a time on its own goroutine. All of
-// its state — shared-memory arena, warp contexts, scheduling scratch,
-// the StepTrace handed to collectors — is reused from block to block,
-// so steady-state execution allocates only the per-block
-// BlockCollectors.
+// its state — shared-memory arena, warp contexts, scheduling and
+// accounting scratch — is reused from block to block, and each block
+// records into the statistics shard its caller hands in, so
+// steady-state execution allocates nothing.
 type worker struct {
 	ctx *runContext
 
@@ -103,22 +107,15 @@ type worker struct {
 	atBarrier []bool
 	workCount []int64
 
-	info  StepInfo
-	trace StepTrace
-	// addrBuf gathers active-lane addresses per half-warp. txLists
-	// backs the per-granularity transaction-list-of-lists handed to
-	// trace.Global; txBufs holds one reusable transaction buffer per
-	// (half-warp, granularity) pair, filled in place by
-	// coalesce.HalfWarpInto — steady state never allocates.
-	addrBuf [warpHalves][gpu.HalfWarp]uint32
-	txLists [warpHalves][][]coalesce.Transaction
-	txBufs  [warpHalves][][]coalesce.Transaction
+	info StepInfo
+	// addrBuf gathers one half-warp's active-lane addresses; txBuf
+	// receives the transactions coalesce.HalfWarpInto forms from them
+	// at one granularity. Both are refilled in place per access.
+	addrBuf [gpu.HalfWarp]uint32
+	txBuf   []coalesce.Transaction
 
-	curBlock int      // block in flight
-	avail    int64    // unspent instruction-budget reservation
-	log      *hookLog // per-block hook journal (nil when hook inline/absent)
-
-	bcs []BlockCollector // collectors of the block in flight
+	curBlock int   // block in flight
+	avail    int64 // unspent instruction-budget reservation
 
 	// eng is the replay signature and undo scratch of the engine
 	// path (see replay.go); unused on the live path.
@@ -150,15 +147,9 @@ func (w *worker) initBlock(blockID int) error {
 		}
 		w.atBarrier = make([]bool, nw)
 		w.workCount = make([]int64, nw)
-		for half := 0; half < warpHalves; half++ {
-			w.txLists[half] = make([][]coalesce.Transaction, 0, len(w.ctx.coal))
-			w.txBufs[half] = make([][]coalesce.Transaction, len(w.ctx.coal))
-			for si := range w.txBufs[half] {
-				// A half-warp forms at most gpu.HalfWarp transactions
-				// (one per lane), so these buffers never regrow.
-				w.txBufs[half][si] = make([]coalesce.Transaction, 0, gpu.HalfWarp)
-			}
-		}
+		// A half-warp forms at most gpu.HalfWarp transactions (one per
+		// lane), so this buffer never regrows.
+		w.txBuf = make([]coalesce.Transaction, 0, gpu.HalfWarp)
 	} else {
 		clear(w.shared)
 		for _, warp := range w.warps {
@@ -167,23 +158,14 @@ func (w *worker) initBlock(blockID int) error {
 		clear(w.atBarrier)
 		clear(w.workCount)
 	}
-	w.bcs = w.bcs[:0]
-	for _, c := range w.ctx.collectors {
-		w.bcs = append(w.bcs, c.Block(blockID))
-	}
-	if w.ctx.hook != nil && w.ctx.dispatch != nil {
-		w.log = newHookLog(blockID)
-	}
 	return nil
 }
 
-// runBlock executes one block to completion and returns its barrier
-// count plus the finished per-collector block sinks. The returned
-// slice is the worker's reusable scratch — the caller must copy it
-// before the next runBlock call.
-func (w *worker) runBlock(blockID int) (int, []BlockCollector, error) {
+// runBlock executes one block to completion, recording its statistics
+// into bs, and returns its barrier count.
+func (w *worker) runBlock(blockID int, bs *blockStats) (int, error) {
 	if err := w.initBlock(blockID); err != nil {
-		return 0, nil, err
+		return 0, err
 	}
 	l := w.ctx.launch
 
@@ -199,22 +181,22 @@ func (w *worker) runBlock(blockID int) (int, []BlockCollector, error) {
 			for {
 				if w.avail == 0 {
 					if w.ctx.failed.Load() {
-						return 0, nil, errCancelled
+						return 0, errCancelled
 					}
 					if err := w.ctx.cancelled(); err != nil {
-						return 0, nil, err
+						return 0, err
 					}
 					w.avail = w.ctx.reserveBudget()
 					if w.avail == 0 {
-						return 0, nil, fmt.Errorf("barra: instruction budget exhausted (%d warp instructions across the run) — runaway kernel %q?",
+						return 0, fmt.Errorf("barra: instruction budget exhausted (%d warp instructions across the run) — runaway kernel %q?",
 							w.ctx.maxInstr, l.Prog.Name)
 					}
 				}
 				if err := warp.Step(&w.info); err != nil {
-					return 0, nil, err
+					return 0, err
 				}
 				w.avail--
-				w.record(stage, wi)
+				w.record(bs, stage, wi)
 				if w.info.Barrier {
 					w.atBarrier[wi] = true
 					break
@@ -246,136 +228,155 @@ func (w *worker) runBlock(blockID int) (int, []BlockCollector, error) {
 			if anyExited {
 				// A warp exited while siblings wait at a barrier:
 				// undefined behaviour on hardware, a bug here.
-				return 0, nil, fmt.Errorf("barra: %q: warps wait at a barrier after others exited", l.Prog.Name)
+				return 0, fmt.Errorf("barra: %q: warps wait at a barrier after others exited", l.Prog.Name)
 			}
 			// Barrier release: everyone advances to the next stage.
 			clear(w.atBarrier)
-			w.stageEnd(stage)
+			w.stageEnd(bs, stage)
 			stage++
 			barriers++
 			continue
 		}
 		if !ranAny {
-			return 0, nil, fmt.Errorf("barra: deadlock in %q: warps blocked at a barrier while others exited", l.Prog.Name)
+			return 0, fmt.Errorf("barra: deadlock in %q: warps blocked at a barrier while others exited", l.Prog.Name)
 		}
 	}
-	w.stageEnd(stage)
-
-	if w.log != nil {
-		w.ctx.dispatch.submit(w.log)
-		w.log = nil
-	}
-	return barriers, w.bcs, nil
+	w.stageEnd(bs, stage)
+	return barriers, nil
 }
 
-// stageEnd closes a stage for every collector and resets the per-warp
-// work counters.
-func (w *worker) stageEnd(stage int) {
-	for _, bc := range w.bcs {
-		bc.StageEnd(stage, w.workCount)
+// stageEnd closes a stage of bs and resets the per-warp work
+// counters. A warp counts as working when it executed at least half
+// as many unskipped non-control instructions as the busiest warp of
+// its block — enough to exclude warps that only ran the guard test
+// and skip branch.
+//
+//gpuperf:noalloc
+func (w *worker) stageEnd(bs *blockStats, stage int) {
+	st := bs.stage(stage)
+	var max int64
+	for _, c := range w.workCount {
+		if c > max {
+			max = c
+		}
+	}
+	threshold := (max + 1) / 2
+	for _, c := range w.workCount {
+		if max > 0 && c >= threshold {
+			st.WarpsWithWork++
+		}
 	}
 	clear(w.workCount)
 }
 
-// record derives the memory-system outcome of the step just executed
-// into the worker's StepTrace scratch and feeds it to the block's
-// collectors.
-func (w *worker) record(stage, wi int) {
+// record counts the step just executed toward warp wi's stage work
+// and accounts it into bs.
+//
+//gpuperf:noalloc
+func (w *worker) record(bs *blockStats, stage, wi int) {
 	info := &w.info
 	op := info.In.Op
 	if info.ActiveCount > 0 && !isa.IsControl(op) && op != isa.OpNOP {
 		w.workCount[wi]++
 	}
-	tr := w.buildTrace()
-	for _, bc := range w.bcs {
-		bc.Step(stage, tr)
-	}
+	w.account(bs, stage)
 }
 
-// buildTrace derives the memory-system outcome of the step described
-// by w.info (bank conflicts, coalesced transactions at every
-// granularity) into the worker's StepTrace scratch. It is shared by
-// the live path (per executed step) and the replay materializer (per
-// journaled event): both must accumulate identically.
-func (w *worker) buildTrace() *StepTrace {
+// account adds the step described by w.info to bs: its instruction
+// counts plus the memory-system outcome derived for it — bank
+// conflicts, and global transactions at every configured granularity,
+// attributed to regions per transaction base and per useful word. The
+// live path accounts every executed step and the replay lean pass its
+// variant steps, so both accumulate identically.
+func (w *worker) account(bs *blockStats, stage int) {
 	info := &w.info
-	tr := &w.trace
-	tr.Info = info
-	tr.SharedAccesses, tr.SharedTx, tr.SharedTxIdeal, tr.SharedBytes = 0, 0, 0, 0
-	tr.SharedDeg[0], tr.SharedDeg[1] = 0, 0
-	tr.Global = tr.Global[:0]
-
+	st := bs.stage(stage)
 	op := info.In.Op
+	st.WarpInstrs++
+	st.ByClass[info.Class]++
+	if op == isa.OpFMAD {
+		st.FMADs++
+	}
+	if info.Diverged {
+		st.DivByClass[info.Class]++
+		st.DivActiveLanes += int64(info.ActiveCount)
+	}
 	if info.SmemOperand {
 		// Broadcast read of one shared word per half-warp: one
 		// conflict-free transaction per active half-warp.
-		tr.SharedAccesses++
+		st.SharedAccesses++
 		for half := 0; half < warpHalves; half++ {
 			if info.HalfMask(half) != 0 {
-				tr.SharedTx++
-				tr.SharedTxIdeal++
-				tr.SharedBytes += 4
+				st.SharedTx++
+				st.SharedTxNoConflict++
+				st.SharedBytes += 4
 			}
 		}
 	}
 
 	switch {
 	case isa.IsShared(op):
-		tr.SharedAccesses++
-		tr.SharedBytes += int64(info.ActiveCount) * 4
+		st.SharedAccesses++
+		st.SharedBytes += int64(info.ActiveCount) * 4
 		for half := 0; half < warpHalves; half++ {
-			addrs := w.gatherHalf(half)
+			addrs := info.GatherHalf(half, &w.addrBuf)
 			if len(addrs) == 0 {
 				continue
 			}
 			deg := w.ctx.banks.Transactions(addrs)
-			tr.SharedTx += int64(deg)
-			tr.SharedTxIdeal++
-			tr.SharedDeg[half] = uint8(deg)
+			st.SharedTx += int64(deg)
+			st.SharedTxNoConflict++
+			if deg > 0 {
+				st.ConflictDeg[deg]++
+			}
 		}
 
 	case isa.IsGlobal(op):
+		sc := w.ctx.stats
+		st.GlobalUsefulBytes += int64(info.ActiveCount) * 4
 		for half := 0; half < warpHalves; half++ {
-			addrs := w.gatherHalf(half)
+			addrs := info.GatherHalf(half, &w.addrBuf)
 			if len(addrs) == 0 {
 				continue
 			}
-			switch {
-			case w.log != nil:
-				w.log.add(op == isa.OpGLD, addrs)
-			case w.ctx.hook != nil:
-				w.ctx.hook(w.curBlock, op == isa.OpGLD, addrs) //gpuperf:alloc-ok opt-in journaling hook; hooked runs are outside the 0-alloc pin
+			if w.ctx.hook != nil {
+				w.ctx.hook(w.curBlock, op == isa.OpGLD, addrs) //gpuperf:alloc-ok opt-in observer hook; hooked runs are outside the 0-alloc pin
 			}
-			txs := w.txLists[half][:0]
+			st.GlobalRequests++
 			for si, c := range w.ctx.coal {
-				buf := c.HalfWarpInto(w.txBufs[half][si][:0], addrs, 4)
-				w.txBufs[half][si] = buf
-				txs = append(txs, buf) //gpuperf:alloc-ok appends into per-worker scratch reused across steps; growth amortizes to zero
+				w.txBuf = c.HalfWarpInto(w.txBuf[:0], addrs, 4)
+				var bytes int64
+				for _, tx := range w.txBuf {
+					bytes += int64(tx.Size)
+					if ri := sc.regionOf(tx.Addr); ri >= 0 {
+						bs.regionTraffic[ri][si].Transactions++
+						bs.regionTraffic[ri][si].Bytes += int64(tx.Size)
+					}
+				}
+				n := int64(len(w.txBuf))
+				bs.globalAt[si].Transactions += n
+				bs.globalAt[si].Bytes += bytes
+				if si == 0 { // native granularity
+					st.Global.Transactions += n
+					st.Global.Bytes += bytes
+				}
 			}
-			w.txLists[half] = txs
-			tr.Global = append(tr.Global, GlobalHalfWarp{Addrs: addrs, Tx: txs}) //gpuperf:alloc-ok appends into per-worker trace scratch reused across steps; growth amortizes to zero
+			for _, a := range addrs {
+				if ri := sc.regionOf(a); ri >= 0 {
+					bs.regionUseful[ri] += 4
+				}
+			}
 		}
 	}
-	return tr
-}
-
-// gatherHalf collects the active lanes' addresses of one half-warp
-// into the worker's scratch buffer.
-func (w *worker) gatherHalf(half int) []uint32 {
-	return w.info.GatherHalf(half, &w.addrBuf[half])
 }
 
 // execute shards the grid across the given number of workers and
-// returns each block's barrier count and finished collectors, indexed
-// by block ID.
-func (ctx *runContext) execute(workers int) ([]int, [][]BlockCollector, error) {
+// returns each block's barrier count and statistics shard, indexed by
+// block ID.
+func (ctx *runContext) execute(workers int) ([]int, []*blockStats, error) {
 	grid := ctx.launch.Grid
 	barriers := make([]int, grid)
-	results := make([][]BlockCollector, grid)
-	// One flat arena holds every block's collector slice: two
-	// allocations per run instead of one per block.
-	ncol := len(ctx.collectors)
-	arena := make([]BlockCollector, grid*ncol)
+	shards := make([]*blockStats, grid)
 
 	var (
 		wg       sync.WaitGroup
@@ -402,36 +403,30 @@ func (ctx *runContext) execute(workers int) ([]int, [][]BlockCollector, error) {
 					fail(err)
 					return
 				}
+				bs := ctx.stats.shard()
 				var (
 					nb  int
-					bcs []BlockCollector
 					err error
 				)
 				if ctx.replay != nil {
-					nb, bcs, err = w.runBlockEngine(b)
+					nb, err = w.runBlockEngine(b, bs)
 				} else {
-					nb, bcs, err = w.runBlock(b)
+					nb, err = w.runBlock(b, bs)
 				}
 				if err != nil {
 					fail(err)
 					return
 				}
-				barriers[b] = nb
-				slot := arena[b*ncol : (b+1)*ncol : (b+1)*ncol]
-				copy(slot, bcs)
-				results[b] = slot
+				barriers[b], shards[b] = nb, bs
 			}
 		}()
 	}
 	wg.Wait()
-	if ctx.dispatch != nil {
-		ctx.dispatch.close()
-	}
 	if ctx.failed.Load() {
 		if firstErr == nil {
 			firstErr = errCancelled
 		}
 		return nil, nil, firstErr
 	}
-	return barriers, results, nil
+	return barriers, shards, nil
 }

@@ -226,16 +226,12 @@ func Run(cfg gpu.Config, l barra.Launch, mem *barra.Memory) (Result, error) {
 // every few thousand events, so a service can abort a long timing
 // simulation promptly.
 func RunContext(ctx context.Context, cfg gpu.Config, l barra.Launch, mem *barra.Memory) (Result, error) {
-	return runBudget(ctx, cfg, l, mem, 0)
+	return RunBudget(ctx, cfg, l, mem, 0)
 }
 
-// RunBudget is Run with an instruction budget (0 = default 4e9)
-// guarding against runaway kernels.
-func RunBudget(cfg gpu.Config, l barra.Launch, mem *barra.Memory, budget int64) (Result, error) {
-	return runBudget(context.Background(), cfg, l, mem, budget)
-}
-
-func runBudget(ctx context.Context, cfg gpu.Config, l barra.Launch, mem *barra.Memory, budget int64) (Result, error) {
+// RunBudget is RunContext with a warp-instruction budget (0 = default
+// 4e9) guarding against runaway kernels.
+func RunBudget(ctx context.Context, cfg gpu.Config, l barra.Launch, mem *barra.Memory, budget int64) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}

@@ -59,9 +59,10 @@ type Workload struct {
 	// Long-running references (matmul is O(n³) on one host thread)
 	// observe ctx so an abandoned request stops burning CPU.
 	Verify func(ctx context.Context, mem *barra.Memory) (float64, error)
-	// MaxWarpInstructions, when > 0, caps the functional run's dynamic
-	// instruction budget below the engine default — the per-submission
-	// ceiling user-submitted kernels carry from admission.
+	// MaxWarpInstructions, when > 0, caps the dynamic instruction
+	// budget of the functional run and of the device-simulator run
+	// below their defaults — the per-submission ceiling user-submitted
+	// kernels carry from admission.
 	MaxWarpInstructions int64
 }
 

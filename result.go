@@ -107,9 +107,8 @@ type Diagnostics struct {
 	TransPerThread       int     `json:"trans_per_thread"`
 	// BlocksSimulated/BlocksReplayed split this run's blocks by how
 	// the functional engine derived their statistics (see
-	// barra.EngineStats); BatchedRuns/BatchedInstrs report its batched
-	// warp stepping. All zero when replay was bypassed (NoReplay, a
-	// session-level disable, or an irregular launch shape).
+	// barra.EngineStats); their sum is the launch's grid size.
+	// BatchedRuns/BatchedInstrs report its batched warp stepping.
 	BlocksSimulated int64 `json:"blocks_simulated"`
 	BlocksReplayed  int64 `json:"blocks_replayed"`
 	BatchedRuns     int64 `json:"batched_runs"`

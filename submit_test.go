@@ -158,6 +158,23 @@ func TestSubmitKernelRejections(t *testing.T) {
 	}
 }
 
+// TestMeasureHonoursSubmissionBudget: a submission's admission-time
+// instruction budget bounds the device simulator too, so a
+// measure-only request — which never runs the functional engine —
+// cannot run a looping submission past its ceiling. The kernel
+// issues about 7.4k warp instructions at grid 64; the ceiling is 5k.
+func TestMeasureHonoursSubmissionBudget(t *testing.T) {
+	f := NewFleet(FleetOptions{SubmissionLimits: SubmissionLimits{MaxWarpInstructions: 5000}})
+	rec, err := f.SubmitKernel(submitReduceRequest(64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = f.Measure(context.Background(), Request{Kernel: rec.ID})
+	if err == nil || !strings.Contains(err.Error(), "instruction budget exhausted") {
+		t.Fatalf("measure over the submission's budget: got %v, want an exhausted budget", err)
+	}
+}
+
 func TestSubmitKernelEvictionDeregisters(t *testing.T) {
 	f := NewFleet(FleetOptions{SubmissionLimits: SubmissionLimits{MaxCount: 1}})
 	a, err := f.SubmitKernel(submitReduceRequest(2))
