@@ -25,7 +25,6 @@
 package device
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 
@@ -121,35 +120,83 @@ func (r Result) DominantComponent() string {
 	}
 }
 
-// event is one pending simulation action.
+// event is one pending simulation action: warp tries to issue at
+// cycle t. issued is the warp's issued count when the event was
+// scheduled. A warp has exactly one queued event and issues only
+// after that event is popped, so the copy always equals the live
+// count and the ordering key needs no pointer chase.
 type event struct {
-	t    float64
-	seq  int64 // tie-break for determinism
-	warp *simWarp
+	t      float64
+	issued int64
+	seq    int64 // schedule order, unique per run
+	warp   *simWarp
 }
 
-type eventQueue []event
-
-func (q eventQueue) Len() int { return len(q) }
-
-// Less orders by time, then by warp progress (fewest instructions
+// before orders by time, then by warp progress (fewest instructions
 // issued first — the hardware's fair round-robin selection; without
 // this, greedy ordering forms convoys that leave issue slots idle),
-// then by insertion order for determinism. A warp's issued count is
-// stable while its single outstanding event is queued, so the heap
-// key never mutates in place.
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].t != q[j].t {
-		return q[i].t < q[j].t
+// then by schedule order. seq is unique, so this is a strict total
+// order: the pop sequence is fixed by the events alone, not by the
+// heap's layout.
+func (e *event) before(o *event) bool {
+	if e.t != o.t {
+		return e.t < o.t
 	}
-	if q[i].warp.issued != q[j].warp.issued {
-		return q[i].warp.issued < q[j].warp.issued
+	if e.issued != o.issued {
+		return e.issued < o.issued
 	}
-	return q[i].seq < q[j].seq
+	return e.seq < o.seq
 }
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x any)   { *q = append(*q, x.(event)) }
-func (q *eventQueue) Pop() any     { old := *q; n := len(old); e := old[n-1]; *q = old[:n-1]; return e }
+
+// eventQueue is a binary min-heap of events under before.
+type eventQueue []event
+
+func (q *eventQueue) push(e event) {
+	h := append(*q, e) //gpuperf:alloc-ok amortized growth; the queue holds one event per live warp
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !e.before(&h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = e
+	*q = h
+}
+
+// pop removes and returns the earliest event; the queue must not be
+// empty.
+//
+//gpuperf:noalloc
+func (q *eventQueue) pop() event {
+	h := *q
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h = h[:n]
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && h[c+1].before(&h[c]) {
+			c++
+		}
+		if !h[c].before(&last) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	if n > 0 {
+		h[i] = last
+	}
+	*q = h
+	return top
+}
 
 // simWarp wraps a functional warp with scoreboard state.
 type simWarp struct {
@@ -262,6 +309,7 @@ func RunBudget(ctx context.Context, cfg gpu.Config, l barra.Launch, mem *barra.M
 		cfg: cfg, launch: l, mem: mem, banks: bsim, coal: csim,
 		budget: budget,
 		txBuf:  make([]coalesce.Transaction, 0, gpu.HalfWarp),
+		queue:  make(eventQueue, 0, min(l.Grid, cfg.NumSMs*occRes.Blocks)*l.WarpsPerBlock()),
 	}
 	if s.budget <= 0 {
 		s.budget = 4e9
@@ -313,18 +361,27 @@ func RunBudget(ctx context.Context, cfg gpu.Config, l barra.Launch, mem *barra.M
 	// Main loop. The cancellation check amortizes over a batch of
 	// events to stay off the per-event path.
 	const ctxCheckEvery = 8192
-	for n := 0; s.queue.Len() > 0; n++ {
+	for n := 0; len(s.queue) > 0; n++ {
 		if n%ctxCheckEvery == 0 {
 			if err := ctx.Err(); err != nil {
 				return Result{}, err
 			}
 		}
-		e := heap.Pop(&s.queue).(event)
+		e := s.queue.pop()
 		if e.warp.done || e.warp.waiting {
 			continue
 		}
-		if err := s.stepWarp(e.warp, e.t); err != nil {
+		exited, err := s.stepWarp(e.warp, e.t)
+		if err != nil {
 			return Result{}, err
+		}
+		if exited {
+			// Block dispatch builds the successor's warps, so it runs
+			// here, off the allocation-free per-event path. Nothing is
+			// scheduled in between, so the seq order is unchanged.
+			if err := s.warpExit(e.warp, e.warp.nextIssue); err != nil {
+				return Result{}, err
+			}
 		}
 	}
 
@@ -362,7 +419,7 @@ func (s *sim) startBlock(sm *simSM, t float64) error {
 
 func (s *sim) schedule(w *simWarp, t float64) {
 	s.seq++
-	heap.Push(&s.queue, event{t: t, seq: s.seq, warp: w})
+	s.queue.push(event{t: t, issued: w.issued, seq: s.seq, warp: w})
 }
 
 func touchesShared(in *isa.Instruction) bool {
@@ -381,22 +438,10 @@ func (s *sim) depsReady(w *simWarp, in *isa.Instruction) float64 {
 	if touchesShared(in) && w.smemReady > t {
 		t = w.smemReady
 	}
-	consider := func(o isa.Operand) {
-		if o.Kind != isa.KindReg {
-			return
-		}
-		if r := w.regReady[o.Reg]; r > t {
-			t = r
-		}
-		if isa.IsDouble(in.Op) && int(o.Reg)+1 < len(w.regReady) {
-			if r := w.regReady[o.Reg+1]; r > t {
-				t = r
-			}
-		}
-	}
-	consider(in.SrcA)
-	consider(in.SrcB)
-	consider(in.SrcC)
+	double := isa.IsDouble(in.Op)
+	t = w.srcReady(t, in.SrcA, double)
+	t = w.srcReady(t, in.SrcB, double)
+	t = w.srcReady(t, in.SrcC, double)
 	if in.Guard != isa.PT {
 		if r := w.predReady[in.Guard]; r > t {
 			t = r
@@ -405,9 +450,32 @@ func (s *sim) depsReady(w *simWarp, in *isa.Instruction) float64 {
 	return t
 }
 
-func (s *sim) stepWarp(w *simWarp, now float64) error {
+// srcReady returns the later of t and the cycle source operand o's
+// register (and, for double-precision ops, its pair) is ready.
+func (w *simWarp) srcReady(t float64, o isa.Operand, double bool) float64 {
+	if o.Kind != isa.KindReg {
+		return t
+	}
+	if r := w.regReady[o.Reg]; r > t {
+		t = r
+	}
+	if double && int(o.Reg)+1 < len(w.regReady) {
+		if r := w.regReady[o.Reg+1]; r > t {
+			t = r
+		}
+	}
+	return t
+}
+
+// stepWarp handles one popped event: it re-queues the warp if a
+// dependency or its functional unit is not ready at now, and
+// otherwise issues one instruction. It reports whether the warp
+// exited; the caller then runs warpExit at w.nextIssue.
+//
+//gpuperf:noalloc
+func (s *sim) stepWarp(w *simWarp, now float64) (exited bool, err error) {
 	if s.issued >= s.budget {
-		return fmt.Errorf("device: instruction budget exhausted (%d) — runaway kernel %q?",
+		return false, fmt.Errorf("device: instruction budget exhausted (%d) — runaway kernel %q?",
 			s.budget, s.launch.Prog.Name)
 	}
 	pc := w.fw.PC()
@@ -419,16 +487,16 @@ func (s *sim) stepWarp(w *simWarp, now float64) error {
 	ready := s.depsReady(w, in)
 	if ready > now {
 		s.schedule(w, ready)
-		return nil
+		return false, nil
 	}
 	if free := sm.unitFree[class]; free > now {
 		s.schedule(w, free)
-		return nil
+		return false, nil
 	}
 
 	// Issue: execute functionally.
 	if err := w.fw.Step(&s.info); err != nil {
-		return err
+		return false, err
 	}
 	s.issued++
 	w.issued++
@@ -446,9 +514,10 @@ func (s *sim) stepWarp(w *simWarp, now float64) error {
 
 	switch {
 	case info.Barrier:
-		return s.arriveBarrier(w, t+occ)
+		s.arriveBarrier(w, t+occ)
+		return false, nil
 	case info.Done:
-		return s.warpExit(w, t+occ)
+		return true, nil
 	case isa.IsShared(in.Op):
 		s.timeShared(w, in, info, t)
 	case isa.IsGlobal(in.Op):
@@ -489,7 +558,7 @@ func (s *sim) stepWarp(w *simWarp, now float64) error {
 	if !w.fw.Done() {
 		s.schedule(w, w.nextIssue)
 	}
-	return nil
+	return false, nil
 }
 
 // timeShared serializes the access's bank transactions through the
@@ -570,12 +639,12 @@ func (s *sim) timeGlobal(w *simWarp, in *isa.Instruction, info *barra.StepInfo, 
 	}
 }
 
-func (s *sim) arriveBarrier(w *simWarp, t float64) error {
+func (s *sim) arriveBarrier(w *simWarp, t float64) {
 	blk := w.block
 	w.waiting = true
 	blk.atBarrier++
 	if blk.atBarrier < blk.live {
-		return nil
+		return
 	}
 	// Release: all waiting warps resume.
 	blk.atBarrier = 0
@@ -589,7 +658,6 @@ func (s *sim) arriveBarrier(w *simWarp, t float64) error {
 		}
 		s.schedule(ww, ww.nextIssue)
 	}
-	return nil
 }
 
 func (s *sim) warpExit(w *simWarp, t float64) error {
