@@ -226,12 +226,9 @@ type simBlock struct {
 }
 
 type simSM struct {
-	id       int
 	unitFree [isa.NumClasses]float64
 	smemFree float64
 	cluster  *simCluster
-	resident int // live blocks
-	slots    int
 }
 
 type simCluster struct {
@@ -342,7 +339,7 @@ func RunBudget(ctx context.Context, cfg gpu.Config, l barra.Launch, mem *barra.M
 	}
 	s.sms = make([]*simSM, cfg.NumSMs)
 	for i := range s.sms {
-		s.sms[i] = &simSM{id: i, cluster: s.clus[i/cfg.SMsPerCluster], slots: occRes.Blocks}
+		s.sms[i] = &simSM{cluster: s.clus[i/cfg.SMsPerCluster]}
 	}
 
 	// Initial dispatch: round-robin waves across SMs, up to each
@@ -413,7 +410,6 @@ func (s *sim) startBlock(sm *simSM, t float64) error {
 		blk.warps = append(blk.warps, w)
 		s.schedule(w, t)
 	}
-	sm.resident++
 	return nil
 }
 
@@ -667,25 +663,15 @@ func (s *sim) warpExit(w *simWarp, t float64) error {
 	if blk.atBarrier > 0 && blk.atBarrier >= blk.live {
 		return fmt.Errorf("device: %q: warps wait at a barrier after others exited", s.launch.Prog.Name)
 	}
-	blockDone := blk.live == 0
-	releaseSlot := blockDone
-	if s.cfg.EarlyRelease && !blockDone {
-		// Early release: a fresh block may start as soon as a
-		// block's worth of warps has retired SM-wide. Approximate
-		// by allowing refill when this block has fewer live warps
-		// than a full block and a slot's worth have exited.
-		exited := 0
-		for _, ww := range blk.warps {
-			if ww.done {
-				exited++
-			}
-		}
-		releaseSlot = exited == len(blk.warps)/2 && len(blk.warps) > 1
+	// A block hands its resident slot to exactly one successor: when
+	// its last warp exits or, with EarlyRelease, as soon as half of
+	// its warps have (an approximation of releasing resources warp
+	// by warp).
+	release := len(blk.warps)
+	if s.cfg.EarlyRelease && release > 1 {
+		release /= 2
 	}
-	if blockDone {
-		blk.sm.resident--
-	}
-	if releaseSlot && s.nextBlk < s.launch.Grid {
+	if len(blk.warps)-blk.live == release && s.nextBlk < s.launch.Grid {
 		return s.startBlock(blk.sm, t)
 	}
 	return nil

@@ -418,6 +418,33 @@ func TestEarlyReleaseHelpsTailHeavyKernels(t *testing.T) {
 	}
 }
 
+// TestEarlyReleaseUniformKernel: a block hands its slot to exactly one
+// successor. In a kernel where every warp runs the same chain, no warp
+// exits early, so EarlyRelease must leave the run time alone.
+func TestEarlyReleaseUniformKernel(t *testing.T) {
+	b := kbuild.New("uniform")
+	b.SharedBytes(9000) // one block per SM
+	x := b.Reg()
+	ctr := b.Reg()
+	b.MovF(x, 1)
+	b.Loop(ctr, 100, func() { b.FMad(x, x, x, x) })
+	b.Exit()
+	l := barra.Launch{Prog: b.MustProgram(), Grid: 24, Block: 128}
+	cfg := smallGPU()
+	base, err := Run(cfg, l, barra.NewMemory(64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.EarlyRelease = true
+	early, err := Run(cfg, l, barra.NewMemory(64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := base.Cycles / early.Cycles; r > 1.01 || r < 0.99 {
+		t.Errorf("EarlyRelease changed a uniform kernel's time %.3fx (%v vs %v cycles)", r, base.Cycles, early.Cycles)
+	}
+}
+
 // TestStoreHeavyKernelAccountsBandwidth: global stores consume
 // cluster bandwidth without blocking the warp.
 func TestStoreHeavyKernelAccountsBandwidth(t *testing.T) {
