@@ -49,10 +49,23 @@ type Calibration struct {
 
 	mu     sync.Mutex
 	gcache map[gkey]float64
+	// inflight holds the global-bandwidth simulation running for a
+	// geometry, so concurrent misses wait for it instead of each
+	// simulating; created on first miss.
+	inflight map[gkey]*gcall
+	gsims    int // global-bandwidth simulations started
 }
 
 type gkey struct {
 	blocks, threads, trans int
+}
+
+// gcall is one in-flight global-bandwidth simulation; done closes
+// once bw and err are set.
+type gcall struct {
+	done chan struct{}
+	bw   float64
+	err  error
 }
 
 // Config returns the calibrated configuration.
@@ -216,6 +229,8 @@ const maxSyntheticTrans = 64
 // bytes/s for a kernel with the given launch geometry and per-thread
 // transaction count, by running (and caching) a synthetic benchmark
 // of the same configuration — the paper's §4.3 methodology.
+// Concurrent callers for one uncached geometry share a single run;
+// an error reaches all of them and is not cached.
 func (c *Calibration) GlobalBandwidth(blocks, threadsPerBlock, transPerThread int) (float64, error) {
 	if blocks <= 0 || threadsPerBlock <= 0 {
 		return 0, fmt.Errorf("timing: bad geometry %dx%d", blocks, threadsPerBlock)
@@ -238,20 +253,40 @@ func (c *Calibration) GlobalBandwidth(blocks, threadsPerBlock, transPerThread in
 		c.mu.Unlock()
 		return bw, nil
 	}
+	if call, ok := c.inflight[k]; ok {
+		c.mu.Unlock()
+		<-call.done
+		return call.bw, call.err
+	}
+	if c.inflight == nil {
+		c.inflight = map[gkey]*gcall{}
+	}
+	call := &gcall{done: make(chan struct{})}
+	c.inflight[k] = call
+	c.gsims++
 	c.mu.Unlock()
 
+	call.bw, call.err = c.simulateGlobal(k)
+	c.mu.Lock()
+	delete(c.inflight, k)
+	if call.err == nil {
+		c.gcache[k] = call.bw
+	}
+	c.mu.Unlock()
+	close(call.done)
+	return call.bw, call.err
+}
+
+// simulateGlobal runs the synthetic global-memory benchmark for k.
+func (c *Calibration) simulateGlobal(k gkey) (float64, error) {
 	const memBytes = 1 << 22
-	prog, err := microbench.GlobalStream(transPerThread, blocks*threadsPerBlock, memBytes)
+	prog, err := microbench.GlobalStream(k.trans, k.blocks*k.threads, memBytes)
 	if err != nil {
 		return 0, err
 	}
-	res, err := device.Run(c.cfg, barra.Launch{Prog: prog, Grid: blocks, Block: threadsPerBlock}, barra.NewMemory(memBytes))
+	res, err := device.Run(c.cfg, barra.Launch{Prog: prog, Grid: k.blocks, Block: k.threads}, barra.NewMemory(memBytes))
 	if err != nil {
 		return 0, fmt.Errorf("timing: global synthetic benchmark %v: %w", k, err)
 	}
-	bw := res.GlobalBandwidth()
-	c.mu.Lock()
-	c.gcache[k] = bw
-	c.mu.Unlock()
-	return bw, nil
+	return res.GlobalBandwidth(), nil
 }

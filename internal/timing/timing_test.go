@@ -412,3 +412,36 @@ func TestLoadCalibrationRejectsCorruption(t *testing.T) {
 		t.Error("short shared curve accepted")
 	}
 }
+
+// TestGlobalBandwidthConcurrentMissSimulatesOnce: N first callers for
+// one geometry share a single device simulation and get bit-equal
+// bandwidths.
+func TestGlobalBandwidthConcurrentMissSimulatesOnce(t *testing.T) {
+	c := &Calibration{cfg: gpu.GTX285(), gcache: map[gkey]float64{}}
+	const n = 8
+	got := make([]float64, n)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			bw, err := c.GlobalBandwidth(9, 96, 3)
+			if err != nil {
+				t.Error(err)
+			}
+			got[i] = bw
+		}()
+	}
+	wg.Wait()
+	if c.gsims != 1 {
+		t.Errorf("%d concurrent first callers ran %d simulations, want 1", n, c.gsims)
+	}
+	for i, bw := range got {
+		if bw <= 0 || math.Float64bits(bw) != math.Float64bits(got[0]) {
+			t.Errorf("caller %d got %v, caller 0 got %v", i, bw, got[0])
+		}
+	}
+	if len(c.inflight) != 0 {
+		t.Errorf("%d in-flight entries left after every caller returned", len(c.inflight))
+	}
+}
