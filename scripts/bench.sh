@@ -1,11 +1,14 @@
 #!/usr/bin/env bash
-# bench.sh — run the engine benchmark suite and emit BENCH_7.json.
+# bench.sh — run the engine and device-simulator benchmark suite and
+# emit BENCH_7.json.
 #
 # Runs BenchmarkRunParallel (end-to-end blocks/s; its sub-benchmarks
 # cover every leg of the matrix: kernel ∈ {matmul16, spmv-ell} ×
 # mode ∈ {replay, noreplay} × P ∈ {1, NumCPU}) plus the per-layer
-# microbenchmarks (warp step, bank conflicts, coalescing) with
-# -benchmem, and converts the results to a JSON array of
+# microbenchmarks (warp step, bank conflicts, coalescing), the timing
+# simulator (BenchmarkDeviceRun, winstr/s per golden kernel) and a cold
+# calibration (BenchmarkCalibrate) with -benchmem, and converts the
+# results to a JSON array of
 # {name, ns_per_op, ..., B_per_op, allocs_per_op} records so CI and
 # future PRs can diff throughput and allocation counts.
 #
@@ -40,6 +43,8 @@ fi
   go test -run - -bench BenchmarkWarpStep -benchmem ./internal/barra/
   go test -run - -bench BenchmarkBankTransactions -benchmem ./internal/bank/
   go test -run - -bench BenchmarkCoalesceHalfWarp -benchmem ./internal/coalesce/
+  go test -run - -bench BenchmarkDeviceRun -benchtime "$BENCHTIME" -benchmem ./internal/device/
+  go test -run - -bench BenchmarkCalibrate -benchtime "$BENCHTIME" -benchmem ./internal/timing/
 } | tee "$TMP"
 
 awk '
