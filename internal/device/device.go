@@ -22,6 +22,12 @@
 //     → Fig. 3's saturation curve and its period-10 sawtooth;
 //   - block dispatch onto SMs constrained by occupancy, with
 //     round-robin initial placement and refill on completion.
+//
+// Allocation contract: a run allocates per run and per block, never
+// per event. The event queue is a typed heap that holds one event per
+// live warp, and the per-event path (sim.stepWarp, eventQueue.pop) is
+// a //gpuperf:noalloc root. TestRunAllocsIndependentOfEvents pins it:
+// allocs/run stay flat when a launch's event count grows 16-fold.
 package device
 
 import (
@@ -214,8 +220,7 @@ type simWarp struct {
 	// transactions-per-thread axis).
 	issued int64 // instructions issued (scheduler fairness key)
 
-	waiting bool // parked at a barrier
-	done    bool
+	waiting bool // parked at a barrier; has no queued event
 }
 
 type simBlock struct {
@@ -365,9 +370,6 @@ func RunBudget(ctx context.Context, cfg gpu.Config, l barra.Launch, mem *barra.M
 			}
 		}
 		e := s.queue.pop()
-		if e.warp.done || e.warp.waiting {
-			continue
-		}
 		exited, err := s.stepWarp(e.warp, e.t)
 		if err != nil {
 			return Result{}, err
@@ -645,7 +647,7 @@ func (s *sim) arriveBarrier(w *simWarp, t float64) {
 	// Release: all waiting warps resume.
 	blk.atBarrier = 0
 	for _, ww := range blk.warps {
-		if ww.done || !ww.waiting {
+		if !ww.waiting {
 			continue
 		}
 		ww.waiting = false
@@ -658,7 +660,6 @@ func (s *sim) arriveBarrier(w *simWarp, t float64) {
 
 func (s *sim) warpExit(w *simWarp, t float64) error {
 	blk := w.block
-	w.done = true
 	blk.live--
 	if blk.atBarrier > 0 && blk.atBarrier >= blk.live {
 		return fmt.Errorf("device: %q: warps wait at a barrier after others exited", s.launch.Prog.Name)

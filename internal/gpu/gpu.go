@@ -93,7 +93,9 @@ type Config struct {
 	// EarlyRelease, when true, models the architectural improvement
 	// of §5.2: a block's per-warp resources are released as soon as
 	// the warp exits, so waiting blocks can be scheduled before the
-	// whole block finishes.
+	// whole block finishes. The timing simulator approximates this by
+	// starting a block's one successor once half of its warps have
+	// exited rather than when all have.
 	EarlyRelease bool
 }
 
