@@ -377,7 +377,8 @@ func RunBudget(ctx context.Context, cfg gpu.Config, l barra.Launch, mem *barra.M
 		if exited {
 			// Block dispatch builds the successor's warps, so it runs
 			// here, off the allocation-free per-event path. Nothing is
-			// scheduled in between, so the seq order is unchanged.
+			// scheduled between the exit and the dispatch, so the
+			// successor's warps take the next seq values.
 			if err := s.warpExit(e.warp, e.warp.nextIssue); err != nil {
 				return Result{}, err
 			}
