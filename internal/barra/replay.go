@@ -165,11 +165,7 @@ func taintAnalysis(p *isa.Program) []bool {
 			src := func(o isa.Operand) bool {
 				switch o.Kind {
 				case isa.KindReg:
-					t := regT[o.Reg]
-					if dbl && int(o.Reg)+1 < len(regT) {
-						t = t || regT[o.Reg+1]
-					}
-					return t
+					return regT[o.Reg] || dbl && regT[o.Reg+1]
 				case isa.KindSmem:
 					return sharedT
 				}

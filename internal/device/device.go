@@ -458,7 +458,7 @@ func (w *simWarp) srcReady(t float64, o isa.Operand, double bool) float64 {
 	if r := w.regReady[o.Reg]; r > t {
 		t = r
 	}
-	if double && int(o.Reg)+1 < len(w.regReady) {
+	if double {
 		if r := w.regReady[o.Reg+1]; r > t {
 			t = r
 		}

@@ -349,8 +349,15 @@ func (p *Program) Validate() error {
 			}
 		}
 		for _, o := range []Operand{in.SrcA, in.SrcB, in.SrcC} {
-			if o.Kind == KindReg && int(o.Reg) > maxReg {
-				maxReg = int(o.Reg)
+			if o.Kind != KindReg {
+				continue
+			}
+			r := int(o.Reg)
+			if IsDouble(in.Op) {
+				r++ // the pair's high word
+			}
+			if r > maxReg {
+				maxReg = r
 			}
 		}
 	}

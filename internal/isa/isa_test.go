@@ -133,6 +133,21 @@ func TestProgramValidate(t *testing.T) {
 		t.Error("under-declared register usage accepted")
 	}
 
+	// A double-precision source names the low register of a pair;
+	// execution also reads its partner.
+	pairSrc := &Program{
+		Name:          "pairsrc",
+		Code:          []Instruction{{Op: OpDADD, Guard: PT, Dst: 0, SrcA: R(2), SrcB: R(2)}, {Op: OpEXIT, Guard: PT}},
+		RegsPerThread: 3,
+	}
+	if err := pairSrc.Validate(); err == nil {
+		t.Error("double source pair beyond the declared registers accepted")
+	}
+	pairSrc.RegsPerThread = 4
+	if err := pairSrc.Validate(); err != nil {
+		t.Errorf("double source pair within the declared registers rejected: %v", err)
+	}
+
 	empty := &Program{Name: "empty"}
 	if err := empty.Validate(); err == nil {
 		t.Error("empty program accepted")

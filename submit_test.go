@@ -156,6 +156,18 @@ func TestSubmitKernelRejections(t *testing.T) {
 	if !errors.Is(err, ErrInvalidRequest) || !strings.Contains(err.Error(), "instruction ceiling") {
 		t.Fatalf("over-budget submission: %v", err)
 	}
+
+	// dadd reads the pair r2,r3, but only 3 registers are declared.
+	pair := KernelSubmission{
+		Source:  ".kernel pair\n.regs 3\ndadd r0, r2, r2\nexit\n",
+		Grid:    1,
+		Block:   32,
+		Buffers: []BufferSpec{{Name: "b", Elem: "u32", Count: 32, Fill: "zeros"}},
+	}
+	_, err = f.SubmitKernel(pair)
+	if !errors.Is(err, ErrInvalidRequest) || !strings.Contains(err.Error(), "declares 3 registers but uses 4") {
+		t.Fatalf("submission reading past its declared registers: %v", err)
+	}
 }
 
 // TestMeasureHonoursSubmissionBudget: a submission's admission-time
