@@ -478,6 +478,10 @@ func (s *sim) stepWarp(w *simWarp, now float64) (exited bool, err error) {
 			s.budget, s.launch.Prog.Name)
 	}
 	pc := w.fw.PC()
+	if pc >= len(s.launch.Prog.Code) {
+		// The warp ran past its last instruction; Step reports it.
+		return false, w.fw.Step(&s.info)
+	}
 	in := &s.launch.Prog.Code[pc]
 	class := isa.ClassOf(in.Op)
 	sm := w.block.sm

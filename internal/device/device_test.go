@@ -367,6 +367,17 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(bad, barra.Launch{Prog: prog, Grid: 1, Block: 32}, barra.NewMemory(64)); err == nil {
 		t.Error("invalid config accepted")
 	}
+	// Valid, but the warp branches past the exit and off the end.
+	b := kbuild.New("falloff")
+	br := b.Bra()
+	b.Exit()
+	b.SetTarget(br, b.Pos())
+	r := b.Reg()
+	b.IAddImm(r, r, 1)
+	_, err := Run(cfg, barra.Launch{Prog: b.MustProgram(), Grid: 1, Block: 32}, barra.NewMemory(64))
+	if err == nil || !strings.Contains(err.Error(), "pc 3 out of range") {
+		t.Errorf("program running past its last instruction: got %v, want pc 3 out of range", err)
+	}
 }
 
 func TestRunBudgetStopsRunaway(t *testing.T) {
