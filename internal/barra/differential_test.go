@@ -1,6 +1,7 @@
 package barra
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -13,7 +14,8 @@ import (
 // against an independent scalar interpreter on randomly generated
 // straight-line predicated programs: every thread's final register
 // file must agree. This exercises operand resolution, predication,
-// special registers and the integer/float ALU far beyond the
+// special registers (as ALU operands and through guarded S2R),
+// register-pair doubles and the integer ALU far beyond the
 // hand-written kernels.
 func TestRandomProgramDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(2024))
@@ -74,7 +76,8 @@ func randomALUProgram(rng *rand.Rand) (*isa.Program, uint32) {
 		a := work + isa.Reg(rng.Intn(workRegs))
 		c := work + isa.Reg(rng.Intn(workRegs))
 		imm := uint32(rng.Intn(1 << 12))
-		switch rng.Intn(10) {
+		sr := isa.SR(isa.SReg(rng.Intn(isa.NumSRegs)))
+		switch rng.Intn(14) {
 		case 0:
 			b.IAdd(dst, a, c)
 		case 1:
@@ -95,6 +98,38 @@ func randomALUProgram(rng *rand.Rand) (*isa.Program, uint32) {
 			b.Emit(isa.Instruction{Op: isa.OpXOR, Guard: isa.PT, Dst: dst, SrcA: isa.R(a), SrcB: isa.R(c)})
 		case 9:
 			b.Emit(isa.Instruction{Op: isa.OpIMIN, Guard: isa.PT, Dst: dst, SrcA: isa.R(a), SrcB: isa.R(c)})
+		case 10:
+			b.Emit(isa.Instruction{Op: isa.OpIADD, Guard: isa.PT, Dst: dst, SrcA: isa.R(a), SrcB: sr})
+		case 11:
+			b.Emit(isa.Instruction{Op: isa.OpIMAD, Guard: isa.PT, Dst: dst, SrcA: sr, SrcB: isa.Imm(), SrcC: isa.R(c), Imm: imm})
+		case 12:
+			// S2R under a predicate that splits every warp by lane.
+			p := isa.Pred(rng.Intn(isa.NumPreds))
+			b.Emit(isa.Instruction{Op: isa.OpISETP, Guard: isa.PT, PDst: p, Cmp: isa.CmpOp(rng.Intn(isa.NumCmps)),
+				SrcA: isa.SR(isa.SRLane), SrcB: isa.Imm(), Imm: uint32(rng.Intn(gpu.WarpSize))})
+			s2r := b.Pos()
+			b.S2R(dst, sr.SReg)
+			b.Guarded(s2r, p, rng.Intn(2) == 0)
+		case 13:
+			// A double on the pairs (r0,r1), (r2,r3), (r4,r5), aliasing
+			// allowed. Clearing bit 30 of each source's high word keeps
+			// |x| < 2, so no result is a NaN, whose payload would depend
+			// on the operand order each compiler picks.
+			pair := func() isa.Reg { return work + isa.Reg(2*rng.Intn(workRegs/2)) }
+			in := isa.Instruction{Op: []isa.Opcode{isa.OpDADD, isa.OpDMUL, isa.OpDFMA}[rng.Intn(3)], Guard: isa.PT, Dst: pair(),
+				SrcA: isa.R(pair()), SrcB: isa.R(pair())}
+			if in.Op == isa.OpDFMA {
+				in.SrcC = isa.R(pair())
+			}
+			for _, o := range []isa.Operand{in.SrcA, in.SrcB, in.SrcC} {
+				if o.Kind == isa.KindReg {
+					b.AndImm(o.Reg+1, o.Reg+1, 0xbfffffff)
+				}
+			}
+			if rng.Intn(2) == 0 {
+				in.Guard, in.GuardNeg = isa.Pred(rng.Intn(isa.NumPreds)), rng.Intn(2) == 0
+			}
+			b.Emit(in)
 		}
 		// A third of the instructions are followed by a fresh
 		// compare plus a guarded update, exercising predication.
@@ -162,6 +197,17 @@ func interpret(p *isa.Program, blockID, tid, blockDim, gridDim int) []uint32 {
 		return 0
 	}
 
+	pair := func(o isa.Operand) float64 {
+		if o.Kind != isa.KindReg {
+			return 0
+		}
+		return math.Float64frombits(uint64(regs[o.Reg+1])<<32 | uint64(regs[o.Reg]))
+	}
+	setPair := func(r isa.Reg, v float64) {
+		bits := math.Float64bits(v)
+		regs[r], regs[r+1] = uint32(bits), uint32(bits>>32)
+	}
+
 	for pc := 0; pc < len(p.Code); pc++ {
 		in := p.Code[pc]
 		if in.Guard != isa.PT {
@@ -219,6 +265,12 @@ func interpret(p *isa.Program, blockID, tid, blockDim, gridDim int) []uint32 {
 				r = x != y
 			}
 			preds[in.PDst] = r
+		case isa.OpDADD:
+			setPair(in.Dst, pair(in.SrcA)+pair(in.SrcB))
+		case isa.OpDMUL:
+			setPair(in.Dst, pair(in.SrcA)*pair(in.SrcB))
+		case isa.OpDFMA:
+			setPair(in.Dst, pair(in.SrcA)*pair(in.SrcB)+pair(in.SrcC))
 		case isa.OpGST:
 			// The dump: recover the register index from the offset.
 			r := int(in.Imm / 4 % workRegs)
