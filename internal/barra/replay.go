@@ -515,7 +515,7 @@ func (w *worker) leanBlock(varBS *blockStats) (int, error) {
 							if n > 0 {
 								pc := s.pc
 								mask := s.mask
-								if err := warp.stepRun(int(n), &w.info); err != nil {
+								if err := warp.stepRun(int(n)); err != nil {
 									return 0, err
 								}
 								w.avail -= n

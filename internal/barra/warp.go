@@ -56,10 +56,7 @@ type Warp struct {
 	// the minimum PC each time. There is always at least one.
 	splits []split
 
-	blockID  int
-	warpID   int // within the block
-	blockDim int
-	gridDim  int
+	blockID int
 
 	// shared is the block's shared-memory arena as aligned 32-bit
 	// words (every ISA access is one word).
@@ -71,6 +68,14 @@ type Warp struct {
 	smemOpVal uint32
 	// scal backs broadcast operand views (one slot per source).
 	scal [3][1]uint32
+	// sregs resolves special-register operands to views: %tid and
+	// %laneid read the per-lane columns tid and laneID, the rest
+	// broadcast their slot of sregVal. NewWarp builds the table;
+	// Reset refreshes %ctaid. The backing arrays live in the struct
+	// so that a warp costs no extra allocation.
+	sregs       [isa.NumSRegs]view
+	sregVal     [isa.NumSRegs]uint32
+	tid, laneID [gpu.WarpSize]uint32
 
 	// undo, when non-nil, logs every global store as a (word index,
 	// old value) pair so the engine path can rewind the block on a
@@ -97,25 +102,18 @@ type StepInfo struct {
 	// Addr holds per-lane byte addresses for memory instructions.
 	Addr [gpu.WarpSize]uint32
 	// SmemOperand is set when the instruction read a shared-memory
-	// ALU operand (s[imm]); SmemAddr is its byte address. The access
-	// is warp-uniform, so it broadcasts: one transaction per active
-	// half-warp.
+	// ALU operand (s[imm]). The access is warp-uniform, so it
+	// broadcasts: one transaction per active half-warp.
 	SmemOperand bool
-	SmemAddr    uint32
 	// Barrier is set when the instruction was a BAR.
 	Barrier bool
 	// Done is set when the warp has exited.
 	Done bool
-	// BranchTaken is set when a BRA redirected the PC.
-	BranchTaken bool
 	// Diverged is set when the warp was split across more than one
 	// execution path when this instruction issued — the issues a
 	// divergence-free restructuring could pack into full warps.
 	Diverged bool
 }
-
-// ActiveLane reports whether lane executed this step.
-func (si *StepInfo) ActiveLane(lane int) bool { return si.Active>>uint(lane)&1 != 0 }
 
 // HalfMask returns the active mask of one half-warp, shifted down to
 // bit 0 (a 16-bit value).
@@ -154,7 +152,7 @@ const maxSplits = 64
 type execKind uint8
 
 const (
-	kindLane execKind = iota // per-lane execution through execLane
+	kindExec execKind = iota // everything exec executes
 	kindBra
 	kindExit
 	kindBar
@@ -166,11 +164,6 @@ type instrMeta struct {
 	class   isa.Class
 	kind    execKind
 	hasSmem bool // reads a shared-memory ALU operand
-	// fast marks instructions execFast handles with hoisted operand
-	// views — every opcode of the case-study kernels. Instructions
-	// with special-register operands or double-precision register
-	// pairs fall back to the per-lane execLane path.
-	fast bool
 	// run is the length of the maximal batched run starting at this
 	// PC: consecutive per-lane instructions that are unguarded (so
 	// the active mask is the split mask throughout) and touch no
@@ -178,20 +171,6 @@ type instrMeta struct {
 	// instruction cannot head a run. stepRun executes a whole run in
 	// one call when the warp is convergent.
 	run int32
-}
-
-// fastOp reports whether execFast implements op.
-func fastOp(op isa.Opcode) bool {
-	switch op {
-	case isa.OpNOP, isa.OpMOV, isa.OpIADD, isa.OpISUB, isa.OpIMUL, isa.OpIMAD,
-		isa.OpIMIN, isa.OpIMAX, isa.OpSHL, isa.OpSHR, isa.OpAND, isa.OpOR,
-		isa.OpXOR, isa.OpISETP, isa.OpFADD, isa.OpFSUB, isa.OpFMUL, isa.OpFMAD,
-		isa.OpFNMAD, isa.OpFMIN, isa.OpFMAX, isa.OpFSETP, isa.OpRCP, isa.OpRSQ,
-		isa.OpSIN, isa.OpCOS, isa.OpLG2, isa.OpEX2,
-		isa.OpGLD, isa.OpGST, isa.OpSLD, isa.OpSST:
-		return true
-	}
-	return false
 }
 
 // predecode builds the per-PC metadata of p. It runs once per
@@ -202,7 +181,7 @@ func predecode(p *isa.Program) []instrMeta {
 	meta := make([]instrMeta, len(p.Code))
 	for i := range p.Code {
 		in := &p.Code[i]
-		md := instrMeta{class: isa.ClassOf(in.Op), kind: kindLane}
+		md := instrMeta{class: isa.ClassOf(in.Op), kind: kindExec}
 		switch in.Op {
 		case isa.OpBRA:
 			md.kind = kindBra
@@ -213,14 +192,11 @@ func predecode(p *isa.Program) []instrMeta {
 		}
 		md.hasSmem = in.SrcA.Kind == isa.KindSmem ||
 			in.SrcB.Kind == isa.KindSmem || in.SrcC.Kind == isa.KindSmem
-		md.fast = fastOp(in.Op) &&
-			in.SrcA.Kind != isa.KindSReg && in.SrcB.Kind != isa.KindSReg &&
-			in.SrcC.Kind != isa.KindSReg
 		meta[i] = md
 	}
 	for i := len(meta) - 1; i >= 0; i-- {
 		in := &p.Code[i]
-		if meta[i].kind == kindLane && in.Guard == isa.PT && !in.GuardNeg &&
+		if meta[i].kind == kindExec && in.Guard == isa.PT && !in.GuardNeg &&
 			!isa.IsMemory(in.Op) {
 			meta[i].run = 1
 			if i+1 < len(meta) {
@@ -237,17 +213,29 @@ func NewWarp(prog *isa.Program, blockID, warpID, blockDim, gridDim, lanes int, s
 		return nil, fmt.Errorf("barra: warp with %d lanes", lanes)
 	}
 	w := &Warp{
-		prog:     prog,
-		meta:     predecode(prog),
-		regs:     make([]uint32, prog.RegsPerThread*gpu.WarpSize),
-		exists:   laneBits(lanes),
-		blockID:  blockID,
-		warpID:   warpID,
-		blockDim: blockDim,
-		gridDim:  gridDim,
-		shared:   shared,
-		global:   global,
+		prog:    prog,
+		meta:    predecode(prog),
+		regs:    make([]uint32, prog.RegsPerThread*gpu.WarpSize),
+		exists:  laneBits(lanes),
+		blockID: blockID,
+		shared:  shared,
+		global:  global,
+		sregVal: [isa.NumSRegs]uint32{
+			isa.SRCtaid:  uint32(blockID),
+			isa.SRNtid:   uint32(blockDim),
+			isa.SRNctaid: uint32(gridDim),
+			isa.SRWarp:   uint32(warpID),
+		},
 	}
+	for l := range w.tid {
+		w.tid[l] = uint32(warpID*gpu.WarpSize + l)
+		w.laneID[l] = uint32(l)
+	}
+	for s := range w.sregs {
+		w.sregs[s] = view{w.sregVal[s : s+1], 0}
+	}
+	w.sregs[isa.SRTid] = view{w.tid[:], gpu.WarpSize - 1}
+	w.sregs[isa.SRLane] = view{w.laneID[:], gpu.WarpSize - 1}
 	w.splits = []split{{mask: w.exists, pc: 0}}
 	return w, nil
 }
@@ -260,6 +248,7 @@ func NewWarp(prog *isa.Program, blockID, warpID, blockDim, gridDim, lanes int, s
 // between blocks).
 func (w *Warp) Reset(blockID int) {
 	w.blockID = blockID
+	w.sregVal[isa.SRCtaid] = uint32(blockID)
 	w.done = false
 	clear(w.regs)
 	w.preds = [isa.NumPreds]LaneMask{}
@@ -302,55 +291,6 @@ func (w *Warp) Done() bool { return w.done }
 // next.
 func (w *Warp) PC() int { return w.splits[w.current()].pc }
 
-func (w *Warp) reg(r isa.Reg, lane int) uint32 { return w.regs[int(r)*gpu.WarpSize+lane] }
-func (w *Warp) setReg(r isa.Reg, lane int, v uint32) {
-	w.regs[int(r)*gpu.WarpSize+lane] = v
-}
-
-func (w *Warp) sreg(s isa.SReg, lane int) uint32 {
-	switch s {
-	case isa.SRTid:
-		return uint32(w.warpID*gpu.WarpSize + lane)
-	case isa.SRCtaid:
-		return uint32(w.blockID)
-	case isa.SRNtid:
-		return uint32(w.blockDim)
-	case isa.SRNctaid:
-		return uint32(w.gridDim)
-	case isa.SRLane:
-		return uint32(lane)
-	case isa.SRWarp:
-		return uint32(w.warpID)
-	}
-	return 0
-}
-
-func (w *Warp) operand(o isa.Operand, imm uint32, lane int) uint32 {
-	switch o.Kind {
-	case isa.KindReg:
-		return w.reg(o.Reg, lane)
-	case isa.KindImm:
-		return imm
-	case isa.KindSReg:
-		return w.sreg(o.SReg, lane)
-	case isa.KindSmem:
-		return w.smemOpVal
-	}
-	return 0
-}
-
-func (w *Warp) f64(r isa.Reg, lane int) float64 {
-	lo := uint64(w.reg(r, lane))
-	hi := uint64(w.reg(r+1, lane))
-	return math.Float64frombits(hi<<32 | lo)
-}
-
-func (w *Warp) setF64(r isa.Reg, lane int, v float64) {
-	bits := math.Float64bits(v)
-	w.setReg(r, lane, uint32(bits))
-	w.setReg(r+1, lane, uint32(bits>>32))
-}
-
 // guardMask returns the mask of lanes where the instruction's guard
 // predicate holds.
 func (w *Warp) guardMask(in *isa.Instruction) LaneMask {
@@ -389,7 +329,6 @@ func (w *Warp) Step(info *StepInfo) error {
 	info.Class = md.class
 	info.Barrier = false
 	info.Done = false
-	info.BranchTaken = false
 	info.SmemOperand = false
 	info.Diverged = len(w.splits) > 1
 
@@ -399,7 +338,7 @@ func (w *Warp) Step(info *StepInfo) error {
 
 	switch md.kind {
 	case kindBra:
-		return w.branch(in, info, cur)
+		return w.branch(in, cur)
 	case kindExit:
 		if w.Diverged() {
 			return fmt.Errorf("barra: exit inside divergent region at pc %d in %q", pc, w.prog.Name)
@@ -423,20 +362,10 @@ func (w *Warp) Step(info *StepInfo) error {
 		}
 		w.smemOpVal = v
 		info.SmemOperand = true
-		info.SmemAddr = in.Imm
 	}
 
-	if md.fast {
-		if err := w.execFast(in, active, pc, &info.Addr); err != nil {
-			return err
-		}
-	} else {
-		for m := active; m != 0; m &= m - 1 {
-			lane := bits.TrailingZeros32(m)
-			if err := w.execLane(in, lane, info); err != nil {
-				return fmt.Errorf("barra: %q pc=%d lane=%d: %w", w.prog.Name, pc, lane, err)
-			}
-		}
+	if err := w.exec(in, active, pc, &info.Addr); err != nil {
+		return err
 	}
 	w.splits[cur].pc++
 	return nil
@@ -447,11 +376,10 @@ func (w *Warp) Step(info *StepInfo) error {
 // convergent and n ≤ the predecoded run length at the PC, so every
 // instruction executes with the full split mask and no control
 // transfer, memory access, or divergence change can occur: the only
-// bookkeeping per instruction is the shared-operand broadcast. info
-// is used only as lane-address scratch by the exec fallback.
+// bookkeeping per instruction is the shared-operand broadcast.
 //
 //gpuperf:noalloc
-func (w *Warp) stepRun(n int, info *StepInfo) error {
+func (w *Warp) stepRun(n int) error {
 	s := &w.splits[0]
 	pc := s.pc
 	mask := s.mask
@@ -465,17 +393,10 @@ func (w *Warp) stepRun(n int, info *StepInfo) error {
 			}
 			w.smemOpVal = v
 		}
-		if md.fast {
-			if err := w.execFast(in, mask, pc+k, &info.Addr); err != nil {
-				return err
-			}
-		} else {
-			for m := mask; m != 0; m &= m - 1 {
-				lane := bits.TrailingZeros32(m)
-				if err := w.execLane(in, lane, info); err != nil {
-					return fmt.Errorf("barra: %q pc=%d lane=%d: %w", w.prog.Name, pc+k, lane, err)
-				}
-			}
+		// A run holds no memory instruction, so exec records no
+		// addresses.
+		if err := w.exec(in, mask, pc+k, nil); err != nil {
+			return err
 		}
 	}
 	s.pc = pc + n
@@ -483,8 +404,9 @@ func (w *Warp) stepRun(n int, info *StepInfo) error {
 }
 
 // view is a hoisted per-lane operand: base slice s indexed l&m, where
-// m is WarpSize-1 for a per-lane register column and 0 for a
-// broadcast scalar (immediate, shared-memory operand, absent source).
+// m is WarpSize-1 for a per-lane column (a register, %tid, %laneid)
+// and 0 for a broadcast scalar (immediate, shared-memory operand,
+// warp-uniform special register, absent source).
 type view struct {
 	s []uint32
 	m int
@@ -505,27 +427,38 @@ func (w *Warp) srcView(o isa.Operand, imm uint32, k int) view {
 	switch o.Kind {
 	case isa.KindReg:
 		return view{w.regCol(o.Reg), gpu.WarpSize - 1}
-	case isa.KindImm:
-		w.scal[k][0] = imm
+	case isa.KindSReg:
+		return w.sregs[o.SReg]
 	case isa.KindSmem:
-		w.scal[k][0] = w.smemOpVal
+		imm = w.smemOpVal
+	case isa.KindImm:
 	default:
-		w.scal[k][0] = 0
+		imm = 0
 	}
+	w.scal[k][0] = imm
 	return view{w.scal[k][:1], 0}
 }
 
-// execFast executes one predecoded instruction for every active lane
-// with the opcode dispatch and operand resolution hoisted out of the
-// lane loop — the semantic twin of execLane (which remains the
-// fallback for special-register operands and double-precision ops).
-// addrs receives per-lane byte addresses for memory instructions.
-func (w *Warp) execFast(in *isa.Instruction, active LaneMask, pc int, addrs *[gpu.WarpSize]uint32) error {
+// pairAt reads lane l's double from a register-pair source (low word
+// in o.Reg, high word in o.Reg+1); any other operand reads as 0.
+func (w *Warp) pairAt(o isa.Operand, l int) float64 {
+	if o.Kind != isa.KindReg {
+		return 0
+	}
+	i := int(o.Reg)*gpu.WarpSize + l
+	return math.Float64frombits(uint64(w.regs[i+gpu.WarpSize])<<32 | uint64(w.regs[i]))
+}
+
+// exec executes one predecoded non-control instruction for every
+// active lane, with the opcode dispatch and operand resolution
+// hoisted out of the lane loop. addrs receives per-lane byte
+// addresses for memory instructions; it may be nil for any other.
+func (w *Warp) exec(in *isa.Instruction, active LaneMask, pc int, addrs *[gpu.WarpSize]uint32) error {
 	const ws = gpu.WarpSize
 	switch in.Op {
 	case isa.OpNOP:
 
-	case isa.OpMOV:
+	case isa.OpMOV, isa.OpS2R:
 		d := w.regCol(in.Dst)
 		a := w.srcView(in.SrcA, in.Imm, 0)
 		if active == ^LaneMask(0) {
@@ -854,6 +787,25 @@ func (w *Warp) execFast(in *isa.Instruction, active LaneMask, pc int, addrs *[gp
 				d[l] = math.Float32bits(float32(math.Exp2(float64(a.fat(l)))))
 			}
 		}
+	case isa.OpDADD, isa.OpDMUL, isa.OpDFMA:
+		// Each lane reads its source pairs before writing its
+		// destination pair, which may alias them.
+		for m := active; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros32(m)
+			x, y := w.pairAt(in.SrcA, l), w.pairAt(in.SrcB, l)
+			var r float64
+			switch in.Op {
+			case isa.OpDADD:
+				r = x + y
+			case isa.OpDMUL:
+				r = x * y
+			default:
+				r = x*y + w.pairAt(in.SrcC, l)
+			}
+			v := math.Float64bits(r)
+			i := int(in.Dst)*ws + l
+			w.regs[i], w.regs[i+ws] = uint32(v), uint32(v>>32)
+		}
 
 	case isa.OpGLD:
 		d := w.regCol(in.Dst)
@@ -940,7 +892,7 @@ func (w *Warp) execFast(in *isa.Instruction, active LaneMask, pc int, addrs *[gp
 			}
 		}
 	default:
-		return fmt.Errorf("barra: %q pc=%d: unimplemented fast opcode %s", w.prog.Name, pc, in.Op)
+		return fmt.Errorf("barra: %q pc=%d: unimplemented opcode %s", w.prog.Name, pc, in.Op)
 	}
 	return nil
 }
@@ -952,7 +904,7 @@ func (w *Warp) execFast(in *isa.Instruction, active LaneMask, pc int, addrs *[gp
 // immediate post-dominator. Divergent backward branches are
 // rejected — unstructured loops need per-lane trip masking, which
 // the case-study kernels express with predication instead.
-func (w *Warp) branch(in *isa.Instruction, info *StepInfo, cur int) error {
+func (w *Warp) branch(in *isa.Instruction, cur int) error {
 	pc := w.splits[cur].pc
 	mask := w.splits[cur].mask
 	takenMask := mask & w.guardMask(in)
@@ -963,7 +915,6 @@ func (w *Warp) branch(in *isa.Instruction, info *StepInfo, cur int) error {
 		w.splits[cur].pc++
 	case takenCount == activeCount:
 		w.splits[cur].pc = int(in.Target)
-		info.BranchTaken = true
 	case int(in.Target) > pc:
 		if len(w.splits) >= maxSplits {
 			return fmt.Errorf("barra: divergence fan-out exceeds %d paths at pc %d in %q",
@@ -972,137 +923,11 @@ func (w *Warp) branch(in *isa.Instruction, info *StepInfo, cur int) error {
 		w.splits[cur].mask = mask &^ takenMask
 		w.splits[cur].pc++
 		w.splits = append(w.splits, split{mask: takenMask, pc: int(in.Target)}) //gpuperf:alloc-ok bounded by maxSplits; capacity is reused across blocks via Reset
-		info.BranchTaken = true
 	default:
 		return fmt.Errorf("barra: divergent backward branch at pc %d in %q (use predication for per-lane loop trip counts)",
 			pc, w.prog.Name)
 	}
 	return nil
-}
-
-func (w *Warp) execLane(in *isa.Instruction, lane int, info *StepInfo) error {
-	a := w.operand(in.SrcA, in.Imm, lane)
-	b := w.operand(in.SrcB, in.Imm, lane)
-	c := w.operand(in.SrcC, in.Imm, lane)
-	fa, fb, fc := math.Float32frombits(a), math.Float32frombits(b), math.Float32frombits(c)
-
-	switch in.Op {
-	case isa.OpNOP:
-	case isa.OpMOV, isa.OpS2R:
-		w.setReg(in.Dst, lane, a)
-	case isa.OpIADD:
-		w.setReg(in.Dst, lane, a+b)
-	case isa.OpISUB:
-		w.setReg(in.Dst, lane, a-b)
-	case isa.OpIMUL:
-		w.setReg(in.Dst, lane, a*b)
-	case isa.OpIMAD:
-		w.setReg(in.Dst, lane, a*b+c)
-	case isa.OpIMIN:
-		w.setReg(in.Dst, lane, uint32(min(int32(a), int32(b))))
-	case isa.OpIMAX:
-		w.setReg(in.Dst, lane, uint32(max(int32(a), int32(b))))
-	case isa.OpSHL:
-		w.setReg(in.Dst, lane, a<<(b&31))
-	case isa.OpSHR:
-		w.setReg(in.Dst, lane, a>>(b&31))
-	case isa.OpAND:
-		w.setReg(in.Dst, lane, a&b)
-	case isa.OpOR:
-		w.setReg(in.Dst, lane, a|b)
-	case isa.OpXOR:
-		w.setReg(in.Dst, lane, a^b)
-	case isa.OpISETP:
-		w.setPred(in.PDst, lane, icmp(in.Cmp, int32(a), int32(b)))
-	case isa.OpFADD:
-		w.setReg(in.Dst, lane, math.Float32bits(fa+fb))
-	case isa.OpFSUB:
-		w.setReg(in.Dst, lane, math.Float32bits(fa-fb))
-	case isa.OpFMUL:
-		w.setReg(in.Dst, lane, math.Float32bits(fa*fb))
-	case isa.OpFMAD:
-		w.setReg(in.Dst, lane, math.Float32bits(fa*fb+fc))
-	case isa.OpFNMAD:
-		w.setReg(in.Dst, lane, math.Float32bits(fc-fa*fb))
-	case isa.OpFMIN:
-		w.setReg(in.Dst, lane, math.Float32bits(float32(math.Min(float64(fa), float64(fb)))))
-	case isa.OpFMAX:
-		w.setReg(in.Dst, lane, math.Float32bits(float32(math.Max(float64(fa), float64(fb)))))
-	case isa.OpFSETP:
-		w.setPred(in.PDst, lane, fcmp(in.Cmp, fa, fb))
-	case isa.OpRCP:
-		w.setReg(in.Dst, lane, math.Float32bits(1/fa))
-	case isa.OpRSQ:
-		w.setReg(in.Dst, lane, math.Float32bits(float32(1/math.Sqrt(float64(fa)))))
-	case isa.OpSIN:
-		w.setReg(in.Dst, lane, math.Float32bits(float32(math.Sin(float64(fa)))))
-	case isa.OpCOS:
-		w.setReg(in.Dst, lane, math.Float32bits(float32(math.Cos(float64(fa)))))
-	case isa.OpLG2:
-		w.setReg(in.Dst, lane, math.Float32bits(float32(math.Log2(float64(fa)))))
-	case isa.OpEX2:
-		w.setReg(in.Dst, lane, math.Float32bits(float32(math.Exp2(float64(fa)))))
-	case isa.OpDADD:
-		w.setF64(in.Dst, lane, w.srcF64(in.SrcA, lane)+w.srcF64(in.SrcB, lane))
-	case isa.OpDMUL:
-		w.setF64(in.Dst, lane, w.srcF64(in.SrcA, lane)*w.srcF64(in.SrcB, lane))
-	case isa.OpDFMA:
-		x := w.srcF64(in.SrcA, lane)
-		y := w.srcF64(in.SrcB, lane)
-		z := w.srcF64(in.SrcC, lane)
-		w.setF64(in.Dst, lane, x*y+z)
-	case isa.OpGLD:
-		addr := a + in.Imm
-		info.Addr[lane] = addr
-		v, err := w.global.load32(addr, w.blockID)
-		if err != nil {
-			return err
-		}
-		w.setReg(in.Dst, lane, v)
-	case isa.OpGST:
-		addr := a + in.Imm
-		info.Addr[lane] = addr
-		if u := w.undo; u != nil {
-			if i := addr >> 2; addr&3 == 0 && int(i) < len(w.global.words) {
-				*u = append(*u, i, w.global.words[i]) //gpuperf:alloc-ok undo log reuses per-worker capacity across blocks; growth amortizes to zero
-			}
-		}
-		if err := w.global.store32(addr, b, w.blockID); err != nil {
-			return err
-		}
-	case isa.OpSLD:
-		addr := a + in.Imm
-		info.Addr[lane] = addr
-		v, err := w.sharedLoad(addr)
-		if err != nil {
-			return err
-		}
-		w.setReg(in.Dst, lane, v)
-	case isa.OpSST:
-		addr := a + in.Imm
-		info.Addr[lane] = addr
-		if err := w.sharedStore(addr, b); err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("unimplemented opcode %s", in.Op)
-	}
-	return nil
-}
-
-func (w *Warp) setPred(p isa.Pred, lane int, v bool) {
-	if v {
-		w.preds[p] |= 1 << uint(lane)
-	} else {
-		w.preds[p] &^= 1 << uint(lane)
-	}
-}
-
-func (w *Warp) srcF64(o isa.Operand, lane int) float64 {
-	if o.Kind == isa.KindReg {
-		return w.f64(o.Reg, lane)
-	}
-	return 0
 }
 
 func (w *Warp) sharedLoad(addr uint32) (uint32, error) {
