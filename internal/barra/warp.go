@@ -72,7 +72,8 @@ type Warp struct {
 	// %laneid read the per-lane columns tid and laneID, the rest
 	// broadcast their slot of sregVal. NewWarp builds the table;
 	// Reset refreshes %ctaid. The backing arrays live in the struct
-	// so that a warp costs no extra allocation.
+	// so that a warp costs no extra allocation; since the views point
+	// into the warp itself, a Warp is only ever used by pointer.
 	sregs       [isa.NumSRegs]view
 	sregVal     [isa.NumSRegs]uint32
 	tid, laneID [gpu.WarpSize]uint32
