@@ -24,10 +24,13 @@
 //     round-robin initial placement and refill on completion.
 //
 // Allocation contract: a run allocates per run and per block, never
-// per event. The event queue is a typed heap that holds one event per
-// live warp, and the per-event path (sim.stepWarp, eventQueue.pop) is
-// a //gpuperf:noalloc root. TestRunAllocsIndependentOfEvents pins it:
-// allocs/run stay flat when a launch's event count grows 16-fold.
+// per event. The event queue is a min-heap of distinct (cycle, issued)
+// keys, each naming a FIFO bucket of warps; its heap, bucket pool and
+// key index are sized for the initial dispatch and hold at most one
+// key per live warp. The per-event path (sim.stepWarp,
+// eventQueue.push, eventQueue.pop) is made of //gpuperf:noalloc roots.
+// TestRunAllocsIndependentOfEvents pins it: allocs/run stay flat when
+// a launch's event count grows 16-fold.
 package device
 
 import (
@@ -126,59 +129,139 @@ func (r Result) DominantComponent() string {
 	}
 }
 
-// event is one pending simulation action: warp tries to issue at
-// cycle t. issued is the warp's issued count when the event was
-// scheduled. A warp has exactly one queued event and issues only
-// after that event is popped, so the copy always equals the live
-// count and the ordering key needs no pointer chase.
-type event struct {
+// key orders pending events: the cycle t at which a warp tries to
+// issue, then the warp's issued count when the event was scheduled.
+// A warp has exactly one queued event and issues only after that
+// event is popped, so the copy always equals the live count and the
+// ordering key needs no pointer chase.
+type key struct {
 	t      float64
 	issued int64
-	seq    int64 // schedule order, unique per run
-	warp   *simWarp
 }
 
 // before orders by time, then by warp progress (fewest instructions
 // issued first — the hardware's fair round-robin selection; without
-// this, greedy ordering forms convoys that leave issue slots idle),
-// then by schedule order. seq is unique, so this is a strict total
-// order: the pop sequence is fixed by the events alone, not by the
-// heap's layout.
-func (e *event) before(o *event) bool {
-	if e.t != o.t {
-		return e.t < o.t
+// this, greedy ordering forms convoys that leave issue slots idle).
+func (k key) before(o key) bool {
+	if k.t != o.t {
+		return k.t < o.t
 	}
-	if e.issued != o.issued {
-		return e.issued < o.issued
-	}
-	return e.seq < o.seq
+	return k.issued < o.issued
 }
 
-// eventQueue is a binary min-heap of events under before.
-type eventQueue []event
+// entry is one heap element: a distinct key and the bucket that holds
+// its warps.
+type entry struct {
+	key
+	b int32
+}
 
-func (q *eventQueue) push(e event) {
-	h := append(*q, e) //gpuperf:alloc-ok amortized growth; the queue holds one event per live warp
+// bucket is a FIFO list of the warps queued under one key, threaded
+// through simWarp.next.
+type bucket struct{ head, tail *simWarp }
+
+// eventQueue pops warps in (t, issued, schedule order) order. It is a
+// binary min-heap over the distinct keys in the queue; each heap
+// entry names a bucket that receives its warps in schedule order, and
+// index maps a queued key to its bucket, so a push onto a queued key
+// is an append. Heap keys are distinct and a bucket is FIFO, so the
+// pop sequence is fixed by the pushes alone, not by the heap's
+// layout. A warp must not be queued twice: the second push would
+// corrupt its bucket list.
+type eventQueue struct {
+	heap    []entry
+	buckets []bucket // pool, indexed by entry.b
+	free    []int32  // drained buckets
+	index   map[key]int32
+	// last caches the most recently pushed key's bucket: the warps
+	// that lose a unit at one cycle all re-queue at its free cycle.
+	// Its t is -1, a cycle no event has, while it caches nothing.
+	last entry
+
+	pops, made int64 // warps popped and buckets made in this run
+}
+
+// newEventQueue returns a queue sized for n warps.
+func newEventQueue(n int) eventQueue {
+	return eventQueue{
+		heap:    make([]entry, 0, n),
+		buckets: make([]bucket, 0, n),
+		free:    make([]int32, 0, n),
+		index:   make(map[key]int32, n),
+		last:    entry{key: key{t: -1}},
+	}
+}
+
+// push queues w to try to issue at cycle t, keyed by its issued
+// count.
+//
+//gpuperf:noalloc
+func (q *eventQueue) push(w *simWarp, t float64) {
+	k := key{t, w.issued}
+	if q.last.key != k {
+		b, ok := q.index[k]
+		if !ok {
+			b = q.newBucket(k)
+		}
+		q.last = entry{k, b}
+	}
+	bk := &q.buckets[q.last.b]
+	if bk.tail == nil {
+		bk.head = w
+	} else {
+		bk.tail.next = w
+	}
+	bk.tail = w
+}
+
+// newBucket takes an empty bucket for k and queues it in the heap.
+func (q *eventQueue) newBucket(k key) int32 {
+	q.made++
+	var b int32
+	if n := len(q.free); n > 0 {
+		b = q.free[n-1]
+		q.free = q.free[:n-1]
+	} else {
+		b = int32(len(q.buckets))
+		q.buckets = append(q.buckets, bucket{}) //gpuperf:alloc-ok amortized growth; one bucket per distinct queued key
+	}
+	q.index[k] = b //gpuperf:alloc-ok amortized growth; one entry per distinct queued key
+	e := entry{k, b}
+	h := append(q.heap, e) //gpuperf:alloc-ok amortized growth; one entry per distinct queued key
 	i := len(h) - 1
 	for i > 0 {
 		p := (i - 1) / 2
-		if !e.before(&h[p]) {
+		if !e.before(h[p].key) {
 			break
 		}
 		h[i] = h[p]
 		i = p
 	}
 	h[i] = e
-	*q = h
+	q.heap = h
+	return b
 }
 
-// pop removes and returns the earliest event; the queue must not be
-// empty.
+// pop removes and returns the earliest warp and its cycle; the queue
+// must not be empty.
 //
 //gpuperf:noalloc
-func (q *eventQueue) pop() event {
-	h := *q
-	top := h[0]
+func (q *eventQueue) pop() (*simWarp, float64) {
+	q.pops++
+	top := q.heap[0]
+	bk := &q.buckets[top.b]
+	w := bk.head
+	bk.head, w.next = w.next, nil
+	if bk.head != nil {
+		return w, top.t
+	}
+	bk.tail = nil
+	delete(q.index, top.key)
+	q.free = append(q.free, top.b) //gpuperf:alloc-ok amortized growth; one slot per bucket in the pool
+	if q.last.b == top.b {
+		q.last.t = -1
+	}
+	h := q.heap
 	n := len(h) - 1
 	last := h[n]
 	h = h[:n]
@@ -188,10 +271,10 @@ func (q *eventQueue) pop() event {
 		if c >= n {
 			break
 		}
-		if c+1 < n && h[c+1].before(&h[c]) {
+		if c+1 < n && h[c+1].before(h[c].key) {
 			c++
 		}
-		if !h[c].before(&last) {
+		if !h[c].before(last.key) {
 			break
 		}
 		h[i] = h[c]
@@ -200,8 +283,8 @@ func (q *eventQueue) pop() event {
 	if n > 0 {
 		h[i] = last
 	}
-	*q = h
-	return top
+	q.heap = h
+	return w, top.t
 }
 
 // simWarp wraps a functional warp with scoreboard state.
@@ -220,7 +303,8 @@ type simWarp struct {
 	// transactions-per-thread axis).
 	issued int64 // instructions issued (scheduler fairness key)
 
-	waiting bool // parked at a barrier; has no queued event
+	waiting bool     // parked at a barrier; has no queued event
+	next    *simWarp // successor in its eventQueue bucket
 }
 
 type simBlock struct {
@@ -249,7 +333,6 @@ type sim struct {
 	sms     []*simSM
 	clus    []*simCluster
 	queue   eventQueue
-	seq     int64
 	nextBlk int
 	res     Result
 	info    barra.StepInfo
@@ -281,14 +364,24 @@ func RunContext(ctx context.Context, cfg gpu.Config, l barra.Launch, mem *barra.
 // RunBudget is RunContext with a warp-instruction budget (0 = default
 // 4e9) guarding against runaway kernels.
 func RunBudget(ctx context.Context, cfg gpu.Config, l barra.Launch, mem *barra.Memory, budget int64) (Result, error) {
-	if err := cfg.Validate(); err != nil {
+	s, err := simulate(ctx, cfg, l, mem, budget)
+	if err != nil {
 		return Result{}, err
+	}
+	return s.res, nil
+}
+
+// simulate is RunBudget returning the finished simulator, whose queue
+// counters the package's tests and benchmarks read.
+func simulate(ctx context.Context, cfg gpu.Config, l barra.Launch, mem *barra.Memory, budget int64) (*sim, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	if err := l.Validate(cfg); err != nil {
-		return Result{}, err
+		return nil, err
 	}
 	if mem == nil {
-		return Result{}, fmt.Errorf("device: nil memory")
+		return nil, fmt.Errorf("device: nil memory")
 	}
 	occRes, err := occupancy.Compute(cfg, occupancy.Usage{
 		ThreadsPerBlock:   l.Block,
@@ -296,22 +389,22 @@ func RunBudget(ctx context.Context, cfg gpu.Config, l barra.Launch, mem *barra.M
 		SharedMemPerBlock: l.Prog.SharedMemBytes,
 	})
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
 	bsim, err := bank.ForGPU(cfg)
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
 	csim, err := coalesce.ForGPU(cfg)
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
 
 	s := &sim{
 		cfg: cfg, launch: l, mem: mem, banks: bsim, coal: csim,
 		budget: budget,
 		txBuf:  make([]coalesce.Transaction, 0, gpu.HalfWarp),
-		queue:  make(eventQueue, 0, min(l.Grid, cfg.NumSMs*occRes.Blocks)*l.WarpsPerBlock()),
+		queue:  newEventQueue(min(l.Grid, cfg.NumSMs*occRes.Blocks) * l.WarpsPerBlock()),
 	}
 	if s.budget <= 0 {
 		s.budget = 4e9
@@ -355,7 +448,7 @@ func RunBudget(ctx context.Context, cfg gpu.Config, l barra.Launch, mem *barra.M
 				break
 			}
 			if err := s.startBlock(sm, 0); err != nil {
-				return Result{}, err
+				return nil, err
 			}
 		}
 	}
@@ -363,30 +456,31 @@ func RunBudget(ctx context.Context, cfg gpu.Config, l barra.Launch, mem *barra.M
 	// Main loop. The cancellation check amortizes over a batch of
 	// events to stay off the per-event path.
 	const ctxCheckEvery = 8192
-	for n := 0; len(s.queue) > 0; n++ {
+	for n := 0; len(s.queue.heap) > 0; n++ {
 		if n%ctxCheckEvery == 0 {
 			if err := ctx.Err(); err != nil {
-				return Result{}, err
+				return nil, err
 			}
 		}
-		e := s.queue.pop()
-		exited, err := s.stepWarp(e.warp, e.t)
+		w, t := s.queue.pop()
+		exited, err := s.stepWarp(w, t)
 		if err != nil {
-			return Result{}, err
+			return nil, err
 		}
 		if exited {
 			// Block dispatch builds the successor's warps, so it runs
 			// here, off the allocation-free per-event path. Nothing is
-			// scheduled between the exit and the dispatch, so the
-			// successor's warps take the next seq values.
-			if err := s.warpExit(e.warp, e.warp.nextIssue); err != nil {
-				return Result{}, err
+			// queued between the exit and the dispatch, so the
+			// successor's warps reach their buckets in the order an
+			// in-step dispatch would give them.
+			if err := s.warpExit(w, w.nextIssue); err != nil {
+				return nil, err
 			}
 		}
 	}
 
 	s.res.Seconds = s.res.Cycles / cfg.CoreClockHz
-	return s.res, nil
+	return s, nil
 }
 
 func (s *sim) startBlock(sm *simSM, t float64) error {
@@ -411,14 +505,9 @@ func (s *sim) startBlock(sm *simSM, t float64) error {
 			regReady: make([]float64, l.Prog.RegsPerThread),
 		}
 		blk.warps = append(blk.warps, w)
-		s.schedule(w, t)
+		s.queue.push(w, t)
 	}
 	return nil
-}
-
-func (s *sim) schedule(w *simWarp, t float64) {
-	s.seq++
-	s.queue.push(event{t: t, issued: w.issued, seq: s.seq, warp: w})
 }
 
 func touchesShared(in *isa.Instruction) bool {
@@ -489,11 +578,11 @@ func (s *sim) stepWarp(w *simWarp, now float64) (exited bool, err error) {
 	// Dependency and server availability; reschedule if not yet.
 	ready := s.depsReady(w, in)
 	if ready > now {
-		s.schedule(w, ready)
+		s.queue.push(w, ready)
 		return false, nil
 	}
 	if free := sm.unitFree[class]; free > now {
-		s.schedule(w, free)
+		s.queue.push(w, free)
 		return false, nil
 	}
 
@@ -559,7 +648,7 @@ func (s *sim) stepWarp(w *simWarp, now float64) (exited bool, err error) {
 	}
 
 	if !w.fw.Done() {
-		s.schedule(w, w.nextIssue)
+		s.queue.push(w, w.nextIssue)
 	}
 	return false, nil
 }
@@ -659,7 +748,7 @@ func (s *sim) arriveBarrier(w *simWarp, t float64) {
 		if ww.nextIssue < t {
 			ww.nextIssue = t
 		}
-		s.schedule(ww, ww.nextIssue)
+		s.queue.push(ww, ww.nextIssue)
 	}
 }
 
