@@ -1,12 +1,15 @@
 #!/usr/bin/env bash
 # bench.sh — run the engine and device-simulator benchmark suite and
-# emit BENCH_7.json.
+# write it as JSON to $OUT (default .bench_build/bench.json, which git
+# ignores).
 #
 # Runs BenchmarkRunParallel (end-to-end blocks/s; its sub-benchmarks
 # cover every leg of the matrix: kernel ∈ {matmul16, spmv-ell} ×
 # mode ∈ {replay, noreplay} × P ∈ {1, NumCPU}) plus the per-layer
 # microbenchmarks (warp step, bank conflicts, coalescing), the timing
-# simulator (BenchmarkDeviceRun, winstr/s per golden kernel) and a cold
+# simulator (BenchmarkDeviceRun: winstr/s per golden kernel, plus the
+# event queue's deterministic pops/winstr and buckets/winstr), the §4.3
+# global-bandwidth run (BenchmarkGlobalBandwidth) and a cold
 # calibration (BenchmarkCalibrate) with -benchmem, and converts the
 # results to a JSON array of
 # {name, ns_per_op, ..., B_per_op, allocs_per_op} records so CI and
@@ -19,12 +22,13 @@
 # Usage:
 #   scripts/bench.sh               # full run (benchtime 2x for the big bench)
 #   BENCHTIME=1x scripts/bench.sh  # CI smoke run
-#   OUT=foo.json scripts/bench.sh
+#   OUT=BENCH_N.json scripts/bench.sh   # a baseline to commit
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BENCHTIME="${BENCHTIME:-2x}"
-OUT="${OUT:-BENCH_7.json}"
+OUT="${OUT:-.bench_build/bench.json}"
+mkdir -p "$(dirname "$OUT")"
 TMP="$(mktemp)"
 trap 'rm -f "$TMP"' EXIT
 
@@ -44,7 +48,7 @@ fi
   go test -run - -bench BenchmarkBankTransactions -benchmem ./internal/bank/
   go test -run - -bench BenchmarkCoalesceHalfWarp -benchmem ./internal/coalesce/
   go test -run - -bench BenchmarkDeviceRun -benchtime "$BENCHTIME" -benchmem ./internal/device/
-  go test -run - -bench BenchmarkCalibrate -benchtime "$BENCHTIME" -benchmem ./internal/timing/
+  go test -run - -bench 'BenchmarkCalibrate|BenchmarkGlobalBandwidth' -benchtime "$BENCHTIME" -benchmem ./internal/timing/
 } | tee "$TMP"
 
 awk '
