@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -423,16 +424,18 @@ func validateCompare(cat *DeviceCatalog, req CompareRequest) (baseline string, f
 // analyzeFn — a local session for Fleet.Compare, a remote worker for
 // the router's scatter-gather — then ranks the entries and assembles
 // the Comparison. One implementation, so a proxied comparison is
-// byte-identical to a local one.
+// byte-identical to a local one. allHit reports that every analysis
+// was a cache hit.
 func compareFanout(ctx context.Context, cat *DeviceCatalog, req CompareRequest, baseline string,
-	analyzeFn func(context.Context, Request) (*Result, error)) (*Comparison, error) {
+	analyzeFn func(context.Context, Request) (*Result, CacheStatus, error)) (cmp *Comparison, allHit bool, err error) {
 	entries := make([]ComparisonEntry, len(req.Devices))
 	errs := make([]error, len(req.Devices))
+	hits := make([]bool, len(req.Devices))
 	sizes := make([]int, len(req.Devices))
 	seeds := make([]int64, len(req.Devices))
 	fanOut(len(req.Devices), func(i int) {
 		name := req.Devices[i]
-		res, err := analyzeFn(ctx, Request{
+		res, st, err := analyzeFn(ctx, Request{
 			Kernel:      req.Kernel,
 			Device:      name,
 			Size:        req.Size,
@@ -454,9 +457,10 @@ func compareFanout(ctx context.Context, cat *DeviceCatalog, req CompareRequest, 
 			MeasuredSeconds:  res.MeasuredSeconds,
 		}
 		sizes[i], seeds[i] = res.Size, res.Seed
+		hits[i] = st == CacheHit
 	})
 	if err := errors.Join(errs...); err != nil {
-		return nil, err
+		return nil, false, err
 	}
 
 	var base float64
@@ -483,7 +487,7 @@ func compareFanout(ctx context.Context, cat *DeviceCatalog, req CompareRequest, 
 		Baseline: baseline,
 		Entries:  entries,
 		Best:     entries[0].Device,
-	}, nil
+	}, !slices.Contains(hits, false), nil
 }
 
 // Compare runs one kernel across the requested device set and ranks
@@ -523,11 +527,8 @@ func (f *Fleet) CompareCached(ctx context.Context, req CompareRequest) (*Compari
 	return cachedFetch(ctx, f, compareKey(norm, fps, baselineFP), func(ctx context.Context) (*Comparison, error) {
 		// Per-device fan-out analyses skip the request counter: the
 		// caller asked for one compare, not N analyzes.
-		return compareFanout(ctx, f.catalog, req, baseline,
-			func(ctx context.Context, r Request) (*Result, error) {
-				res, _, err := f.analyzeCached(ctx, r)
-				return res, err
-			})
+		cmp, _, err := compareFanout(ctx, f.catalog, req, baseline, f.analyzeCached)
+		return cmp, err
 	})
 }
 

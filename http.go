@@ -196,11 +196,7 @@ func decodeBodyLimit[T any](w http.ResponseWriter, r *http.Request, limit int64)
 	dec.DisallowUnknownFields()
 	var req T
 	if err := dec.Decode(&req); err != nil {
-		if maxErr := new(http.MaxBytesError); errors.As(err, &maxErr) {
-			writeError(w, r, http.StatusRequestEntityTooLarge, err)
-		} else {
-			writeError(w, r, http.StatusBadRequest, err)
-		}
+		writeBodyError(w, r, err)
 		return req, false
 	}
 	if dec.More() {
@@ -208,6 +204,16 @@ func decodeBodyLimit[T any](w http.ResponseWriter, r *http.Request, limit int64)
 		return req, false
 	}
 	return req, true
+}
+
+// writeBodyError maps a failure to read or decode a request body to
+// its status: 413 past the route's body cap, 400 otherwise.
+func writeBodyError(w http.ResponseWriter, r *http.Request, err error) {
+	if maxErr := new(http.MaxBytesError); errors.As(err, &maxErr) {
+		writeError(w, r, http.StatusRequestEntityTooLarge, err)
+	} else {
+		writeError(w, r, http.StatusBadRequest, err)
+	}
 }
 
 // writeAnalysisError maps an Analyze/Advise/Measure/Compare failure

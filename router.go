@@ -135,7 +135,7 @@ func NewRouter(opt RouterOptions) (*Router, error) {
 
 // registerMetrics builds the router's own registry: uptime, runtime
 // gauges, per-worker health flags sampled at scrape time, and the
-// per-worker proxy latency/error instruments rt.do records into.
+// per-worker proxy latency/error instruments send records into.
 func (rt *Router) registerMetrics() {
 	rt.start = time.Now()
 	rt.metrics = obs.NewRegistry()
@@ -168,24 +168,6 @@ func boolGauge(b bool) float64 {
 // Metrics returns the router's own metric registry (worker metrics
 // are merged in only on the /metrics route).
 func (rt *Router) Metrics() *Metrics { return rt.metrics }
-
-// do issues one proxied request: it forwards the inbound request id
-// (so one id threads router and worker logs), opens a proxy span in
-// the request trace, and records the per-worker latency histogram and
-// transport-error counter. Callers still own markDown decisions.
-func (rt *Router) do(wk string, req *http.Request) (*http.Response, error) {
-	if tr := obs.TraceFrom(req.Context()); tr != nil {
-		req.Header.Set("X-Request-ID", tr.ID())
-	}
-	_, sp := obs.StartSpan(req.Context(), "proxy")
-	resp, err := rt.client.Do(req)
-	sp.End()
-	rt.proxyLat.With(wk).Observe(sp.Duration().Seconds())
-	if err != nil {
-		rt.proxyErrs.With(wk).Inc()
-	}
-	return resp, err
-}
 
 // Close stops the health loop. The router keeps serving with its last
 // known worker states.
@@ -393,20 +375,18 @@ func (rt *Router) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, r, http.StatusOK, rt.aggregateStats(r.Context()))
 	})
-	mux.HandleFunc("GET /v1/kernels", func(w http.ResponseWriter, r *http.Request) {
-		rt.proxyStatic(w, r, "/v1/kernels")
-	})
+	// The listings are identical on every worker, so any one answers
+	// for all.
+	listing := func(w http.ResponseWriter, r *http.Request) { rt.proxyAny(w, r, nil) }
+	mux.HandleFunc("GET /v1/kernels", listing)
+	mux.HandleFunc("GET /v1/devices", listing)
 	mux.HandleFunc("POST /v1/kernels", rt.handleSubmit)
-	mux.HandleFunc("DELETE /v1/kernels/{id}", rt.handleDeleteKernel)
-	mux.HandleFunc("GET /v1/devices", func(w http.ResponseWriter, r *http.Request) {
-		rt.proxyStatic(w, r, "/v1/devices")
+	mux.HandleFunc("DELETE /v1/kernels/{id}", func(w http.ResponseWriter, r *http.Request) {
+		rt.forward(w, r, rt.shardFor(r.PathValue("id")), nil)
 	})
-	for _, path := range []string{"/v1/analyze", "/v1/advise", "/v1/measure"} {
-		path := path
-		mux.HandleFunc("POST "+path, func(w http.ResponseWriter, r *http.Request) {
-			rt.proxyByDevice(w, r, path)
-		})
-	}
+	mux.HandleFunc("POST /v1/analyze", rt.proxyByDevice)
+	mux.HandleFunc("POST /v1/advise", rt.proxyByDevice)
+	mux.HandleFunc("POST /v1/measure", rt.proxyByDevice)
 	mux.HandleFunc("POST /v1/compare", rt.handleCompare)
 	return telemetryMiddleware(mux, rt.metrics, rt.opt.Telemetry)
 }
@@ -421,23 +401,9 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	rt.metrics.WritePrometheus(&own)
 	var parts []obs.LabeledExposition
 	for _, wk := range rt.workers {
-		if !rt.isUp(wk) {
-			continue
+		if text, _, err := rt.fetch(r.Context(), wk, http.MethodGet, "/metrics", nil); err == nil {
+			parts = append(parts, obs.LabeledExposition{LabelValue: wk, Text: text})
 		}
-		req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, wk+"/metrics", nil)
-		if err != nil {
-			continue
-		}
-		resp, err := rt.do(wk, req)
-		if err != nil {
-			continue
-		}
-		text, err := io.ReadAll(io.LimitReader(resp.Body, 1<<22))
-		resp.Body.Close()
-		if err != nil || resp.StatusCode != http.StatusOK {
-			continue
-		}
-		parts = append(parts, obs.LabeledExposition{LabelValue: wk, Text: text})
 	}
 	w.Header().Set("Content-Type", obs.TextContentType)
 	if err := obs.MergeExpositions(w, "worker", own.Bytes(), parts); err != nil {
@@ -451,11 +417,9 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) aggregateStats(ctx context.Context) CacheStats {
 	var agg CacheStats
 	for _, wk := range rt.workers {
-		if !rt.isUp(wk) {
-			continue
-		}
+		data, _, err := rt.fetch(ctx, wk, http.MethodGet, "/v1/stats", nil)
 		var st CacheStats
-		if err := rt.getJSON(ctx, wk, "/v1/stats", &st); err != nil {
+		if err != nil || json.Unmarshal(data, &st) != nil {
 			continue
 		}
 		agg.Hits += st.Hits
@@ -487,23 +451,76 @@ func (rt *Router) aggregateStats(ctx context.Context) CacheStats {
 	return agg
 }
 
-// getJSON fetches one worker path through rt.do (so the call carries
-// the request id and is timed like every other proxied request) and
-// decodes the JSON body into v.
-func (rt *Router) getJSON(ctx context.Context, wk, path string, v any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, wk+path, nil)
-	if err != nil {
-		return err
+// send is the one place the router builds and issues a request to a
+// worker. A down worker answers 503 without a dial. The request
+// carries Content-Type when it has a body, the client's If-None-Match
+// (so revalidation answers 304 end to end) and the request id (so one
+// id threads router and worker logs); it runs in a proxy span and
+// lands in the per-worker latency histogram. A transport failure while
+// the caller still waits counts as a proxy error, marks the worker
+// down so the requests behind it fail fast, and answers 502. A caller
+// that gave up gets its context error back and leaves the worker up:
+// its hang-up says nothing about the worker.
+func (rt *Router) send(ctx context.Context, wk, method, path string, body []byte, inm string) (*http.Response, error) {
+	if !rt.isUp(wk) {
+		return nil, &proxyError{code: http.StatusServiceUnavailable, msg: fmt.Sprintf("gpuperf: shard %s is down", wk)}
 	}
-	resp, err := rt.do(wk, req)
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, wk+path, rd)
 	if err != nil {
-		return err
+		return nil, err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	if inm != "" {
+		req.Header.Set("If-None-Match", inm)
+	}
+	if tr := obs.TraceFrom(ctx); tr != nil {
+		req.Header.Set("X-Request-ID", tr.ID())
+	}
+	_, sp := obs.StartSpan(ctx, "proxy")
+	resp, err := rt.client.Do(req)
+	sp.End()
+	rt.proxyLat.With(wk).Observe(sp.Duration().Seconds())
+	if err != nil {
+		if ctx.Err() != nil {
+			return nil, fmt.Errorf("gpuperf: shard %s: %w", wk, ctx.Err())
+		}
+		rt.proxyErrs.With(wk).Inc()
+		rt.markDown(wk)
+		return nil, &proxyError{code: http.StatusBadGateway, msg: fmt.Sprintf("gpuperf: shard %s: %v", wk, err)}
+	}
+	return resp, nil
+}
+
+// fetch is send for an answer the router reads itself: the body of a
+// 200, up to 4 MiB, and its headers. Any other status becomes a
+// proxyError carrying the worker's status and error message.
+func (rt *Router) fetch(ctx context.Context, wk, method, path string, body []byte) ([]byte, http.Header, error) {
+	resp, err := rt.send(ctx, wk, method, path, body, "")
+	if err != nil {
+		return nil, nil, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("gpuperf: %s%s answered %d", wk, path, resp.StatusCode)
+	data, err := io.ReadAll(io.LimitReader(resp.Body, 1<<22))
+	if err != nil {
+		return nil, nil, &proxyError{code: http.StatusBadGateway, msg: fmt.Sprintf("gpuperf: shard %s: %v", wk, err)}
 	}
-	return json.NewDecoder(io.LimitReader(resp.Body, 1<<22)).Decode(v)
+	if resp.StatusCode != http.StatusOK {
+		var e struct {
+			Error string `json:"error"`
+		}
+		msg := strings.TrimSpace(string(data))
+		if json.Unmarshal(data, &e) == nil && e.Error != "" {
+			msg = e.Error
+		}
+		return nil, nil, &proxyError{code: resp.StatusCode, msg: msg}
+	}
+	return data, resp.Header, nil
 }
 
 // proxiedHeaders are the response headers a proxied answer carries
@@ -527,32 +544,42 @@ func relay(w http.ResponseWriter, resp *http.Response, shard string) {
 	io.Copy(w, resp.Body)
 }
 
-// proxyStatic forwards a catalog/registry listing to the first up
-// worker — the listings are identical on every worker, so any one
-// answers for all. If-None-Match rides along, so 304s work end to
-// end.
-func (rt *Router) proxyStatic(w http.ResponseWriter, r *http.Request, path string) {
-	for _, wk := range rt.workers {
-		if !rt.isUp(wk) {
-			continue
-		}
-		req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, wk+path, nil)
-		if err != nil {
-			writeError(w, r, http.StatusInternalServerError, err)
-			return
-		}
-		if inm := r.Header.Get("If-None-Match"); inm != "" {
-			req.Header.Set("If-None-Match", inm)
-		}
-		resp, err := rt.do(wk, req)
-		if err != nil {
-			rt.markDown(wk)
-			continue
-		}
-		relay(w, resp, wk)
+// forward sends the inbound request r, with body, to wk and relays the
+// answer. It forwards r's escaped path, so an escaped path segment
+// such as a submission id stays one segment on the hop.
+func (rt *Router) forward(w http.ResponseWriter, r *http.Request, wk string, body []byte) {
+	resp, err := rt.send(r.Context(), wk, r.Method, r.URL.EscapedPath(), body, r.Header.Get("If-None-Match"))
+	if err != nil {
+		writeProxyError(w, r, err)
 		return
 	}
+	relay(w, resp, wk)
+}
+
+// proxyAny sends the inbound request r, with body, to each worker in
+// configuration order and relays the first answer — for requests every
+// worker answers alike.
+func (rt *Router) proxyAny(w http.ResponseWriter, r *http.Request, body []byte) {
+	for _, wk := range rt.workers {
+		resp, err := rt.send(r.Context(), wk, r.Method, r.URL.EscapedPath(), body, r.Header.Get("If-None-Match"))
+		if err == nil {
+			relay(w, resp, wk)
+			return
+		}
+	}
 	writeError(w, r, http.StatusServiceUnavailable, fmt.Errorf("gpuperf: no worker is up"))
+}
+
+// readBody reads a POST body the router peeks at before forwarding it,
+// up to limit bytes. On failure it has written the error response
+// itself (ok=false).
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	if err != nil {
+		writeBodyError(w, r, err)
+		return nil, false
+	}
+	return body, true
 }
 
 // proxyByDevice routes one single-device request to its device's
@@ -560,14 +587,9 @@ func (rt *Router) proxyStatic(w http.ResponseWriter, r *http.Request, path strin
 // the device name only — the owning worker's strict decoder is the
 // authority on malformed bodies, so router and worker reject
 // identically.
-func (rt *Router) proxyByDevice(w http.ResponseWriter, r *http.Request, path string) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<16))
-	if err != nil {
-		if maxErr := new(http.MaxBytesError); errors.As(err, &maxErr) {
-			writeError(w, r, http.StatusRequestEntityTooLarge, err)
-		} else {
-			writeError(w, r, http.StatusBadRequest, err)
-		}
+func (rt *Router) proxyByDevice(w http.ResponseWriter, r *http.Request) {
+	body, ok := readBody(w, r, 1<<16)
+	if !ok {
 		return
 	}
 	var peek struct {
@@ -577,30 +599,14 @@ func (rt *Router) proxyByDevice(w http.ResponseWriter, r *http.Request, path str
 	// Lenient on purpose: a body the peek cannot parse still proxies
 	// (to the default shard) and fails the worker's strict decode.
 	json.Unmarshal(body, &peek)
-	name := peek.Device
-	if name == "" {
-		name = rt.def
-	}
-	dev, err := rt.catalog.Resolve(name)
+	wk, err := rt.ShardFor(peek.Device)
 	if err != nil {
 		writeAnalysisError(w, r, err)
 		return
 	}
-	wk := rt.shardFor(DeviceFingerprint(dev))
-	if !rt.isUp(wk) {
-		writeError(w, r, http.StatusServiceUnavailable,
-			fmt.Errorf("gpuperf: shard %s (device %q) is down", wk, name))
-		return
-	}
-	req, err := forwardPost(r, wk+path, body)
+	resp, err := rt.send(r.Context(), wk, r.Method, r.URL.EscapedPath(), body, r.Header.Get("If-None-Match"))
 	if err != nil {
-		writeError(w, r, http.StatusInternalServerError, err)
-		return
-	}
-	resp, err := rt.do(wk, req)
-	if err != nil {
-		rt.markDown(wk)
-		writeError(w, r, http.StatusBadGateway, fmt.Errorf("gpuperf: shard %s: %w", wk, err))
+		writeProxyError(w, r, err)
 		return
 	}
 	// Submitted kernels live on the shard owning their PROGRAM hash,
@@ -611,38 +617,11 @@ func (rt *Router) proxyByDevice(w http.ResponseWriter, r *http.Request, path str
 		if owner := rt.shardFor(peek.Kernel); owner != wk && rt.isUp(owner) {
 			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
-			req2, err := forwardPost(r, owner+path, body)
-			if err != nil {
-				writeError(w, r, http.StatusInternalServerError, err)
-				return
-			}
-			resp2, err := rt.do(owner, req2)
-			if err != nil {
-				rt.markDown(owner)
-				writeError(w, r, http.StatusBadGateway, fmt.Errorf("gpuperf: shard %s: %w", owner, err))
-				return
-			}
-			relay(w, resp2, owner)
+			rt.forward(w, r, owner, body)
 			return
 		}
 	}
 	relay(w, resp, wk)
-}
-
-// forwardPost builds the proxied copy of the inbound POST r with the
-// already-read body, for url. It carries the inbound If-None-Match,
-// so revalidation answers 304 end to end on every hop — retries
-// included.
-func forwardPost(r *http.Request, url string, body []byte) (*http.Request, error) {
-	req, err := http.NewRequestWithContext(r.Context(), http.MethodPost, url, bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if inm := r.Header.Get("If-None-Match"); inm != "" {
-		req.Header.Set("If-None-Match", inm)
-	}
-	return req, nil
 }
 
 // handleSubmit routes POST /v1/kernels to the worker owning the
@@ -653,74 +632,18 @@ func forwardPost(r *http.Request, url string, body []byte) (*http.Request, error
 // any up worker, whose strict admission pipeline is the authority on
 // the rejection.
 func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSubmissionBody))
-	if err != nil {
-		if maxErr := new(http.MaxBytesError); errors.As(err, &maxErr) {
-			writeError(w, r, http.StatusRequestEntityTooLarge, err)
-		} else {
-			writeError(w, r, http.StatusBadRequest, err)
-		}
+	body, ok := readBody(w, r, maxSubmissionBody)
+	if !ok {
 		return
 	}
-	var wk string
 	var sub KernelSubmission
 	if json.Unmarshal(body, &sub) == nil {
 		if id, err := SubmissionID(sub); err == nil {
-			wk = rt.shardFor(id)
+			rt.forward(w, r, rt.shardFor(id), body)
+			return
 		}
 	}
-	if wk == "" {
-		wk = rt.firstUp()
-	}
-	if wk == "" || !rt.isUp(wk) {
-		writeError(w, r, http.StatusServiceUnavailable, fmt.Errorf("gpuperf: submission shard is down"))
-		return
-	}
-	req, err := forwardPost(r, wk+"/v1/kernels", body)
-	if err != nil {
-		writeError(w, r, http.StatusInternalServerError, err)
-		return
-	}
-	resp, err := rt.do(wk, req)
-	if err != nil {
-		rt.markDown(wk)
-		writeError(w, r, http.StatusBadGateway, fmt.Errorf("gpuperf: shard %s: %w", wk, err))
-		return
-	}
-	relay(w, resp, wk)
-}
-
-// handleDeleteKernel routes DELETE /v1/kernels/{id} to the shard
-// owning the submission id.
-func (rt *Router) handleDeleteKernel(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	wk := rt.shardFor(id)
-	if !rt.isUp(wk) {
-		writeError(w, r, http.StatusServiceUnavailable, fmt.Errorf("gpuperf: shard %s (submission %q) is down", wk, id))
-		return
-	}
-	req, err := http.NewRequestWithContext(r.Context(), http.MethodDelete, wk+"/v1/kernels/"+id, nil)
-	if err != nil {
-		writeError(w, r, http.StatusInternalServerError, err)
-		return
-	}
-	resp, err := rt.do(wk, req)
-	if err != nil {
-		rt.markDown(wk)
-		writeError(w, r, http.StatusBadGateway, fmt.Errorf("gpuperf: shard %s: %w", wk, err))
-		return
-	}
-	relay(w, resp, wk)
-}
-
-// firstUp returns the first up worker, or "" with none.
-func (rt *Router) firstUp() string {
-	for _, wk := range rt.workers {
-		if rt.isUp(wk) {
-			return wk
-		}
-	}
-	return ""
+	rt.proxyAny(w, r, body)
 }
 
 // remoteAnalyze is the compare scatter-gather's per-device unit: one
@@ -728,54 +651,23 @@ func (rt *Router) firstUp() string {
 // come back as proxyError so the assembled comparison reports the
 // worker's own verdict.
 func (rt *Router) remoteAnalyze(ctx context.Context, req Request) (*Result, CacheStatus, error) {
-	dev, err := rt.catalog.Resolve(req.Device)
+	wk, err := rt.ShardFor(req.Device)
 	if err != nil {
 		return nil, CacheBypass, err
-	}
-	wk := rt.shardFor(DeviceFingerprint(dev))
-	if !rt.isUp(wk) {
-		return nil, CacheBypass, &proxyError{
-			code: http.StatusServiceUnavailable,
-			msg:  fmt.Sprintf("gpuperf: shard %s (device %q) is down", wk, req.Device),
-		}
 	}
 	body, err := json.Marshal(req)
 	if err != nil {
 		return nil, CacheBypass, err
 	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, wk+"/v1/analyze", bytes.NewReader(body))
+	data, hdr, err := rt.fetch(ctx, wk, http.MethodPost, "/v1/analyze", body)
 	if err != nil {
 		return nil, CacheBypass, err
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	resp, err := rt.do(wk, hreq)
-	if err != nil {
-		rt.markDown(wk)
-		return nil, CacheBypass, &proxyError{
-			code: http.StatusBadGateway,
-			msg:  fmt.Sprintf("gpuperf: shard %s: %v", wk, err),
-		}
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 1<<22))
-	if err != nil {
-		return nil, CacheBypass, &proxyError{code: http.StatusBadGateway, msg: fmt.Sprintf("gpuperf: shard %s: %v", wk, err)}
-	}
-	if resp.StatusCode != http.StatusOK {
-		var e struct {
-			Error string `json:"error"`
-		}
-		msg := strings.TrimSpace(string(data))
-		if json.Unmarshal(data, &e) == nil && e.Error != "" {
-			msg = e.Error
-		}
-		return nil, CacheBypass, &proxyError{code: resp.StatusCode, msg: msg}
 	}
 	var res Result
 	if err := json.Unmarshal(data, &res); err != nil {
 		return nil, CacheBypass, &proxyError{code: http.StatusBadGateway, msg: fmt.Sprintf("gpuperf: shard %s: decoding result: %v", wk, err)}
 	}
-	st := CacheStatus(resp.Header.Get("X-Cache"))
+	st := CacheStatus(hdr.Get("X-Cache"))
 	if st == "" {
 		st = CacheBypass
 	}
@@ -800,6 +692,8 @@ func (rt *Router) handleCompare(w http.ResponseWriter, r *http.Request) {
 		writeAnalysisError(w, r, err)
 		return
 	}
+	// send refuses a down shard too, but only this check keeps the up
+	// shards from calibrating and simulating for a doomed comparison.
 	for i, d := range req.Devices {
 		if wk := rt.shardFor(fps[i]); !rt.isUp(wk) {
 			writeError(w, r, http.StatusServiceUnavailable,
@@ -807,18 +701,7 @@ func (rt *Router) handleCompare(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	var mu sync.Mutex
-	allHit := true
-	analyzeFn := func(ctx context.Context, areq Request) (*Result, error) {
-		res, st, err := rt.remoteAnalyze(ctx, areq)
-		mu.Lock()
-		if st != CacheHit {
-			allHit = false
-		}
-		mu.Unlock()
-		return res, err
-	}
-	cmp, err := compareFanout(r.Context(), rt.catalog, req, baseline, analyzeFn)
+	cmp, allHit, err := compareFanout(r.Context(), rt.catalog, req, baseline, rt.remoteAnalyze)
 	if err != nil {
 		writeProxyError(w, r, err)
 		return

@@ -2,8 +2,10 @@ package gpuperf
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -14,7 +16,8 @@ import (
 
 // fakeWorker is a canned gpuperfd worker: it answers /healthz with a
 // configurable status, echoes analyze/advise bodies back with
-// recognizable headers, and records every request it saw.
+// recognizable headers, and records every request it saw. An analyze
+// of kernel "hang" never answers: it waits for its request to end.
 type fakeWorker struct {
 	name         string
 	healthStatus int // status for GET /healthz
@@ -58,6 +61,10 @@ func (fw *fakeWorker) handler(t *testing.T) http.Handler {
 			return
 		}
 		fw.record(r, req.Device)
+		if req.Kernel == "hang" {
+			<-r.Context().Done()
+			return
+		}
 		writeCachedJSON(w, r, Result{Kernel: req.Kernel, Device: req.Device, PredictedSeconds: 1}, CacheMiss, "")
 	})
 	return mux
@@ -215,6 +222,29 @@ func TestRouterProxyByDevice(t *testing.T) {
 		t.Errorf("unknown device: %d, want 404", rec.Code)
 	}
 
+	// Bodies past the router's caps: 413, no worker bothered.
+	seen := func() (n int) {
+		for _, fw := range fws {
+			fw.mu.Lock()
+			n += len(fw.seen)
+			fw.mu.Unlock()
+		}
+		return n
+	}
+	before = seen()
+	if rec := post(`{"kernel":"matmul16","device":"gtx285","pad":"` + strings.Repeat("x", 1<<16) + `"}`); rec.Code != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized analyze: %d, want 413", rec.Code)
+	}
+	sreq := httptest.NewRequest("POST", "/v1/kernels", strings.NewReader(`{"label":"`+strings.Repeat("x", maxSubmissionBody)+`"}`))
+	srec := httptest.NewRecorder()
+	h.ServeHTTP(srec, sreq)
+	if srec.Code != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized submission: %d, want 413", srec.Code)
+	}
+	if n := seen() - before; n != 0 {
+		t.Errorf("workers saw %d requests with oversized bodies, want 0", n)
+	}
+
 	// Down shard: fail fast, never rerouted to the survivor.
 	rt.markDown(owner)
 	rec = post(`{"kernel":"matmul16","device":"gtx285"}`)
@@ -237,6 +267,103 @@ func TestRouterProxyByDevice(t *testing.T) {
 	h.ServeHTTP(hrec, req)
 	if hrec.Code != http.StatusServiceUnavailable || !strings.Contains(hrec.Body.String(), "degraded") {
 		t.Errorf("degraded healthz: %d %q", hrec.Code, hrec.Body)
+	}
+}
+
+// TestRouterClientCancelKeepsShardUp: a client that gives up
+// mid-request gets 503 and leaves its shard up and its proxy-error
+// count alone; a worker that is gone answers 502 once, is counted and
+// marked down, and the request behind it fails fast with 503.
+func TestRouterClientCancelKeepsShardUp(t *testing.T) {
+	fw := &fakeWorker{name: "w1", healthStatus: http.StatusOK}
+	srv := httptest.NewServer(fw.handler(t))
+	t.Cleanup(srv.Close)
+	rt := routerOver(t, RouterOptions{Workers: []string{srv.URL}})
+	h := rt.Handler()
+	errs := rt.proxyErrs.With(srv.URL)
+	post := func(ctx context.Context, kernel string) *httptest.ResponseRecorder {
+		req := httptest.NewRequest("POST", "/v1/analyze", strings.NewReader(`{"kernel":"`+kernel+`"}`))
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req.WithContext(ctx))
+		return rec
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	if rec := post(ctx, "hang"); rec.Code != http.StatusServiceUnavailable {
+		t.Errorf("client deadline: %d (%s), want 503", rec.Code, rec.Body)
+	}
+	if !rt.isUp(srv.URL) || errs.Value() != 0 {
+		t.Errorf("after the client gave up: up=%v with %d proxy errors, want up with 0", rt.isUp(srv.URL), errs.Value())
+	}
+	if rec := post(context.Background(), "matmul16"); rec.Code != http.StatusOK {
+		t.Errorf("next request: %d (%s), want 200", rec.Code, rec.Body)
+	}
+
+	srv.Close()
+	if rec := post(context.Background(), "matmul16"); rec.Code != http.StatusBadGateway || rt.isUp(srv.URL) {
+		t.Errorf("worker gone: %d with up=%v, want 502 and marked down", rec.Code, rt.isUp(srv.URL))
+	}
+	if rec := post(context.Background(), "matmul16"); rec.Code != http.StatusServiceUnavailable || errs.Value() != 1 {
+		t.Errorf("behind a down worker: %d with %d proxy errors, want 503 with 1", rec.Code, errs.Value())
+	}
+}
+
+// TestRouterCompareDownShardFailsFast: a compare with one device's
+// shard down answers 503 naming that shard before dispatching any
+// analysis, so the up shard does no work for a comparison that is
+// going to fail.
+func TestRouterCompareDownShardFailsFast(t *testing.T) {
+	// TestRouterShardTable's fixed worker URLs keep the rendezvous
+	// outcome deterministic (they split the catalog); the client dials
+	// each one's test server instead.
+	workers := []string{"http://127.0.0.1:1", "http://127.0.0.1:2"}
+	addrs := map[string]string{}
+	fws := map[string]*fakeWorker{}
+	for _, wk := range workers {
+		fw := &fakeWorker{name: wk, healthStatus: http.StatusOK}
+		srv := httptest.NewServer(fw.handler(t))
+		t.Cleanup(srv.Close)
+		addrs[strings.TrimPrefix(wk, "http://")] = srv.Listener.Addr().String()
+		fws[wk] = fw
+	}
+	client := &http.Client{Transport: &http.Transport{
+		DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+			return (&net.Dialer{}).DialContext(ctx, network, addrs[addr])
+		},
+	}}
+	t.Cleanup(client.CloseIdleConnections)
+	rt := routerOver(t, RouterOptions{Workers: workers, Client: client})
+
+	down, err := rt.ShardFor("gtx285")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var other string
+	for _, p := range rt.catalog.Profiles() {
+		if wk, _ := rt.ShardFor(p.Name); wk != down {
+			other = p.Name
+			break
+		}
+	}
+	if other == "" {
+		t.Fatal("every catalog device is on one worker")
+	}
+	rt.markDown(down)
+	body := fmt.Sprintf(`{"kernel":"matmul16","devices":[%q,"gtx285"]}`, other)
+	rec := httptest.NewRecorder()
+	rt.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/compare", strings.NewReader(body)))
+	if rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), down) {
+		t.Errorf("compare over a down shard: %d %q, want 503 naming %s", rec.Code, rec.Body, down)
+	}
+	for wk, fw := range fws {
+		fw.mu.Lock()
+		for _, s := range fw.seen {
+			if strings.Contains(s, "/v1/analyze") {
+				t.Errorf("worker %s analyzed %q for a compare that had to fail", wk, s)
+			}
+		}
+		fw.mu.Unlock()
 	}
 }
 

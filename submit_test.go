@@ -430,6 +430,24 @@ func TestRouterSubmitEndToEnd(t *testing.T) {
 		t.Fatalf("cross-shard revalidation: %d with %d body bytes, want bare 304", rec.Code, rec.Body.Len())
 	}
 
+	// An escaped '?' stays part of the id on the hop: deleting
+	// "<id>?<s>", which routes to the same owner, must not delete <id>.
+	var suffix string
+	for i := 0; i < 64 && suffix == ""; i++ {
+		if s := fmt.Sprint(i); rt.shardFor(id+"?"+s) == owner {
+			suffix = s
+		}
+	}
+	if suffix == "" {
+		t.Fatal("no suffix routed the escaped id to the owner shard")
+	}
+	if rec = do("DELETE", "/v1/kernels/"+id+"%3F"+suffix, ""); rec.Code != http.StatusNotFound {
+		t.Fatalf("delete of an escaped id via router: %d (%s), want 404", rec.Code, rec.Body)
+	}
+	if n, _, _ := byURL[owner].subs.Stats(); n != 1 {
+		t.Fatalf("owner shard holds %d submissions after an escaped-id delete, want 1", n)
+	}
+
 	// Delete routes by id; afterwards analyze 404s on every shard.
 	if rec = do("DELETE", "/v1/kernels/"+id, ""); rec.Code != http.StatusNoContent {
 		t.Fatalf("delete via router: %d (%s)", rec.Code, rec.Body)
