@@ -5,7 +5,8 @@
 // homogeneous-block replay on and off, serially (p1) and with one
 // worker per host core (pN). The Stats are bit-identical across all
 // combinations; only wall clock changes. Every sub-benchmark reports
-// a blocks/s metric.
+// a blocks/s metric, and replayed/op and simulated/op: the last run's
+// replay engine counters (Stats.Engine), exact on any host.
 //
 //	go test -run - -bench BenchmarkRunParallel -benchtime 2x
 package gpuperf
@@ -25,7 +26,8 @@ import (
 // benchBlockRows sizes the ELL launch at 3·175104/128 = 4104 blocks.
 const benchBlockRows = 175104
 
-// benchMatmulN sizes the matmul16 launch at (512/16)² = 1024 blocks.
+// benchMatmulN sizes the matmul16 launch at (512/64)·(512/16) = 256
+// blocks.
 const benchMatmulN = 512
 
 func BenchmarkRunParallel(b *testing.B) {
@@ -77,12 +79,16 @@ func BenchmarkRunParallel(b *testing.B) {
 						Parallelism:        p,
 						DisableBlockReplay: mode == "noreplay",
 					}
+					var st *barra.Stats
 					for i := 0; i < b.N; i++ {
-						if _, err := barra.Run(cfg, leg.l, leg.mem, opt); err != nil {
+						var err error
+						if st, err = barra.Run(cfg, leg.l, leg.mem, opt); err != nil {
 							b.Fatal(err)
 						}
 					}
 					b.ReportMetric(float64(leg.l.Grid)*float64(b.N)/b.Elapsed().Seconds(), "blocks/s")
+					b.ReportMetric(float64(st.Engine.BlocksReplayed), "replayed/op")
+					b.ReportMetric(float64(st.Engine.BlocksSimulated), "simulated/op")
 				})
 			}
 		}

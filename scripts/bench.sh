@@ -3,17 +3,19 @@
 # write it as JSON to $OUT (default .bench_build/bench.json, which git
 # ignores).
 #
-# Runs BenchmarkRunParallel (end-to-end blocks/s; its sub-benchmarks
-# cover every leg of the matrix: kernel ∈ {matmul16, spmv-ell} ×
-# mode ∈ {replay, noreplay} × P ∈ {1, NumCPU}) plus the per-layer
+# Runs BenchmarkRunParallel (end-to-end blocks/s, plus the replay
+# engine's exact replayed/op and simulated/op block counts; its
+# sub-benchmarks cover every leg of the matrix: kernel ∈ {matmul16,
+# spmv-ell} × mode ∈ {replay, noreplay} × P ∈ {1, NumCPU}) plus the per-layer
 # microbenchmarks (warp step, bank conflicts, coalescing), the timing
 # simulator (BenchmarkDeviceRun: winstr/s per golden kernel, plus the
 # event queue's deterministic pops/winstr and buckets/winstr), the §4.3
 # global-bandwidth run (BenchmarkGlobalBandwidth) and a cold
 # calibration (BenchmarkCalibrate) with -benchmem, and converts the
 # results to a JSON array of
-# {name, ns_per_op, ..., B_per_op, allocs_per_op} records so CI and
-# future PRs can diff throughput and allocation counts.
+# {name, ns_per_op, ..., B_per_op, allocs_per_op} records, one field
+# per reported metric (replayed/op becomes replayed_per_op), so CI and
+# future PRs can diff throughput, exact counters and allocation counts.
 #
 # The replay/noreplay pairs measure the homogeneous-block replay
 # engine against forced live simulation on the same inputs; the
