@@ -8,6 +8,7 @@ package sparse
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 )
 
 // Blocked is a sparse matrix of dense BlockSize×BlockSize blocks
@@ -96,11 +97,17 @@ func GenQCDLike(blockRows, blocksPerRow int, rng *rand.Rand) (*Blocked, error) {
 		}
 		stride *= 4
 	}
+	// Rows and blocks are capped slices of three flat arrays, so the
+	// whole matrix is a fixed handful of allocations.
+	nb := blockRows * blocksPerRow
+	allCols := make([]int32, nb)
+	allBlocks := make([][]float32, nb)
+	allVals := make([]float32, nb*9)
 	m.Cols = make([][]int32, blockRows)
 	m.Vals = make([][][]float32, blockRows)
 	for q := 0; q < blockRows; q++ {
-		seen := map[int32]bool{}
-		cols := make([]int32, 0, blocksPerRow)
+		lo, hi := q*blocksPerRow, (q+1)*blocksPerRow
+		cols := allCols[lo:lo:hi]
 		for _, off := range offsets {
 			c := q + off
 			// Jitter one step either way, then clamp and dedup.
@@ -114,17 +121,17 @@ func GenQCDLike(blockRows, blocksPerRow int, rng *rand.Rand) (*Blocked, error) {
 				c -= blockRows
 			}
 			cc := int32(c)
-			for seen[cc] {
+			for slices.Contains(cols, cc) {
 				cc = (cc + 1) % int32(blockRows)
 			}
-			seen[cc] = true
 			cols = append(cols, cc)
 		}
 		sortInt32(cols)
 		m.Cols[q] = cols
-		m.Vals[q] = make([][]float32, blocksPerRow)
+		m.Vals[q] = allBlocks[lo:hi:hi]
 		for j := range m.Vals[q] {
-			blk := make([]float32, 9)
+			b := (lo + j) * 9
+			blk := allVals[b : b+9 : b+9]
 			for e := range blk {
 				blk[e] = 2*rng.Float32() - 1
 			}

@@ -1,6 +1,9 @@
 package sparse
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"math/rand"
 	"testing"
@@ -54,6 +57,49 @@ func TestGenQCDLikeStructure(t *testing.T) {
 	}
 	if nearCols < m.BlockRows*9/2 {
 		t.Errorf("matrix not banded: %d near columns of %d", nearCols, m.BlockRows*9)
+	}
+}
+
+// TestGenQCDLikeDigests pins GenQCDLike's output, columns and block
+// values bit for bit, from a few block-rows to paper scale (at 64
+// block-rows the ±64 stencil offsets wrap onto the diagonal and
+// dedup), and pins its
+// allocations: a fixed handful per matrix, none per row or block.
+func TestGenQCDLikeDigests(t *testing.T) {
+	for _, c := range []struct {
+		rows, bpr int
+		seed      int64
+		want      string
+	}{
+		{9, 3, 1, "dbc05ed9a24ec721c1aa4e122ab2481b02c77c3c379e71b805d8a4d8d0a4abd7"},
+		{17, 5, 2, "ad6bbfb4e90d5af53f069431e55d9213efe8e6ed86b18baeba8df0c61007dd0b"},
+		{64, 9, 6, "af055061f0e3286fa090d5cc5173417f73c8b03e940a3e5d8d234e70f49960ba"},
+		{128, 9, 3, "0d0a1e00535565cafbc542bd1bf04431043060c1381f7d17b178bfd98c4c707e"},
+		{1000, 1, 4, "a9afaaf5c0fd8dee2ee5c8707639565522e6ba4e4acdbc9940a449d9b2c2a10b"},
+		{8192, 9, 5, "5b0fbfbb9f766bb2da7784c682949daa6d1fecef17ed1d683f2ffe4ebbee941b"},
+	} {
+		m, err := GenQCDLike(c.rows, c.bpr, rand.New(rand.NewSource(c.seed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		for q := range m.Cols {
+			_ = binary.Write(h, binary.LittleEndian, m.Cols[q]) // hash.Hash writes never fail
+			for _, blk := range m.Vals[q] {
+				_ = binary.Write(h, binary.LittleEndian, blk)
+			}
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != c.want {
+			t.Errorf("GenQCDLike(%d, %d, seed %d) digest %s, want %s", c.rows, c.bpr, c.seed, got, c.want)
+		}
+	}
+	allocs := testing.AllocsPerRun(2, func() {
+		if _, err := GenQCDLike(8192, 9, rand.New(rand.NewSource(5))); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 8 {
+		t.Errorf("GenQCDLike(8192, 9) makes %.0f allocations, want at most 8", allocs)
 	}
 }
 
