@@ -9,10 +9,17 @@
 // to arbitrary bank counts (the paper's §5.2 proposes a prime count
 // such as 17) — its future-work item 2, a general bank-conflict
 // simulator driven by actual addresses.
+//
+// Most half-warp accesses are conflict-free, so the count first ORs
+// each lane's bank into a 64-bit mask and returns 1 when no bank
+// repeats. On a power-of-two bank count a lane's bank is a shift and
+// a mask, so that path does no division. Broadcasts, conflicts and
+// a lane on a bank above 63 take the general dedup-and-count path.
 package bank
 
 import (
 	"fmt"
+	"math/bits"
 
 	"gpuperf/internal/gpu"
 )
@@ -21,6 +28,8 @@ import (
 type Sim struct {
 	banks     int
 	wordBytes int
+	shift     uint32 // log2(wordBytes)
+	mask      uint32 // banks-1 for a power-of-two count above 1, else 0
 }
 
 // New creates a simulator; banks must be positive, wordBytes a
@@ -32,7 +41,11 @@ func New(banks, wordBytes int) (*Sim, error) {
 	if wordBytes <= 0 || wordBytes&(wordBytes-1) != 0 {
 		return nil, fmt.Errorf("bank: word size %d not a positive power of two", wordBytes)
 	}
-	return &Sim{banks: banks, wordBytes: wordBytes}, nil
+	s := &Sim{banks: banks, wordBytes: wordBytes, shift: uint32(bits.TrailingZeros(uint(wordBytes)))}
+	if banks > 1 && banks&(banks-1) == 0 {
+		s.mask = uint32(banks - 1)
+	}
+	return s, nil
 }
 
 // ForGPU builds the simulator for a device configuration.
@@ -65,16 +78,40 @@ func (s *Sim) Transactions(addrs []uint32) int {
 	return s.transactionsLarge(addrs)
 }
 
+// bank returns the bank of a word index.
+func (s *Sim) bank(word uint32) uint32 {
+	if s.mask != 0 {
+		return word & s.mask
+	}
+	return word % uint32(s.banks)
+}
+
 // transactionsHalfWarp is the allocation-free conflict count for up
-// to 16 lanes: dedup the words into a fixed array, then take the
-// densest bank by an O(n²) scan — at n ≤ 16 that is at most 256
-// compares on registers, far cheaper than building per-bank tables.
+// to 16 lanes. A half-warp whose lanes all hit distinct banks below
+// 64 costs one transaction, which a 64-bit bank mask shows. Any other
+// access (a broadcast, a conflict, a bank above 63) dedups the words
+// into a fixed array, then takes the densest bank by an O(n²) scan —
+// at n ≤ 16 that is at most 256 compares on registers, far cheaper
+// than building per-bank tables.
 func (s *Sim) transactionsHalfWarp(addrs []uint32) int {
+	var used uint64
+	for _, a := range addrs {
+		b := s.bank(a >> s.shift)
+		if b >= 64 || used&(1<<b) != 0 {
+			return s.countHalfWarp(addrs)
+		}
+		used |= 1 << b
+	}
+	return 1
+}
+
+// countHalfWarp is transactionsHalfWarp's general count.
+func (s *Sim) countHalfWarp(addrs []uint32) int {
 	var words [gpu.HalfWarp]uint32
 	n := 0
 outer:
 	for _, a := range addrs {
-		w := a / uint32(s.wordBytes)
+		w := a >> s.shift
 		for i := 0; i < n; i++ {
 			if words[i] == w {
 				continue outer
@@ -85,7 +122,7 @@ outer:
 	}
 	var bankOf [gpu.HalfWarp]uint32
 	for i := 0; i < n; i++ {
-		bankOf[i] = words[i] % uint32(s.banks)
+		bankOf[i] = s.bank(words[i])
 	}
 	maxWords := 0
 	for i := 0; i < n; i++ {

@@ -1,6 +1,7 @@
 package bank
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -198,5 +199,88 @@ func TestConflictBoundsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
+	}
+}
+
+// refTransactions is the half-warp count without the fast path: dedup
+// the words, then take the densest bank by a quadratic scan.
+func refTransactions(banks, wordBytes int, addrs []uint32) int {
+	var words [16]uint32
+	n := 0
+outer:
+	for _, a := range addrs {
+		w := a / uint32(wordBytes)
+		for i := 0; i < n; i++ {
+			if words[i] == w {
+				continue outer
+			}
+		}
+		words[n] = w
+		n++
+	}
+	var bankOf [16]uint32
+	for i := 0; i < n; i++ {
+		bankOf[i] = words[i] % uint32(banks)
+	}
+	maxWords := 0
+	for i := 0; i < n; i++ {
+		c := 1
+		for j := 0; j < i; j++ {
+			if bankOf[j] == bankOf[i] {
+				c = 0 // bank already counted at its first word
+				break
+			}
+		}
+		if c == 0 {
+			continue
+		}
+		for j := i + 1; j < n; j++ {
+			if bankOf[j] == bankOf[i] {
+				c++
+			}
+		}
+		if c > maxWords {
+			maxWords = c
+		}
+	}
+	return maxWords
+}
+
+// TestTransactionsMatchesReference compares Transactions with the
+// reference on random half-warps of 1–16 lanes, for bank counts on
+// both sides of the 64-bit fast-path mask, prime and power-of-two, and
+// for several word sizes. Addresses are uniform, from a small range
+// (broadcasts and conflicts), strided, or clustered around a few
+// bases, so every branch of the fast path is taken.
+func TestTransactionsMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	gens := []struct {
+		name string
+		addr func(lane int, p [2]uint32) uint32
+	}{
+		{"random", func(int, [2]uint32) uint32 { return rng.Uint32() }},
+		{"small-range", func(_ int, p [2]uint32) uint32 { return p[0] + uint32(rng.Intn(64)) }},
+		{"strided", func(lane int, p [2]uint32) uint32 { return p[0] + uint32(lane)*p[1] }},
+		{"clustered", func(_ int, p [2]uint32) uint32 {
+			return p[0] + uint32(rng.Intn(4))*p[1]*64 + uint32(rng.Intn(8))
+		}},
+	}
+	for _, banks := range []int{1, 2, 3, 16, 17, 32, 64, 65} {
+		for _, wordBytes := range []int{1, 4, 8} {
+			s := mustSim(t, banks, wordBytes)
+			for _, g := range gens {
+				for i := 0; i < 2000; i++ {
+					p := [2]uint32{rng.Uint32() >> 1, uint32(rng.Intn(130))}
+					addrs := make([]uint32, 1+rng.Intn(16))
+					for lane := range addrs {
+						addrs[lane] = g.addr(lane, p)
+					}
+					if got, want := s.Transactions(addrs), refTransactions(banks, wordBytes, addrs); got != want {
+						t.Fatalf("%d banks, %d-byte words, %s: Transactions(%v) = %d, reference %d",
+							banks, wordBytes, g.name, addrs, got, want)
+					}
+				}
+			}
+		}
 	}
 }
