@@ -24,18 +24,19 @@
 //     round-robin initial placement and refill on completion.
 //
 // Allocation contract: a run allocates per run and per block, never
-// per event. The event queue is a min-heap of distinct (cycle, issued)
-// keys, each naming a FIFO bucket of warps; its heap, bucket pool and
-// key index are sized for the initial dispatch and hold at most one
-// key per live warp. The per-event path (sim.stepWarp,
-// eventQueue.push, eventQueue.pop) is made of //gpuperf:noalloc roots.
-// TestRunAllocsIndependentOfEvents pins it: allocs/run stay flat when
-// a launch's event count grows 16-fold.
+// per event. The event queue is a min-heap of FIFO buckets of warps
+// keyed by (cycle, issued), found through a fixed slot index; its
+// heap, bucket pool and free list are sized for the initial dispatch
+// and hold at most one bucket per live warp. The per-event path
+// (sim.stepWarp, eventQueue.push, eventQueue.pop) is made of
+// //gpuperf:noalloc roots. TestRunAllocsIndependentOfEvents pins it:
+// allocs/run stay flat when a launch's event count grows 16-fold.
 package device
 
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"gpuperf/internal/bank"
 	"gpuperf/internal/barra"
@@ -139,44 +140,58 @@ type key struct {
 	issued int64
 }
 
-// before orders by time, then by warp progress (fewest instructions
-// issued first — the hardware's fair round-robin selection; without
-// this, greedy ordering forms convoys that leave issue slots idle).
-func (k key) before(o key) bool {
-	if k.t != o.t {
-		return k.t < o.t
-	}
-	return k.issued < o.issued
+// slot hashes k into eventQueue.index: a multiplicative hash of the
+// cycle's bits and the issued count, top byte.
+func (k key) slot() uint8 {
+	return uint8((math.Float64bits(k.t) ^ uint64(k.issued)) * 0x9e3779b97f4a7c15 >> 56)
 }
 
-// entry is one heap element: a distinct key and the bucket that holds
-// its warps.
+// entry is one heap element: a key, the creation count of the bucket
+// that holds its warps, and that bucket. A key has more than one live
+// bucket only after a slot collision; seq pops the older one first.
 type entry struct {
 	key
-	b int32
+	seq int64
+	b   int32
+}
+
+// before orders by time, then by warp progress (fewest instructions
+// issued first — the hardware's fair round-robin selection; without
+// this, greedy ordering forms convoys that leave issue slots idle),
+// then by bucket age.
+func (e entry) before(o entry) bool {
+	if e.t != o.t {
+		return e.t < o.t
+	}
+	if e.issued != o.issued {
+		return e.issued < o.issued
+	}
+	return e.seq < o.seq
 }
 
 // bucket is a FIFO list of the warps queued under one key, threaded
-// through simWarp.next.
-type bucket struct{ head, tail *simWarp }
+// through simWarp.next. A drained bucket has a nil head.
+type bucket struct {
+	key
+	head, tail *simWarp
+}
 
 // eventQueue pops warps in (t, issued, schedule order) order. It is a
-// binary min-heap over the distinct keys in the queue; each heap
-// entry names a bucket that receives its warps in schedule order, and
-// index maps a queued key to its bucket, so a push onto a queued key
-// is an append. Heap keys are distinct and a bucket is FIFO, so the
-// pop sequence is fixed by the pushes alone, not by the heap's
-// layout. A warp must not be queued twice: the second push would
-// corrupt its bucket list.
+// binary min-heap of buckets ordered by (key, creation count); each
+// bucket receives the warps pushed under its key in schedule order.
+// index[k.slot()] is 1 + the newest bucket made for a key in that
+// slot (0: none), so a push onto a key whose newest bucket is live
+// is an append, and any other push makes a bucket. All of a key's
+// older buckets were made before and stopped receiving pushes before
+// its newest, and each bucket is FIFO, so the pop sequence is fixed
+// by the pushes alone, not by the heap's layout or by collisions. A
+// warp must not be queued twice: the second push would corrupt its
+// bucket list.
 type eventQueue struct {
 	heap    []entry
 	buckets []bucket // pool, indexed by entry.b
 	free    []int32  // drained buckets
-	index   map[key]int32
-	// last caches the most recently pushed key's bucket: the warps
-	// that lose a unit at one cycle all re-queue at its free cycle.
-	// Its t is -1, a cycle no event has, while it caches nothing.
-	last entry
+	index   [256]int32
 
 	pops, made int64 // warps popped and buckets made in this run
 }
@@ -187,8 +202,6 @@ func newEventQueue(n int) eventQueue {
 		heap:    make([]entry, 0, n),
 		buckets: make([]bucket, 0, n),
 		free:    make([]int32, 0, n),
-		index:   make(map[key]int32, n),
-		last:    entry{key: key{t: -1}},
 	}
 }
 
@@ -198,14 +211,13 @@ func newEventQueue(n int) eventQueue {
 //gpuperf:noalloc
 func (q *eventQueue) push(w *simWarp, t float64) {
 	k := key{t, w.issued}
-	if q.last.key != k {
-		b, ok := q.index[k]
-		if !ok {
-			b = q.newBucket(k)
-		}
-		q.last = entry{k, b}
+	i := k.slot()
+	b := q.index[i] - 1
+	if b < 0 || q.buckets[b].head == nil || q.buckets[b].key != k {
+		b = q.newBucket(k)
+		q.index[i] = b + 1
 	}
-	bk := &q.buckets[q.last.b]
+	bk := &q.buckets[b]
 	if bk.tail == nil {
 		bk.head = w
 	} else {
@@ -223,15 +235,15 @@ func (q *eventQueue) newBucket(k key) int32 {
 		q.free = q.free[:n-1]
 	} else {
 		b = int32(len(q.buckets))
-		q.buckets = append(q.buckets, bucket{}) //gpuperf:alloc-ok amortized growth; one bucket per distinct queued key
+		q.buckets = append(q.buckets, bucket{}) //gpuperf:alloc-ok amortized growth; one bucket per queued warp at most
 	}
-	q.index[k] = b //gpuperf:alloc-ok amortized growth; one entry per distinct queued key
-	e := entry{k, b}
-	h := append(q.heap, e) //gpuperf:alloc-ok amortized growth; one entry per distinct queued key
+	q.buckets[b].key = k
+	e := entry{k, q.made, b}
+	h := append(q.heap, e) //gpuperf:alloc-ok amortized growth; one entry per live bucket
 	i := len(h) - 1
 	for i > 0 {
 		p := (i - 1) / 2
-		if !e.before(h[p].key) {
+		if !e.before(h[p]) {
 			break
 		}
 		h[i] = h[p]
@@ -256,11 +268,7 @@ func (q *eventQueue) pop() (*simWarp, float64) {
 		return w, top.t
 	}
 	bk.tail = nil
-	delete(q.index, top.key)
 	q.free = append(q.free, top.b) //gpuperf:alloc-ok amortized growth; one slot per bucket in the pool
-	if q.last.b == top.b {
-		q.last.t = -1
-	}
 	h := q.heap
 	n := len(h) - 1
 	last := h[n]
@@ -271,10 +279,10 @@ func (q *eventQueue) pop() (*simWarp, float64) {
 		if c >= n {
 			break
 		}
-		if c+1 < n && h[c+1].before(h[c].key) {
+		if c+1 < n && h[c+1].before(h[c]) {
 			c++
 		}
-		if !h[c].before(last.key) {
+		if !h[c].before(last) {
 			break
 		}
 		h[i] = h[c]
@@ -302,6 +310,14 @@ type simWarp struct {
 	// exempt — its memory-level parallelism is real (paper Fig. 3's
 	// transactions-per-thread axis).
 	issued int64 // instructions issued (scheduler fairness key)
+
+	// in, class and ready cache the next instruction, its class and
+	// the cycle its dependencies allow it to issue; ready < 0 marks
+	// them stale. Only the warp's own issue and a barrier release
+	// write the state depsReady reads.
+	in    *isa.Instruction
+	class isa.Class
+	ready float64
 
 	waiting bool     // parked at a barrier; has no queued event
 	next    *simWarp // successor in its eventQueue bucket
@@ -503,6 +519,7 @@ func (s *sim) startBlock(sm *simSM, t float64) error {
 			fw:       fw,
 			block:    blk,
 			regReady: make([]float64, l.Prog.RegsPerThread),
+			ready:    -1,
 		}
 		blk.warps = append(blk.warps, w)
 		s.queue.push(w, t)
@@ -566,19 +583,22 @@ func (s *sim) stepWarp(w *simWarp, now float64) (exited bool, err error) {
 		return false, fmt.Errorf("device: instruction budget exhausted (%d) — runaway kernel %q?",
 			s.budget, s.launch.Prog.Name)
 	}
-	pc := w.fw.PC()
-	if pc >= len(s.launch.Prog.Code) {
-		// The warp ran past its last instruction; Step reports it.
-		return false, w.fw.Step(&s.info)
+	if w.ready < 0 {
+		pc := w.fw.PC()
+		if pc >= len(s.launch.Prog.Code) {
+			// The warp ran past its last instruction; Step reports it.
+			return false, w.fw.Step(&s.info)
+		}
+		w.in = &s.launch.Prog.Code[pc]
+		w.class = isa.ClassOf(w.in.Op)
+		w.ready = s.depsReady(w, w.in)
 	}
-	in := &s.launch.Prog.Code[pc]
-	class := isa.ClassOf(in.Op)
+	in, class := w.in, w.class
 	sm := w.block.sm
 
 	// Dependency and server availability; reschedule if not yet.
-	ready := s.depsReady(w, in)
-	if ready > now {
-		s.queue.push(w, ready)
+	if w.ready > now {
+		s.queue.push(w, w.ready)
 		return false, nil
 	}
 	if free := sm.unitFree[class]; free > now {
@@ -587,6 +607,7 @@ func (s *sim) stepWarp(w *simWarp, now float64) (exited bool, err error) {
 	}
 
 	// Issue: execute functionally.
+	w.ready = -1
 	if err := w.fw.Step(&s.info); err != nil {
 		return false, err
 	}
@@ -745,6 +766,7 @@ func (s *sim) arriveBarrier(w *simWarp, t float64) {
 			continue
 		}
 		ww.waiting = false
+		ww.ready = -1
 		if ww.nextIssue < t {
 			ww.nextIssue = t
 		}

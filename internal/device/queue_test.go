@@ -84,58 +84,95 @@ func (q *refQueue) pop() refEvent {
 // again and pushes land on the cycle being popped. The simulator
 // itself never pushes at the current cycle.
 func TestEventQueueMatchesReference(t *testing.T) {
-	const nwarps, ops = 48, 20000
 	offsets := []float64{0, 0.5, 1, 2, 4}
 	for seed := int64(1); seed <= 200; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		warps := make([]*simWarp, nwarps)
-		slot := map[*simWarp]int{}
-		for i := range warps {
-			warps[i] = &simWarp{}
-			slot[warps[i]] = i
-		}
-		queued := make([]bool, nwarps)
-		q := newEventQueue(4)
-		var ref refQueue
-		var seq, pops int64
-		now := 0.0
-		pop := func(op int) {
-			if len(q.heap) == 0 {
-				t.Fatalf("seed %d, op %d: queue empty, reference holds %d events", seed, op, len(ref))
+		driveAgainstReference(t, seed, func(rng *rand.Rand, now float64) key {
+			issued := int64(rng.Intn(3))
+			return key{now + offsets[rng.Intn(len(offsets))], issued}
+		})
+	}
+}
+
+// TestEventQueueIndexCollisions is the same differential drive, but
+// every push takes one of four keys that share one index slot, so a
+// push often finds its slot naming another key's bucket, a drained
+// bucket, or a bucket since reused for another key, and one key often
+// has two live buckets; random keys share a slot only now and then.
+func TestEventQueueIndexCollisions(t *testing.T) {
+	var keys []key
+	bySlot := map[uint8][]key{}
+	for c := 0; len(keys) == 0; c++ {
+		for issued := int64(0); issued < 3; issued++ {
+			k := key{float64(c) / 2, issued}
+			s := k.slot()
+			bySlot[s] = append(bySlot[s], k)
+			if len(bySlot[s]) == 4 {
+				keys = bySlot[s]
+				break
 			}
-			want := ref.pop()
-			w, at := q.pop()
-			pops++
-			if w != want.warp || at != want.t {
-				t.Fatalf("seed %d, op %d: pop = warp %d at %g, reference warp %d at %g",
-					seed, op, slot[w], at, slot[want.warp], want.t)
-			}
-			queued[slot[w]] = false
-			now = at
 		}
-		// Picking a queued warp pops, so about half the warps stay
-		// queued.
-		for op := 0; op < ops; op++ {
-			i := rng.Intn(nwarps)
-			if queued[i] {
-				pop(op)
-				continue
-			}
-			w := warps[i]
-			w.issued = int64(rng.Intn(3))
-			at := now + offsets[rng.Intn(len(offsets))]
-			seq++
-			q.push(w, at)
-			ref.push(refEvent{t: at, issued: w.issued, seq: seq, warp: w})
-			queued[i] = true
+	}
+	t.Logf("keys sharing slot %d: %v", keys[0].slot(), keys)
+	for seed := int64(1); seed <= 200; seed++ {
+		driveAgainstReference(t, seed, func(rng *rand.Rand, _ float64) key {
+			return keys[rng.Intn(len(keys))]
+		})
+	}
+}
+
+// driveAgainstReference runs one seed of the differential drive,
+// taking each push's key from next. Picking a queued warp pops, so
+// about half the warps stay queued. After the drain every bucket
+// must be back on the free list.
+func driveAgainstReference(t *testing.T, seed int64, next func(rng *rand.Rand, now float64) key) {
+	t.Helper()
+	const nwarps, ops = 48, 20000
+	rng := rand.New(rand.NewSource(seed))
+	warps := make([]*simWarp, nwarps)
+	slot := map[*simWarp]int{}
+	for i := range warps {
+		warps[i] = &simWarp{}
+		slot[warps[i]] = i
+	}
+	queued := make([]bool, nwarps)
+	q := newEventQueue(4)
+	var ref refQueue
+	var seq, pops int64
+	now := 0.0
+	pop := func(op int) {
+		if len(q.heap) == 0 {
+			t.Fatalf("seed %d, op %d: queue empty, reference holds %d events", seed, op, len(ref))
 		}
-		for len(ref) > 0 {
-			pop(ops)
+		want := ref.pop()
+		w, at := q.pop()
+		pops++
+		if w != want.warp || at != want.t {
+			t.Fatalf("seed %d, op %d: pop = warp %d at %g, reference warp %d at %g",
+				seed, op, slot[w], at, slot[want.warp], want.t)
 		}
-		if len(q.heap) != 0 || len(q.index) != 0 || q.pops != pops {
-			t.Fatalf("seed %d: drained queue has %d keys and %d indexed, %d pops counted of %d",
-				seed, len(q.heap), len(q.index), q.pops, pops)
+		queued[slot[w]] = false
+		now = at
+	}
+	for op := 0; op < ops; op++ {
+		i := rng.Intn(nwarps)
+		if queued[i] {
+			pop(op)
+			continue
 		}
+		w := warps[i]
+		k := next(rng, now)
+		w.issued = k.issued
+		seq++
+		q.push(w, k.t)
+		ref.push(refEvent{t: k.t, issued: w.issued, seq: seq, warp: w})
+		queued[i] = true
+	}
+	for len(ref) > 0 {
+		pop(ops)
+	}
+	if len(q.heap) != 0 || len(q.free) != len(q.buckets) || q.pops != pops {
+		t.Fatalf("seed %d: drained queue has %d keys and %d of %d buckets free, %d pops counted of %d",
+			seed, len(q.heap), len(q.free), len(q.buckets), q.pops, pops)
 	}
 }
 
