@@ -180,8 +180,8 @@ type bucket struct {
 // binary min-heap of buckets ordered by (key, creation count); each
 // bucket receives the warps pushed under its key in schedule order.
 // index[k.slot()] is 1 + the newest bucket made for a key in that
-// slot (0: none), so a push onto a key whose newest bucket is live
-// is an append, and any other push makes a bucket. All of a key's
+// slot (0: none). A push whose slot names a live bucket of its key
+// appends to it, and any other push makes a bucket. All of a key's
 // older buckets were made before and stopped receiving pushes before
 // its newest, and each bucket is FIFO, so the pop sequence is fixed
 // by the pushes alone, not by the heap's layout or by collisions. A
