@@ -5,8 +5,9 @@
 // homogeneous-block replay on and off, serially (p1) and with one
 // worker per host core (pN). The Stats are bit-identical across all
 // combinations; only wall clock changes. Every sub-benchmark reports
-// a blocks/s metric, and replayed/op and simulated/op: the last run's
-// replay engine counters (Stats.Engine), exact on any host.
+// a blocks/s metric, and replayed/op, simulated/op and batched/op: the
+// last run's replay and batched-stepping counters (Stats.Engine),
+// exact on any host.
 //
 //	go test -run - -bench BenchmarkRunParallel -benchtime 2x
 package gpuperf
@@ -89,6 +90,7 @@ func BenchmarkRunParallel(b *testing.B) {
 					b.ReportMetric(float64(leg.l.Grid)*float64(b.N)/b.Elapsed().Seconds(), "blocks/s")
 					b.ReportMetric(float64(st.Engine.BlocksReplayed), "replayed/op")
 					b.ReportMetric(float64(st.Engine.BlocksSimulated), "simulated/op")
+					b.ReportMetric(float64(st.Engine.BatchedRuns), "batched/op")
 				})
 			}
 		}

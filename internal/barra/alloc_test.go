@@ -167,3 +167,34 @@ func TestSteadyStateZeroAllocsWithMetrics(t *testing.T) {
 		t.Fatalf("block execution with metrics allocates %.1f times per block; want 0", avg)
 	}
 }
+
+// TestReplayHitAllocs: a replay hit — a block whose lean pass matches
+// a class already simulated — stays allocation-free too. Block 0
+// misses and becomes the class canonical; block 1 then hits on every
+// iteration. Each hit takes its variant shard from sync.Pool, which
+// under the race detector drops a quarter of what it is given back;
+// over 200 hits those refills (two allocations each) stay well below
+// the one allocation per hit that AllocsPerRun's integer average
+// would report.
+func TestReplayHitAllocs(t *testing.T) {
+	ctx := newAllocCtx(t)
+	ctx.replay = newReplayState(ctx.launch.Prog, nil, ctx.cfg.MaxSegmentBytes)
+	w := &worker{ctx: ctx}
+	bs := ctx.stats.shard()
+	hit := func() {
+		if _, err := w.runBlockEngine(1, bs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := w.runBlockEngine(0, bs); err != nil { // miss: builds arenas and the class
+		t.Fatal(err)
+	}
+	hit() // warm-up: grows the undo log
+	avg := testing.AllocsPerRun(200, hit)
+	if w.engMisses != 1 || w.engHits != 202 {
+		t.Fatalf("engine saw %d misses and %d hits; want 1 and 202", w.engMisses, w.engHits)
+	}
+	if avg != 0 {
+		t.Fatalf("a replay hit allocates %.1f times per block; want 0", avg)
+	}
+}

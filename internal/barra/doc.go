@@ -29,9 +29,10 @@
 //     escape-analysis regressions across Go releases).
 //
 // The annotated roots are Warp.Step and Warp.stepRun (the per-
-// instruction interpreter), worker.leanBlock (the homogeneous-block
-// lean pass), worker.record and worker.stageEnd (the live per-step
-// stats accounting), bank.Sim.Transactions, coalesce.Sim.HalfWarpInto
+// instruction interpreter), worker.schedule (the block scheduling
+// loop of both the homogeneous-block lean pass and the live pass),
+// worker.record and worker.stageEnd (the live per-step stats
+// accounting), bank.Sim.Transactions, coalesce.Sim.HalfWarpInto
 // (the per-access memory models), and statsCollector.merge (the
 // per-block stats fold).
 //

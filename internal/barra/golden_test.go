@@ -93,3 +93,27 @@ func TestGoldenStats(t *testing.T) {
 		})
 	}
 }
+
+// goldenEngine pins each golden launch's engine counters — blocks
+// simulated and replayed, batched runs and the instructions they
+// covered — at every parallelism below: the fingerprint above leaves
+// Engine out, so only this test notices a change in how the engine
+// batches or replays.
+var goldenEngine = map[string]barra.EngineStats{
+	"matmul16":       {BlocksSimulated: 1, BlocksReplayed: 15, BatchedRuns: 4128, BatchedInstrs: 67840},
+	"spmv-bell-imiv": {BlocksSimulated: 1, BlocksReplayed: 7, BatchedRuns: 2912, BatchedInstrs: 4384},
+	"cr":             {BlocksSimulated: 1, BlocksReplayed: 15, BatchedRuns: 3792, BatchedInstrs: 11680},
+}
+
+func TestGoldenEngineStats(t *testing.T) {
+	for _, c := range detCases() {
+		t.Run(c.name, func(t *testing.T) {
+			for _, p := range []int{1, 2} {
+				st, _ := runAt(t, c, p)
+				if want := goldenEngine[c.name]; st.Engine != want {
+					t.Errorf("P=%d: Engine = %+v, want %+v", p, st.Engine, want)
+				}
+			}
+		})
+	}
+}

@@ -1,7 +1,6 @@
 package barra
 
 import (
-	"fmt"
 	"math/bits"
 	"sync"
 	"sync/atomic"
@@ -390,11 +389,10 @@ func (w *worker) foldEnvelope(a0, lo, hi uint32) {
 }
 
 // runBlockEngine executes one block on the engine path, recording its
-// statistics into bs: a lean pass (batched functional execution
-// folding the block signature and logging store undos), then replay
-// on a hit or an unwind-and-re-run on a miss. Scheduling (warp order,
-// barrier staging, budget accounting, error cases) mirrors runBlock
-// exactly.
+// statistics into bs: schedule's lean pass (batched functional
+// execution folding the block signature and logging store undos),
+// then replay on a hit or an unwind-and-re-run of schedule's live
+// pass on a miss.
 func (w *worker) runBlockEngine(blockID int, bs *blockStats) (int, error) {
 	rs := w.ctx.replay
 	if w.engMisses >= engineFallbackMisses && w.engHits == 0 {
@@ -412,7 +410,7 @@ func (w *worker) runBlockEngine(blockID int, bs *blockStats) (int, error) {
 	// varBS accumulates the block's data-derived (variant) memory
 	// statistics during the lean pass.
 	varBS := w.ctx.stats.shard()
-	barriers, err := w.leanBlock(varBS)
+	barriers, err := w.schedule(varBS, true)
 	for _, warp := range w.warps {
 		warp.undo = nil
 	}
@@ -430,7 +428,7 @@ func (w *worker) runBlockEngine(blockID int, bs *blockStats) (int, error) {
 	if canon != nil {
 		w.engHits++
 		bs.copyFrom(canon)
-		bs.add(varBS)
+		bs.add(varBS, 1)
 		varBS.release()
 		return barriers, nil
 	}
@@ -456,7 +454,7 @@ func (w *worker) runBlockEngine(blockID int, bs *blockStats) (int, error) {
 		return 0, err
 	}
 	c := bs.clone()
-	c.sub(varBS)
+	c.add(varBS, -1)
 	varBS.release()
 	rs.mu.Lock()
 	if _, dup := rs.classes[sig]; !dup {
@@ -465,133 +463,5 @@ func (w *worker) runBlockEngine(blockID int, bs *blockStats) (int, error) {
 	// A concurrent worker may have inserted the same class first; its
 	// canonical is identical by construction, ours is dropped.
 	rs.mu.Unlock()
-	return barriers, nil
-}
-
-// leanBlock runs the current block functionally to completion,
-// folding the signature and fusing variant memory steps' statistics
-// into varBS. It is runBlock's stepping loop minus the uniform
-// per-step stats work, plus batched stepping: a maximal run of
-// consecutive unguarded, convergent, non-memory instructions executes
-// in one stepRun call. Runs draw their whole budget up front so that
-// run boundaries — which the signature observes — never depend on
-// worker scheduling; only genuine budget exhaustion splits a run.
-//
-//gpuperf:noalloc
-func (w *worker) leanBlock(varBS *blockStats) (int, error) {
-	l := w.ctx.launch
-	e := &w.eng
-	variant := w.ctx.replay.variant
-	stage := 0
-	barriers := 0
-	for {
-		ranAny := false
-		for wi, warp := range w.warps {
-			if warp.Done() || w.atBarrier[wi] {
-				continue
-			}
-			e.fold(sigWarp | uint64(uint32(wi))<<8)
-			for {
-				if !warp.Diverged() {
-					s := &warp.splits[0]
-					if s.pc >= 0 && s.pc < len(warp.meta) {
-						if n := int64(warp.meta[s.pc].run); n > 0 {
-							for n > w.avail {
-								if w.ctx.failed.Load() {
-									return 0, errCancelled
-								}
-								if err := w.ctx.cancelled(); err != nil {
-									return 0, err
-								}
-								got := w.ctx.reserveBudget()
-								if got == 0 {
-									break
-								}
-								w.avail += got
-							}
-							if n > w.avail {
-								n = w.avail // budget nearly gone: split, abort below
-							}
-							if n > 0 {
-								pc := s.pc
-								mask := s.mask
-								if err := warp.stepRun(int(n)); err != nil {
-									return 0, err
-								}
-								w.avail -= n
-								e.charged += n
-								e.runs++
-								e.instrs += n
-								e.fold(sigRun | uint64(uint32(pc))<<8 | uint64(mask)<<32)
-								e.fold(uint64(n))
-								continue
-							}
-						}
-					}
-				}
-				if w.avail == 0 {
-					if w.ctx.failed.Load() {
-						return 0, errCancelled
-					}
-					if err := w.ctx.cancelled(); err != nil {
-						return 0, err
-					}
-					w.avail = w.ctx.reserveBudget()
-					if w.avail == 0 {
-						return 0, fmt.Errorf("barra: instruction budget exhausted (%d warp instructions across the run) — runaway kernel %q?",
-							w.ctx.maxInstr, l.Prog.Name)
-					}
-				}
-				if err := warp.Step(&w.info); err != nil {
-					return 0, err
-				}
-				w.avail--
-				e.charged++
-				w.foldStep()
-				if variant[w.info.PC] {
-					w.account(varBS, stage)
-				}
-				if w.info.Barrier {
-					w.atBarrier[wi] = true
-					break
-				}
-				if w.info.Done {
-					break
-				}
-			}
-			ranAny = true
-		}
-
-		allDone := true
-		allBlocked := true
-		anyExited := false
-		for wi, warp := range w.warps {
-			if warp.Done() {
-				anyExited = true
-				continue
-			}
-			allDone = false
-			if !w.atBarrier[wi] {
-				allBlocked = false
-			}
-		}
-		if allDone {
-			break
-		}
-		if allBlocked {
-			if anyExited {
-				return 0, fmt.Errorf("barra: %q: warps wait at a barrier after others exited", l.Prog.Name)
-			}
-			clear(w.atBarrier)
-			e.fold(sigStage)
-			stage++
-			barriers++
-			continue
-		}
-		if !ranAny {
-			return 0, fmt.Errorf("barra: deadlock in %q: warps blocked at a barrier while others exited", l.Prog.Name)
-		}
-	}
-	e.fold(sigStage)
 	return barriers, nil
 }

@@ -180,56 +180,30 @@ func (s *Stats) DivergenceOverhead() float64 {
 	return float64(saved) / float64(s.Total.WarpInstrs)
 }
 
-func accumulate(dst, src *StageStats) {
-	dst.WarpInstrs += src.WarpInstrs
+// accumulate adds sign·src to dst, field by field: sign 1 folds a
+// shard in, sign −1 strips it out again (see blockStats.add).
+func accumulate(dst, src *StageStats, sign int64) {
+	dst.WarpInstrs += sign * src.WarpInstrs
 	for c := range dst.ByClass {
-		dst.ByClass[c] += src.ByClass[c]
+		dst.ByClass[c] += sign * src.ByClass[c]
 	}
-	dst.FMADs += src.FMADs
-	dst.SharedAccesses += src.SharedAccesses
-	dst.SharedTx += src.SharedTx
-	dst.SharedTxNoConflict += src.SharedTxNoConflict
-	dst.SharedBytes += src.SharedBytes
-	dst.Global.Transactions += src.Global.Transactions
-	dst.Global.Bytes += src.Global.Bytes
-	dst.GlobalUsefulBytes += src.GlobalUsefulBytes
-	dst.GlobalRequests += src.GlobalRequests
+	dst.FMADs += sign * src.FMADs
+	dst.SharedAccesses += sign * src.SharedAccesses
+	dst.SharedTx += sign * src.SharedTx
+	dst.SharedTxNoConflict += sign * src.SharedTxNoConflict
+	dst.SharedBytes += sign * src.SharedBytes
+	dst.Global.Transactions += sign * src.Global.Transactions
+	dst.Global.Bytes += sign * src.Global.Bytes
+	dst.GlobalUsefulBytes += sign * src.GlobalUsefulBytes
+	dst.GlobalRequests += sign * src.GlobalRequests
 	for c := range dst.DivByClass {
-		dst.DivByClass[c] += src.DivByClass[c]
+		dst.DivByClass[c] += sign * src.DivByClass[c]
 	}
-	dst.DivActiveLanes += src.DivActiveLanes
+	dst.DivActiveLanes += sign * src.DivActiveLanes
 	for d := range dst.ConflictDeg {
-		dst.ConflictDeg[d] += src.ConflictDeg[d]
+		dst.ConflictDeg[d] += sign * src.ConflictDeg[d]
 	}
-	dst.WarpsWithWork += src.WarpsWithWork
-}
-
-// deaccumulate is accumulate's exact inverse: dst -= src, field by
-// field. The replay engine uses it to strip a block's data-derived
-// (variant) contributions out of its full shard, leaving the
-// class-invariant uniform shard (see replay.go).
-func deaccumulate(dst, src *StageStats) {
-	dst.WarpInstrs -= src.WarpInstrs
-	for c := range dst.ByClass {
-		dst.ByClass[c] -= src.ByClass[c]
-	}
-	dst.FMADs -= src.FMADs
-	dst.SharedAccesses -= src.SharedAccesses
-	dst.SharedTx -= src.SharedTx
-	dst.SharedTxNoConflict -= src.SharedTxNoConflict
-	dst.SharedBytes -= src.SharedBytes
-	dst.Global.Transactions -= src.Global.Transactions
-	dst.Global.Bytes -= src.Global.Bytes
-	dst.GlobalUsefulBytes -= src.GlobalUsefulBytes
-	dst.GlobalRequests -= src.GlobalRequests
-	for c := range dst.DivByClass {
-		dst.DivByClass[c] -= src.DivByClass[c]
-	}
-	dst.DivActiveLanes -= src.DivActiveLanes
-	for d := range dst.ConflictDeg {
-		dst.ConflictDeg[d] -= src.ConflictDeg[d]
-	}
-	dst.WarpsWithWork -= src.WarpsWithWork
+	dst.WarpsWithWork += sign * src.WarpsWithWork
 }
 
 // statsCollector builds one run's *Stats. Blocks record into
@@ -330,47 +304,27 @@ func (b *blockStats) copyFrom(src *blockStats) {
 	copy(b.regionUseful, src.regionUseful)
 }
 
-// add folds src's counters into b, field by field. Both shards must
-// come from the same run. Stages b lacks are created — a
-// variant shard can end before the block's last stage.
-func (b *blockStats) add(src *blockStats) {
+// add adds sign·src to b, field by field. Both shards must come from
+// the same run. Stages b lacks are created — a variant shard can end
+// before the block's last stage. Sign 1 folds a block's variant shard
+// into a replayed block's shard; sign −1 strips it out of the block's
+// full shard, leaving the class's uniform shard (see replay.go).
+func (b *blockStats) add(src *blockStats, sign int64) {
 	for i := range src.stages {
-		accumulate(b.stage(i), &src.stages[i])
+		accumulate(b.stage(i), &src.stages[i], sign)
 	}
 	for i := range src.globalAt {
-		b.globalAt[i].Transactions += src.globalAt[i].Transactions
-		b.globalAt[i].Bytes += src.globalAt[i].Bytes
+		b.globalAt[i].Transactions += sign * src.globalAt[i].Transactions
+		b.globalAt[i].Bytes += sign * src.globalAt[i].Bytes
 	}
 	for ri := range src.regionTraffic {
 		for si := range src.regionTraffic[ri] {
-			b.regionTraffic[ri][si].Transactions += src.regionTraffic[ri][si].Transactions
-			b.regionTraffic[ri][si].Bytes += src.regionTraffic[ri][si].Bytes
+			b.regionTraffic[ri][si].Transactions += sign * src.regionTraffic[ri][si].Transactions
+			b.regionTraffic[ri][si].Bytes += sign * src.regionTraffic[ri][si].Bytes
 		}
 	}
 	for ri := range src.regionUseful {
-		b.regionUseful[ri] += src.regionUseful[ri]
-	}
-}
-
-// sub removes src's counters from b — add's exact inverse. src must
-// be a subset of b's activity (a block's variant shard subtracted
-// from the same block's full shard).
-func (b *blockStats) sub(src *blockStats) {
-	for i := range src.stages {
-		deaccumulate(b.stage(i), &src.stages[i])
-	}
-	for i := range src.globalAt {
-		b.globalAt[i].Transactions -= src.globalAt[i].Transactions
-		b.globalAt[i].Bytes -= src.globalAt[i].Bytes
-	}
-	for ri := range src.regionTraffic {
-		for si := range src.regionTraffic[ri] {
-			b.regionTraffic[ri][si].Transactions -= src.regionTraffic[ri][si].Transactions
-			b.regionTraffic[ri][si].Bytes -= src.regionTraffic[ri][si].Bytes
-		}
-	}
-	for ri := range src.regionUseful {
-		b.regionUseful[ri] -= src.regionUseful[ri]
+		b.regionUseful[ri] += sign * src.regionUseful[ri]
 	}
 }
 
@@ -425,7 +379,7 @@ func (c *statsCollector) merge(blockID int, bs *blockStats, barriers int) {
 		for len(s.Stages) <= i {
 			s.Stages = append(s.Stages, StageStats{}) //gpuperf:alloc-ok bounded by the kernel's stage count, once per run
 		}
-		accumulate(&s.Stages[i], &bs.stages[i])
+		accumulate(&s.Stages[i], &bs.stages[i], 1)
 	}
 	for si, seg := range c.segs {
 		t := s.GlobalAt[seg]
@@ -448,7 +402,7 @@ func (c *statsCollector) merge(blockID int, bs *blockStats, barriers int) {
 // finish computes the run totals after all blocks have merged.
 func (c *statsCollector) finish() *Stats {
 	for i := range c.stats.Stages {
-		accumulate(&c.stats.Total, &c.stats.Stages[i])
+		accumulate(&c.stats.Total, &c.stats.Stages[i], 1)
 	}
 	return c.stats
 }

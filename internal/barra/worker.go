@@ -62,24 +62,6 @@ type runContext struct {
 	failed    atomic.Bool
 }
 
-// reserveBudget draws up to budgetBatch instructions from the shared
-// pool, returning 0 when the run's budget is exhausted.
-func (ctx *runContext) reserveBudget() int64 {
-	for {
-		rem := ctx.budget.Load()
-		if rem <= 0 {
-			return 0
-		}
-		n := rem
-		if n > budgetBatch {
-			n = budgetBatch
-		}
-		if ctx.budget.CompareAndSwap(rem, rem-n) {
-			return n
-		}
-	}
-}
-
 // errCancelled marks a worker stopped because a sibling failed first;
 // the sibling's error is the one reported.
 var errCancelled = fmt.Errorf("barra: run cancelled by another worker's failure")
@@ -161,42 +143,118 @@ func (w *worker) initBlock(blockID int) error {
 	return nil
 }
 
-// runBlock executes one block to completion, recording its statistics
-// into bs, and returns its barrier count.
+// runBlock executes one block live to completion, recording its
+// statistics into bs, and returns its barrier count.
 func (w *worker) runBlock(blockID int, bs *blockStats) (int, error) {
 	if err := w.initBlock(blockID); err != nil {
 		return 0, err
 	}
-	l := w.ctx.launch
+	return w.schedule(bs, false)
+}
 
-	stage := 0
-	barriers := 0
-	for {
-		ranAny := false
+// reserve tops the worker's instruction-budget reservation up to n
+// warp instructions, or to whatever the run has left, drawing from
+// the shared pool in budgetBatch chunks. It fails when a sibling
+// worker has failed, the caller's context is done, or the run's
+// budget is spent.
+func (w *worker) reserve(n int64) error {
+	ctx := w.ctx
+	if ctx.failed.Load() {
+		return errCancelled
+	}
+	if err := ctx.cancelled(); err != nil {
+		return err
+	}
+	for w.avail < n {
+		rem := ctx.budget.Load()
+		if rem <= 0 {
+			break
+		}
+		got := min(rem, budgetBatch)
+		if ctx.budget.CompareAndSwap(rem, rem-got) {
+			w.avail += got
+		}
+	}
+	if w.avail == 0 {
+		return fmt.Errorf("barra: instruction budget exhausted (%d warp instructions across the run) — runaway kernel %q?",
+			ctx.maxInstr, ctx.launch.Prog.Name)
+	}
+	return nil
+}
+
+// schedule runs the current block to completion and returns its
+// barrier count. Warps take turns in warp order, each running until
+// it waits at a barrier or exits; once every warp waits, the barrier
+// releases and the next stage begins.
+//
+// The live pass (lean false) records every step into bs. The replay
+// engine's lean pass (lean true, see replay.go) instead folds the
+// block signature — a warp event per turn, a stage event per stage
+// end — accounts only variant steps into bs, and executes a
+// convergent warp's maximal run of unguarded non-memory instructions
+// in one stepRun. A run draws its whole budget up front, so run
+// boundaries, which the signature observes, never depend on worker
+// scheduling; only genuine budget exhaustion splits a run.
+//
+//gpuperf:noalloc
+func (w *worker) schedule(bs *blockStats, lean bool) (int, error) {
+	e := &w.eng
+	var variant []bool
+	if lean {
+		variant = w.ctx.replay.variant
+	}
+	for stage := 0; ; stage++ {
 		for wi, warp := range w.warps {
 			if warp.Done() || w.atBarrier[wi] {
 				continue
 			}
+			if lean {
+				e.fold(sigWarp | uint64(uint32(wi))<<8)
+			}
 			// Run this warp until it blocks.
 			for {
+				if lean && !warp.Diverged() {
+					s := &warp.splits[0]
+					if s.pc >= 0 && s.pc < len(warp.meta) {
+						if n := int64(warp.meta[s.pc].run); n > 0 {
+							if n > w.avail {
+								if err := w.reserve(n); err != nil {
+									return 0, err
+								}
+								n = min(n, w.avail) // budget nearly gone: split, abort on the next step
+							}
+							pc, mask := s.pc, s.mask
+							if err := warp.stepRun(int(n)); err != nil {
+								return 0, err
+							}
+							w.avail -= n
+							e.charged += n
+							e.runs++
+							e.instrs += n
+							e.fold(sigRun | uint64(uint32(pc))<<8 | uint64(mask)<<32)
+							e.fold(uint64(n))
+							continue
+						}
+					}
+				}
 				if w.avail == 0 {
-					if w.ctx.failed.Load() {
-						return 0, errCancelled
-					}
-					if err := w.ctx.cancelled(); err != nil {
+					if err := w.reserve(1); err != nil {
 						return 0, err
-					}
-					w.avail = w.ctx.reserveBudget()
-					if w.avail == 0 {
-						return 0, fmt.Errorf("barra: instruction budget exhausted (%d warp instructions across the run) — runaway kernel %q?",
-							w.ctx.maxInstr, l.Prog.Name)
 					}
 				}
 				if err := warp.Step(&w.info); err != nil {
 					return 0, err
 				}
 				w.avail--
-				w.record(bs, stage, wi)
+				if lean {
+					e.charged++
+					w.foldStep()
+					if variant[w.info.PC] {
+						w.account(bs, stage)
+					}
+				} else {
+					w.record(bs, stage, wi)
+				}
 				if w.info.Barrier {
 					w.atBarrier[wi] = true
 					break
@@ -205,44 +263,31 @@ func (w *worker) runBlock(blockID int, bs *blockStats) (int, error) {
 					break
 				}
 			}
-			ranAny = true
 		}
 
-		allDone := true
-		allBlocked := true
-		anyExited := false
-		for wi, warp := range w.warps {
+		// Every warp now waits at a barrier or has exited.
+		exited := 0
+		for _, warp := range w.warps {
 			if warp.Done() {
-				anyExited = true
-				continue
-			}
-			allDone = false
-			if !w.atBarrier[wi] {
-				allBlocked = false
+				exited++
 			}
 		}
-		if allDone {
-			break
+		if exited > 0 && exited < len(w.warps) {
+			// A warp exited while siblings wait at a barrier:
+			// undefined behaviour on hardware, a bug here.
+			return 0, fmt.Errorf("barra: %q: warps wait at a barrier after others exited", w.ctx.launch.Prog.Name)
 		}
-		if allBlocked {
-			if anyExited {
-				// A warp exited while siblings wait at a barrier:
-				// undefined behaviour on hardware, a bug here.
-				return 0, fmt.Errorf("barra: %q: warps wait at a barrier after others exited", l.Prog.Name)
-			}
-			// Barrier release: everyone advances to the next stage.
-			clear(w.atBarrier)
+		if lean {
+			e.fold(sigStage)
+		} else {
 			w.stageEnd(bs, stage)
-			stage++
-			barriers++
-			continue
 		}
-		if !ranAny {
-			return 0, fmt.Errorf("barra: deadlock in %q: warps blocked at a barrier while others exited", l.Prog.Name)
+		if exited > 0 {
+			return stage, nil // one barrier release per earlier stage
 		}
+		// Barrier release: everyone advances to the next stage.
+		clear(w.atBarrier)
 	}
-	w.stageEnd(bs, stage)
-	return barriers, nil
 }
 
 // stageEnd closes a stage of bs and resets the per-warp work

@@ -158,7 +158,6 @@ func (s *Suite) Figure12() (*Table, error) {
 			vecLo, vecHi := vectorRegion(sp)
 			var tc *texcache.Cache
 			lastBlock := -1
-			var hookErr error
 			opt := s.runOptions()
 			opt.Regions = sp.Regions()
 			if cache {
@@ -167,7 +166,7 @@ func (s *Suite) Figure12() (*Table, error) {
 					return nil, err
 				}
 				opt.GlobalAccessHook = func(blockID int, load bool, addrs []uint32) {
-					if !load || hookErr != nil {
+					if !load {
 						return
 					}
 					if blockID != lastBlock {
@@ -190,9 +189,6 @@ func (s *Suite) Figure12() (*Table, error) {
 			st, err := barra.Run(s.ChipSlice(), sp.Launch(), mem, opt)
 			if err != nil {
 				return nil, err
-			}
-			if hookErr != nil {
-				return nil, hookErr
 			}
 			est, err := model.Analyze(cal, sp.Launch(), st)
 			if err != nil {

@@ -155,7 +155,7 @@ func (s *Store) admit(sub *Submission, evict bool) {
 		return
 	}
 	for (len(s.byID) > s.cfg.MaxCount || s.bytes > s.cfg.MaxBytes) && s.order.Len() > 1 {
-		s.removeLocked(s.order.Back(), true)
+		s.removeLocked(s.order.Back())
 	}
 }
 
@@ -209,7 +209,7 @@ func (s *Store) Delete(id string) bool {
 	if !ok {
 		return false
 	}
-	s.removeLocked(el, true)
+	s.removeLocked(el)
 	return true
 }
 
@@ -245,11 +245,13 @@ func (s *Store) expireLocked() {
 		}
 	}
 	for _, el := range dead {
-		s.removeLocked(el, true)
+		s.removeLocked(el)
 	}
 }
 
-func (s *Store) removeLocked(el *list.Element, notify bool) {
+// removeLocked drops a live submission and its slot file. Leaving the
+// store for any reason counts as an eviction.
+func (s *Store) removeLocked(el *list.Element) {
 	sub := el.Value.(*Submission)
 	s.order.Remove(el)
 	delete(s.byID, sub.ID)
@@ -257,12 +259,8 @@ func (s *Store) removeLocked(el *list.Element, notify bool) {
 	if path := s.SlotPath(sub.ID); path != "" {
 		os.Remove(path)
 	}
-	if notify {
-		// Boot-time reload dedup (notify=false) is not an eviction; a
-		// live submission leaving the store for any reason is.
-		s.evictions++
-	}
-	if notify && s.cfg.OnEvict != nil {
+	s.evictions++
+	if s.cfg.OnEvict != nil {
 		s.cfg.OnEvict(sub)
 	}
 }

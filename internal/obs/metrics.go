@@ -292,17 +292,6 @@ func (r *Registry) NewCounterVec(name, help string, labels ...string) *CounterVe
 // first use.
 func (v *CounterVec) With(values ...string) *Counter { return v.f.get(values).counter }
 
-// GaugeVec is a gauge family keyed by label values.
-type GaugeVec struct{ f *family }
-
-// NewGaugeVec registers (or fetches) a labeled gauge family.
-func (r *Registry) NewGaugeVec(name, help string, labels ...string) *GaugeVec {
-	return &GaugeVec{r.family(name, help, KindGauge, labels, nil)}
-}
-
-// With returns the gauge for the given label values.
-func (v *GaugeVec) With(values ...string) *Gauge { return v.f.get(values).gauge }
-
 // GaugeFuncVec is a family of scrape-time-sampled gauges keyed by
 // label values (e.g. per-worker up/ready flags on the router).
 type GaugeFuncVec struct{ f *family }

@@ -128,31 +128,6 @@ func (s *Span) ended() (time.Time, bool) {
 	return s.end, !s.end.IsZero()
 }
 
-// Phases sums ended spans by name into a seconds map — the
-// Result.Diagnostics phase breakdown. Open spans are skipped so the
-// map only ever reports completed work.
-func (t *Trace) Phases() map[string]float64 {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	spans := append([]*Span(nil), t.spans...)
-	t.mu.Unlock()
-	if len(spans) == 0 {
-		return nil
-	}
-	out := make(map[string]float64, len(spans))
-	for _, sp := range spans {
-		if _, ok := sp.ended(); ok {
-			out[sp.name] += sp.Duration().Seconds()
-		}
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	return out
-}
-
 // Orphans lists span names that never ended, or that ended after
 // their parent — both indicate a phase boundary bug.
 func (t *Trace) Orphans() []string {

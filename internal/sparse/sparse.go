@@ -110,15 +110,13 @@ func GenQCDLike(blockRows, blocksPerRow int, rng *rand.Rand) (*Blocked, error) {
 		cols := allCols[lo:lo:hi]
 		for _, off := range offsets {
 			c := q + off
-			// Jitter one step either way, then clamp and dedup.
+			// Jitter one step either way, then wrap around the
+			// matrix (offsets may exceed blockRows) and dedup.
 			if off != 0 && rng.Intn(4) == 0 {
 				c += rng.Intn(3) - 1
 			}
-			if c < 0 {
-				c += blockRows
-			}
-			if c >= blockRows {
-				c -= blockRows
+			if c < 0 || c >= blockRows {
+				c = (c%blockRows + blockRows) % blockRows
 			}
 			cc := int32(c)
 			for slices.Contains(cols, cc) {

@@ -103,6 +103,19 @@ func TestGenQCDLikeDigests(t *testing.T) {
 	}
 }
 
+// TestGenQCDLikeSmall: stencil offsets larger than the matrix wrap
+// around it as often as needed, so every block-row count down to the
+// blocks per row builds a valid matrix.
+func TestGenQCDLikeSmall(t *testing.T) {
+	for rows := 9; rows <= 200; rows++ {
+		for seed := int64(1); seed <= 3; seed++ {
+			if _, err := GenQCDLike(rows, 9, rand.New(rand.NewSource(seed))); err != nil {
+				t.Fatalf("GenQCDLike(%d, 9, seed %d): %v", rows, seed, err)
+			}
+		}
+	}
+}
+
 func TestGenQCDLikeErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	if _, err := GenQCDLike(0, 4, rng); err == nil {

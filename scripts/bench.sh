@@ -4,9 +4,10 @@
 # ignores).
 #
 # Runs BenchmarkRunParallel (end-to-end blocks/s, plus the replay
-# engine's exact replayed/op and simulated/op block counts; its
-# sub-benchmarks cover every leg of the matrix: kernel ∈ {matmul16,
-# spmv-ell} × mode ∈ {replay, noreplay} × P ∈ {1, NumCPU}) plus the per-layer
+# engine's exact replayed/op and simulated/op block counts and its
+# batched/op count of batched warp steps; its sub-benchmarks cover
+# every leg of the matrix: kernel ∈ {matmul16, spmv-ell} ×
+# mode ∈ {replay, noreplay} × P ∈ {1, NumCPU}) plus the per-layer
 # microbenchmarks (warp step, bank conflicts, coalescing), the timing
 # simulator (BenchmarkDeviceRun: winstr/s per golden kernel, plus the
 # event queue's deterministic pops/winstr and buckets/winstr), the §4.3
