@@ -17,7 +17,8 @@ import (
 
 // Request asks for one kernel analysis.
 type Request struct {
-	// Kernel names a registry entry (GET /v1/kernels lists them).
+	// Kernel names a built-in kernel or a submission id (GET
+	// /v1/kernels lists them).
 	Kernel string `json:"kernel"`
 	// Device names a catalog entry (GET /v1/devices lists them) and is
 	// resolved by the Fleet that routes the request; empty means the

@@ -734,7 +734,7 @@ func TestAdviseCRTopAdvice(t *testing.T) {
 	if adv.Top != "conflict-free-shared" {
 		t.Errorf("cr top advice %q, want conflict-free-shared", adv.Top)
 	}
-	spec, ok := f.Registry().Lookup("cr-nbc")
+	spec, ok := DefaultRegistry().Lookup("cr-nbc")
 	if !ok {
 		t.Fatal("cr-nbc missing from the registry")
 	}

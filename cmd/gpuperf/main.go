@@ -125,7 +125,7 @@ func run(req gpuperf.Request, sub *submitOpts, compare string, advse, disasm boo
 			fmt.Printf("submitted %s (kernel %q, %d×%d launch, %d instructions, %d regs, %d B smem, %d B footprint)\n",
 				rec.ID, rec.Kernel, rec.Grid, rec.Block, rec.Instructions, rec.Registers, rec.SharedMemBytes, rec.FootprintBytes)
 		}
-		// The receipt's id is the registry kernel name; submissions are
+		// The receipt's id is the kernel name; submissions are
 		// one concrete problem instance, so the size is pinned.
 		req.Kernel = rec.ID
 		req.Size = 0
@@ -167,7 +167,7 @@ func run(req gpuperf.Request, sub *submitOpts, compare string, advse, disasm boo
 		return err
 	}
 	if disasm {
-		text, err := f.Registry().Disassemble(a.Device(), req.Kernel, gpuperf.Params{Size: req.Size, Seed: req.Seed})
+		text, err := f.Disassemble(req)
 		if err != nil {
 			return err
 		}

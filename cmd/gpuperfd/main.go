@@ -19,7 +19,7 @@
 //	GET  /metrics      Prometheus text exposition (on a router: its
 //	                   own series plus every up worker's, each worker
 //	                   sample labeled worker="<url>")
-//	GET  /v1/kernels   list the registry's kernels with their variant
+//	GET  /v1/kernels   list the built-in kernels with their variant
 //	                   families and realized optimizations (resident
 //	                   user submissions included)
 //	POST /v1/kernels   submit a user kernel: assembly text or a GCUB
@@ -189,7 +189,7 @@ func main() {
 			},
 		})
 		handler = gpuperf.NewObservedHandler(f, tel)
-		logger.Info("gpuperfd: serving", "devices", names, "default", names[0], "kernels", f.Registry().Names())
+		logger.Info("gpuperfd: serving", "devices", names, "default", names[0], "kernels", gpuperf.DefaultRegistry().Names())
 		if *cacheDir != "" {
 			logger.Info("gpuperfd: result cache", "dir", *cacheDir)
 		}

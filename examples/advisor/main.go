@@ -65,7 +65,7 @@ func walk(f *gpuperf.Fleet, baseline, variant string, size int, seed int64, note
 	// The registry variant that realizes the advisor's scenario: same
 	// family, same (size, seed) inputs, measured on the device
 	// simulator.
-	spec, ok := f.Registry().Lookup(variant)
+	spec, ok := gpuperf.DefaultRegistry().Lookup(variant)
 	if !ok {
 		log.Fatalf("variant %s missing from the registry", variant)
 	}

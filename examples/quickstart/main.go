@@ -19,7 +19,7 @@ func main() {
 	// the run fast; per-SM behaviour is identical to the full chip.
 	f := gpuperf.NewFleet(gpuperf.FleetOptions{DefaultDevice: "gtx285-6sm"})
 
-	fmt.Printf("device: %s — kernels: %v\n", f.DefaultDevice(), f.Registry().Names())
+	fmt.Printf("device: %s — kernels: %v\n", f.DefaultDevice(), gpuperf.DefaultRegistry().Names())
 	fmt.Println("calibrating (the first analysis pays it; the fleet reuses it)...")
 
 	res, err := f.Analyze(context.Background(), gpuperf.Request{

@@ -11,6 +11,8 @@ import (
 	"sync"
 	"time"
 
+	"gpuperf/internal/asm"
+	"gpuperf/internal/ingest"
 	"gpuperf/internal/obs"
 	"gpuperf/internal/resultstore"
 )
@@ -62,7 +64,6 @@ type FleetOptions struct {
 type Fleet struct {
 	opt     FleetOptions
 	catalog *DeviceCatalog
-	reg     *Registry
 	def     string
 	// admit is the fleet-wide admission semaphore (GOMAXPROCS slots):
 	// at most that many requests hold input memory and simulation
@@ -74,10 +75,11 @@ type Fleet struct {
 	// in-flight requests coalesce onto one simulation. Measure stays
 	// uncached — it is calibration-free and cheap.
 	store *resultstore.Store
-	// subs holds accepted kernel submissions; subsErr defers a
+	// subs is the one owner of accepted kernel submissions (lookup
+	// resolves "subm-" names through it); subsErr defers a
 	// submission-store open failure (an unwritable SubmissionDir) to
 	// the first SubmitKernel instead of failing fleet construction.
-	subs    *ingestStore
+	subs    *ingest.Store
 	subsErr error
 
 	// start anchors uptime_seconds; metrics is the fleet's /metrics
@@ -111,11 +113,8 @@ func NewFleet(opt FleetOptions) *Fleet {
 		budget = 0
 	}
 	f := &Fleet{
-		opt:     opt,
-		catalog: catalog,
-		// Clone the registry so submission entries registered at
-		// runtime never leak into the process-global one.
-		reg:      DefaultRegistry().Clone(),
+		opt:      opt,
+		catalog:  catalog,
 		def:      def,
 		admit:    make(chan struct{}, runtime.GOMAXPROCS(0)),
 		store:    resultstore.New(resultstore.Config{MemoryBytes: budget, Dir: opt.CacheDir}),
@@ -135,11 +134,52 @@ func (f *Fleet) Metrics() *Metrics { return f.metrics }
 // Catalog returns the fleet's device catalog.
 func (f *Fleet) Catalog() *DeviceCatalog { return f.catalog }
 
-// Registry returns the fleet's kernel registry.
-func (f *Fleet) Registry() *Registry { return f.reg }
+// Kernels lists the fleet's available kernel specs, the built-ins
+// and the resident submissions, sorted by name.
+func (f *Fleet) Kernels() []KernelSpec {
+	specs := DefaultRegistry().Specs()
+	if f.subs != nil {
+		for _, sub := range f.subs.List() {
+			specs = append(specs, submissionSpec(sub))
+		}
+	}
+	sort.Slice(specs, func(i, j int) bool { return specs[i].Name < specs[j].Name })
+	return specs
+}
 
-// Kernels lists the fleet's available kernel specs, sorted by name.
-func (f *Fleet) Kernels() []KernelSpec { return f.reg.Specs() }
+// lookup resolves a kernel name, the one place the fleet does. A
+// submission id goes through the submission store, whose Get applies
+// the TTL and refreshes the submission's recency, so every request
+// that names a submission counts as a use; any other name goes
+// through the built-in registry.
+func (f *Fleet) lookup(name string) (KernelSpec, bool) {
+	if !IsSubmissionID(name) {
+		return DefaultRegistry().Lookup(name)
+	}
+	if f.subs == nil {
+		return KernelSpec{}, false
+	}
+	sub, err := f.subs.Get(name)
+	if err != nil {
+		return KernelSpec{}, false
+	}
+	return submissionSpec(sub), true
+}
+
+// resolve looks name up and validates the normalized params without
+// building anything — the cheap front half of a request, so callers
+// can fail fast (or wait for calibration) before allocating inputs.
+func (f *Fleet) resolve(name string, p Params) (KernelSpec, Params, error) {
+	s, ok := f.lookup(name)
+	if !ok {
+		return KernelSpec{}, p, DefaultRegistry().unknown(name)
+	}
+	p = p.normalize(s.DefaultSize)
+	if err := s.checkSize(p); err != nil {
+		return KernelSpec{}, p, err
+	}
+	return s, p, nil
+}
 
 // Devices lists the fleet's device profiles, sorted by name — the
 // GET /v1/devices response.
@@ -190,21 +230,21 @@ func (f *Fleet) EngineCounters() EngineCounters {
 
 // prepare is the front half every analyze, advise and measure
 // request shares: route it to its device's session, pinning the
-// resolved catalog name so results echo it, then normalize it against
-// the registry. The concrete size and seed are pinned in place, so
-// cache keys treat "size 0" and the kernel's explicit default as one
-// request, and unverified (submitted) kernels get SkipVerify pinned
-// true, so a caller toggling the flag cannot split one submission's
-// results across two cache slots. An unknown device or kernel, or a
-// rejected size, fails here — before any calibration wait, admission
-// slot or cache probe.
+// resolved catalog name so results echo it, then resolve its kernel
+// and normalize it against the spec. The concrete size and seed are
+// pinned in place, so cache keys treat "size 0" and the kernel's
+// explicit default as one request, and unverified (submitted) kernels
+// get SkipVerify pinned true, so a caller toggling the flag cannot
+// split one submission's results across two cache slots. An unknown
+// device or kernel, or a rejected size, fails here — before any
+// calibration wait, admission slot or cache probe.
 func (f *Fleet) prepare(req *Request) (*Analyzer, KernelSpec, error) {
 	a, err := f.Session(req.Device)
 	if err != nil {
 		return nil, KernelSpec{}, err
 	}
 	req.Device = a.dev.Name
-	spec, p, err := f.reg.prepare(req.Kernel, Params{Size: req.Size, Seed: req.Seed})
+	spec, p, err := f.resolve(req.Kernel, Params{Size: req.Size, Seed: req.Seed})
 	if err != nil {
 		return nil, KernelSpec{}, err
 	}
@@ -289,6 +329,24 @@ func (f *Fleet) Measure(ctx context.Context, req Request) (*Measurement, error) 
 	return a.measure(ctx, spec, req)
 }
 
+// Disassemble renders the request's kernel as a native-ISA listing,
+// resolving the kernel as Analyze does, so a submission id works too.
+// It builds the full problem instance even though only the program
+// is printed: some programs depend on the generated inputs'
+// structure (SpMV's layout follows the matrix), and disassembly is a
+// one-shot CLI path where the extra build cost is acceptable.
+func (f *Fleet) Disassemble(req Request) (string, error) {
+	a, spec, err := f.prepare(&req)
+	if err != nil {
+		return "", err
+	}
+	w, err := spec.build(a.dev, Params{Size: req.Size, Seed: req.Seed})
+	if err != nil {
+		return "", err
+	}
+	return asm.Disassemble(w.Launch.Prog), nil
+}
+
 // AnalyzeBatch analyzes many requests concurrently, routing each to
 // its device's session. results[i] answers reqs[i]; a request that
 // fails leaves a nil entry and its error — wrapped with the request's
@@ -330,8 +388,9 @@ func fanOut(n int, fn func(i int)) {
 // devices — the paper's architect questions ("would a 32-bank part
 // fix my conflicts?") as one call.
 type CompareRequest struct {
-	// Kernel names a registry entry; Size and Seed select the problem
-	// instance, built identically for every device per (size, seed).
+	// Kernel names a built-in kernel or a submission id; Size and Seed
+	// select the problem instance, built identically for every device
+	// per (size, seed).
 	Kernel string `json:"kernel"`
 	Size   int    `json:"size,omitempty"`
 	Seed   int64  `json:"seed,omitempty"`
@@ -512,7 +571,7 @@ func (f *Fleet) CompareCached(ctx context.Context, req CompareRequest) (*Compari
 	if err != nil {
 		return nil, CacheBypass, err
 	}
-	_, p, err := f.reg.prepare(req.Kernel, Params{Size: req.Size, Seed: req.Seed})
+	_, p, err := f.resolve(req.Kernel, Params{Size: req.Size, Seed: req.Seed})
 	if err != nil {
 		return nil, CacheBypass, err
 	}

@@ -3,6 +3,8 @@ package gpuperf
 import (
 	"bytes"
 	"testing"
+
+	"gpuperf/internal/asm"
 )
 
 // Fuzz targets for the toolchain's two front doors. POST /v1/kernels
@@ -19,11 +21,11 @@ func fuzzSeedTexts(f *testing.F) []string {
 	reg := DefaultRegistry()
 	var out []string
 	for _, name := range []string{"matmul16", "matmul-naive", "spmv-ell"} {
-		text, err := reg.Disassemble(dev, name, Params{})
+		w, err := reg.Build(dev, name, Params{})
 		if err != nil {
 			f.Fatalf("seeding from registry kernel %s: %v", name, err)
 		}
-		out = append(out, text)
+		out = append(out, asm.Disassemble(w.Launch.Prog))
 	}
 	return out
 }

@@ -18,10 +18,10 @@ import (
 //	                   200 once the default device's calibration is
 //	                   loaded or built, 503 before ("starting") or on
 //	                   calibration failure ("error")
-//	GET  /v1/kernels   JSON list of the registry's kernel specs
+//	GET  /v1/kernels   JSON list of the built-in kernel specs
 //	                   (name, description, size bounds, variant
 //	                   family and the advisor scenario each variant
-//	                   realizes), resident submissions included
+//	                   realizes) and the resident submissions
 //	POST /v1/kernels   body: a KernelSubmission (assembly source or a
 //	                   container, launch geometry, declared buffers);
 //	                   response: a SubmissionReceipt whose id is the

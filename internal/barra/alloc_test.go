@@ -114,7 +114,12 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 
 // TestSteadyStateCollectorAllocs: with each block's shard taken from
 // the pool and recycled through merge (as Run's steady state across
-// launches does), execution stays allocation-free up to pool jitter.
+// launches does), execution stays allocation-free. AllocsPerRun
+// divides the total by the run count and truncates, so over 200 runs
+// a stray refill after a GC sheds the pool still reads 0, while one
+// allocation per block reads 1. Under the race detector sync.Pool
+// drops a quarter of its puts, and each drop costs a shard refill, so
+// there the bound stays at 1.
 func TestSteadyStateCollectorAllocs(t *testing.T) {
 	ctx := newAllocCtx(t)
 	sc := ctx.stats
@@ -125,7 +130,7 @@ func TestSteadyStateCollectorAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc.merge(0, bs, nb) // seeds the shard pool
-	avg := testing.AllocsPerRun(50, func() {
+	avg := testing.AllocsPerRun(200, func() {
 		bs := sc.shard()
 		nb, err := w.runBlock(0, bs)
 		if err != nil {
@@ -133,10 +138,12 @@ func TestSteadyStateCollectorAllocs(t *testing.T) {
 		}
 		sc.merge(0, bs, nb)
 	})
-	// sync.Pool may shed its cache across a GC cycle; allow one stray
-	// refill but nothing per-step.
-	if avg > 1 {
-		t.Fatalf("steady-state execution with pooled stats shards allocates %.1f times per block; want ~0", avg)
+	bound := 0.0
+	if raceEnabled {
+		bound = 1
+	}
+	if avg > bound {
+		t.Fatalf("steady-state execution with pooled stats shards allocates %.1f times per block; want at most %.0f", avg, bound)
 	}
 }
 

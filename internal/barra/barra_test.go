@@ -2,7 +2,6 @@ package barra
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"gpuperf/internal/gpu"
@@ -583,53 +582,5 @@ func TestWarpsWithWorkTracking(t *testing.T) {
 	}
 	if stats.Total.GlobalUsefulBytes != 32*4 {
 		t.Errorf("useful bytes = %d", stats.Total.GlobalUsefulBytes)
-	}
-}
-
-func TestStatsReport(t *testing.T) {
-	b := kbuild.New("report")
-	b.SharedBytes(256)
-	// Global words are addressed by flat thread id, so the two blocks
-	// touch disjoint words (the engine's disjoint-writes contract);
-	// shared words by thread id within the block.
-	tid := b.Reg()
-	saddr := b.Reg()
-	gaddr := b.Reg()
-	v := b.Reg()
-	b.S2R(tid, isa.SRTid)
-	b.ShlImm(saddr, tid, 2)
-	b.ShlImm(gaddr, flatID(b), 2)
-	b.Gld(v, gaddr)
-	b.Sst(saddr, v)
-	b.Bar()
-	b.Sld(v, saddr)
-	b.FMad(v, v, v, v)
-	b.Gst(gaddr, v)
-	b.Exit()
-	mem := NewMemory(4096)
-	stats, err := Run(cfg(), Launch{Prog: b.MustProgram(), Grid: 2, Block: 64}, mem,
-		&Options{
-			ExtraSegments:        []int{16},
-			Regions:              []Region{{Name: "data", Lo: 0, Hi: 4096}},
-			VerifyBlockIsolation: true,
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := stats.String()
-	for _, want := range []string{
-		"launch: 2 blocks x 64 threads, 1 barriers/block",
-		"computational density",
-		"bank-conflict factor",
-		"coalescing efficiency",
-		"traffic by transaction granularity",
-		"traffic by region",
-		"  data:",
-		"stage 0:",
-		"stage 1:",
-	} {
-		if !strings.Contains(rep, want) {
-			t.Errorf("report missing %q:\n%s", want, rep)
-		}
 	}
 }

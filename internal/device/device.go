@@ -793,41 +793,3 @@ func (s *sim) warpExit(w *simWarp, t float64) error {
 	}
 	return nil
 }
-
-// Utilization returns the busy fraction of each component's servers
-// over the run — the profiler-style view (per the paper's intro,
-// profilers surface statistics; the model turns them into verdicts).
-func (r Result) Utilization() (instr, shared, global float64) {
-	if r.Cycles == 0 {
-		return 0, 0, 0
-	}
-	sms, clus := r.NumSMs, r.NumClusters
-	if sms == 0 {
-		sms = 1
-	}
-	if clus == 0 {
-		clus = 1
-	}
-	instr = r.BusyInstr / float64(sms) / r.Cycles
-	shared = r.BusyShared / float64(sms) / r.Cycles
-	global = r.BusyGlobal / float64(clus) / r.Cycles
-	return instr, shared, global
-}
-
-// Report renders the run like a profiler summary.
-func (r Result) Report() string {
-	i, s, g := r.Utilization()
-	return fmt.Sprintf(
-		"time %.6g ms (%.0f cycles)\n"+
-			"instructions: %d warp-level (%.3g instr/s)\n"+
-			"shared traffic: %d B (%.3g GB/s)\n"+
-			"global traffic: %d B in %d transactions (%.3g GB/s)\n"+
-			"utilization: instruction %.0f%%, shared %.0f%%, global %.0f%% -> %s-dominated\n"+
-			"occupancy: %s",
-		r.Seconds*1e3, r.Cycles,
-		r.WarpInstrs, r.InstrThroughput(),
-		r.SharedBytes, r.SharedBandwidth()/1e9,
-		r.GlobalBytes, r.GlobalTransactions, r.GlobalBandwidth()/1e9,
-		i*100, s*100, g*100, r.DominantComponent(),
-		r.Occupancy)
-}

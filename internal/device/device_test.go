@@ -539,24 +539,3 @@ func TestSmemOperandTiming(t *testing.T) {
 		t.Errorf("BusyShared = %v, want ≈%v", r.BusyShared, 3*2*33*2*2)
 	}
 }
-
-func TestUtilizationAndReport(t *testing.T) {
-	r := launchWarps(t, smallGPU(), chainKernel(isa.OpFMAD, 256), 8)
-	i, s, g := r.Utilization()
-	if i < 0.5 || i > 1.0 {
-		t.Errorf("ALU utilization = %v, want high", i)
-	}
-	if s != 0 || g != 0 {
-		t.Errorf("memory utilization nonzero for pure-ALU kernel: %v %v", s, g)
-	}
-	rep := r.Report()
-	for _, want := range []string{"time", "utilization", "instruction-dominated", "occupancy"} {
-		if !strings.Contains(rep, want) {
-			t.Errorf("report missing %q:\n%s", want, rep)
-		}
-	}
-	var zero Result
-	if i, s, g := zero.Utilization(); i != 0 || s != 0 || g != 0 {
-		t.Error("zero result has nonzero utilization")
-	}
-}

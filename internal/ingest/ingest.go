@@ -1,6 +1,5 @@
 // Package ingest turns untrusted user-submitted kernels into
-// analyzable registry entries — the service's bring-your-own-kernel
-// boundary.
+// analyzable kernels — the service's bring-your-own-kernel boundary.
 //
 // A submission arrives as assembly text or a compiled container plus
 // a launch geometry and a set of declared input buffers. Compile
@@ -19,7 +18,9 @@
 // launch/buffer spec) held in a Store bounded by count, bytes and
 // TTL, optionally persisted with the calibration cache's
 // write-temp-then-rename discipline so a daemon restart keeps its
-// submissions.
+// submissions. The Store is a submission's only owner: the service
+// resolves a submission id through Store.Get, which applies the TTL
+// and refreshes the LRU recency, and keeps no copy of its own.
 package ingest
 
 import (
@@ -38,7 +39,7 @@ import (
 	"gpuperf/internal/isa"
 )
 
-// IDPrefix starts every submission id; the registry name of a
+// IDPrefix starts every submission id; the kernel name of a
 // submitted kernel is its id, so the prefix is how the service (and
 // the router) recognizes submission traffic.
 const IDPrefix = "subm-"
@@ -76,24 +77,28 @@ type BufferSpec struct {
 	Step  float64 `json:"step,omitempty"`
 }
 
-// Request is one parsed submission: exactly one of Source or
-// Container, plus the launch geometry and buffer declarations.
+// Request is one submission, and the POST /v1/kernels body: exactly
+// one of Source or Container, the launch geometry, and the declared
+// global-memory buffers (laid out contiguously from address 0 in
+// declaration order, 4 bytes per element).
 type Request struct {
 	// Label is an optional human name echoed in receipts; it does not
 	// participate in the content hash, so relabeling a program does
 	// not duplicate it.
-	Label string
+	Label string `json:"label,omitempty"`
 	// Source is assembly text (the gpuasm "as" syntax).
-	Source string
-	// Container is a compiled GCUB container.
-	Container []byte
+	Source string `json:"source,omitempty"`
+	// Container is a compiled GCUB container (base64 in JSON).
+	Container []byte `json:"container,omitempty"`
 	// Kernel names the kernel within a multi-kernel source or
 	// container; empty means the sole kernel.
-	Kernel string
+	Kernel string `json:"kernel,omitempty"`
 	// Grid and Block are the launch geometry.
-	Grid, Block int
-	// Buffers declares the global-memory envelope.
-	Buffers []BufferSpec
+	Grid  int `json:"grid"`
+	Block int `json:"block"`
+	// Buffers declares the global-memory envelope every access must
+	// provably stay inside.
+	Buffers []BufferSpec `json:"buffers"`
 }
 
 // Limits are the per-submission ceilings — the MaxSize regime for
@@ -178,7 +183,7 @@ func (l Limits) withDefaults() Limits {
 // serializes to the store's on-disk slots.
 type Submission struct {
 	// ID is "subm-" + the first 16 hex digits of the content hash —
-	// also the submission's registry kernel name.
+	// also the submission's kernel name.
 	ID    string `json:"id"`
 	Label string `json:"label,omitempty"`
 	// Container is the canonical single-kernel container.

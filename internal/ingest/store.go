@@ -29,16 +29,14 @@ type StoreConfig struct {
 	// calibration cache's write-temp-then-rename rules so a restarted
 	// daemon keeps its submissions. Empty keeps the store in memory.
 	Dir string
-	// OnEvict runs after a submission leaves the store for any reason
-	// (LRU, TTL, Delete) — the fleet uses it to deregister the
-	// ephemeral kernel.
-	OnEvict func(*Submission)
 	// Now substitutes the clock in tests.
 	Now func() time.Time
 }
 
 // Store is an LRU-bounded, TTL-expiring, optionally persistent set of
-// accepted submissions.
+// accepted submissions — their one owner. Every call applies the TTL
+// first, so an expired submission is never returned, listed or
+// deleted, and Get, the lookup an analysis makes, refreshes recency.
 type Store struct {
 	cfg StoreConfig
 
@@ -125,22 +123,26 @@ func (sub *Submission) weight() int64 {
 	return w + 256
 }
 
-// Put admits a submission, persisting it and evicting as needed.
-// Re-admitting an existing id refreshes its recency and TTL clock.
-func (s *Store) Put(sub *Submission) error {
+// TTL is how long a submission stays resident after its CreatedAt.
+func (s *Store) TTL() time.Duration { return s.cfg.TTL }
+
+// Put admits a submission, persisting it and evicting as needed, and
+// reports whether its id was already resident. Re-admitting an
+// existing id refreshes its recency and TTL clock.
+func (s *Store) Put(sub *Submission) (existing bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.expireLocked()
 	if el, ok := s.byID[sub.ID]; ok {
 		el.Value = sub
 		s.order.MoveToFront(el)
-		return s.persist(sub)
+		return true, s.persist(sub)
 	}
 	if err := s.persist(sub); err != nil {
-		return err
+		return false, err
 	}
 	s.admit(sub, true)
-	return nil
+	return false, nil
 }
 
 // admit inserts without persisting; evict trims to budget.
@@ -201,10 +203,12 @@ func (s *Store) Get(id string) (*Submission, error) {
 	return el.Value.(*Submission), nil
 }
 
-// Delete removes a submission; false if it was not resident.
+// Delete removes a submission; false if it was not resident (or had
+// expired).
 func (s *Store) Delete(id string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.expireLocked()
 	el, ok := s.byID[id]
 	if !ok {
 		return false
@@ -260,7 +264,4 @@ func (s *Store) removeLocked(el *list.Element) {
 		os.Remove(path)
 	}
 	s.evictions++
-	if s.cfg.OnEvict != nil {
-		s.cfg.OnEvict(sub)
-	}
 }

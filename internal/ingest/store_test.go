@@ -17,11 +17,9 @@ func testSub(t *testing.T, grid int) *Submission {
 }
 
 func TestStoreLRUCountBudget(t *testing.T) {
-	var evicted []string
 	clk := time.Unix(1700000000, 0)
 	s, err := NewStore(StoreConfig{
 		MaxCount: 2,
-		OnEvict:  func(sub *Submission) { evicted = append(evicted, sub.ID) },
 		Now:      func() time.Time { return clk },
 	})
 	if err != nil {
@@ -30,42 +28,45 @@ func TestStoreLRUCountBudget(t *testing.T) {
 	a, b, c := testSub(t, 1), testSub(t, 2), testSub(t, 3)
 	for _, sub := range []*Submission{a, b} {
 		sub.CreatedAt = clk
-		if err := s.Put(sub); err != nil {
-			t.Fatal(err)
+		if existing, err := s.Put(sub); err != nil || existing {
+			t.Fatalf("Put %s: existing %v, %v", sub.ID, existing, err)
 		}
 	}
 	if _, err := s.Get(a.ID); err != nil { // refresh a: b becomes LRU
 		t.Fatal(err)
 	}
 	c.CreatedAt = clk
-	if err := s.Put(c); err != nil {
+	if _, err := s.Put(c); err != nil {
 		t.Fatal(err)
-	}
-	if len(evicted) != 1 || evicted[0] != b.ID {
-		t.Fatalf("evicted %v, want [%s]", evicted, b.ID)
 	}
 	if _, err := s.Get(b.ID); err == nil {
 		t.Fatal("evicted submission still resident")
 	}
-	if n, _, _ := s.Stats(); n != 2 {
-		t.Fatalf("count = %d", n)
+	for _, sub := range []*Submission{a, c} {
+		if _, err := s.Get(sub.ID); err != nil {
+			t.Fatalf("resident submission evicted: %v", err)
+		}
+	}
+	if n, _, ev := s.Stats(); n != 2 || ev != 1 {
+		t.Fatalf("count = %d, evictions = %d; want 2 and 1", n, ev)
+	}
+	if existing, err := s.Put(a); err != nil || !existing {
+		t.Fatalf("re-Put of a resident id: existing %v, %v", existing, err)
 	}
 }
 
 func TestStoreTTL(t *testing.T) {
 	clk := time.Unix(1700000000, 0)
-	var evicted []string
 	s, err := NewStore(StoreConfig{
-		TTL:     time.Hour,
-		OnEvict: func(sub *Submission) { evicted = append(evicted, sub.ID) },
-		Now:     func() time.Time { return clk },
+		TTL: time.Hour,
+		Now: func() time.Time { return clk },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sub := testSub(t, 1)
 	sub.CreatedAt = clk
-	if err := s.Put(sub); err != nil {
+	if _, err := s.Put(sub); err != nil {
 		t.Fatal(err)
 	}
 	clk = clk.Add(59 * time.Minute)
@@ -76,8 +77,8 @@ func TestStoreTTL(t *testing.T) {
 	if _, err := s.Get(sub.ID); err == nil {
 		t.Fatal("submission survived its TTL")
 	}
-	if len(evicted) != 1 || evicted[0] != sub.ID {
-		t.Fatalf("evictions: %v", evicted)
+	if n, _, ev := s.Stats(); n != 0 || ev != 1 {
+		t.Fatalf("count = %d, evictions = %d; want 0 and 1", n, ev)
 	}
 }
 
@@ -91,10 +92,10 @@ func TestStorePersistenceAcrossRestart(t *testing.T) {
 	}
 	a, b := testSub(t, 1), testSub(t, 2)
 	a.CreatedAt, b.CreatedAt = clk, clk
-	if err := s.Put(a); err != nil {
+	if _, err := s.Put(a); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put(b); err != nil {
+	if _, err := s.Put(b); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(s.SlotPath(a.ID)); err != nil {
@@ -145,7 +146,7 @@ func TestStoreDelete(t *testing.T) {
 	}
 	sub := testSub(t, 1)
 	sub.CreatedAt = time.Now()
-	if err := s.Put(sub); err != nil {
+	if _, err := s.Put(sub); err != nil {
 		t.Fatal(err)
 	}
 	if !s.Delete(sub.ID) {
@@ -170,10 +171,10 @@ func TestStoreByteBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	a.CreatedAt, b.CreatedAt = time.Now(), time.Now()
-	if err := s.Put(a); err != nil {
+	if _, err := s.Put(a); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put(b); err != nil {
+	if _, err := s.Put(b); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Get(a.ID); err == nil {

@@ -25,7 +25,6 @@ package model
 
 import (
 	"fmt"
-	"strings"
 
 	"gpuperf/internal/barra"
 	"gpuperf/internal/gpu"
@@ -183,9 +182,6 @@ type Overrides struct {
 	// target occupancy fit.
 	ResidentBlocks int
 }
-
-// Zero reports whether no override is set (the factual model).
-func (ov Overrides) Zero() bool { return ov == Overrides{} }
 
 // Analyze runs the model for one launch whose dynamic statistics
 // have been collected by barra.Run.
@@ -370,19 +366,6 @@ func effectiveStage(st *barra.StageStats, ov Overrides) ([isa.NumClasses]int64, 
 	return byClass, sharedTx, globalBytes
 }
 
-// OverlapSensitive reports whether the prediction interval
-// [TotalSeconds, UpperBoundSeconds] is wide (runner-up component
-// within the given fraction of the bottleneck): such kernels are the
-// "non-perfect overlap" cases of the paper's future-work item 4,
-// where the single-bottleneck assumption is least safe.
-func (e *Estimate) OverlapSensitive(frac float64) bool {
-	b := e.Component[e.Bottleneck]
-	if b == 0 {
-		return false
-	}
-	return e.Component[e.NextBottleneck] >= frac*b
-}
-
 // stageWarps decides the warp-level parallelism for one stage: the
 // resident warps from occupancy, derated by the fraction of the
 // block's warps that did real work in the stage (cyclic reduction's
@@ -441,35 +424,6 @@ func (e *Estimate) Causes() []string {
 	return out
 }
 
-// Report renders a human-readable analysis in the spirit of the
-// workflow outputs listed in paper Fig. 1.
-func (e *Estimate) Report() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "predicted time: %.6g ms (serial upper bound %.6g ms)\n",
-		e.TotalSeconds*1e3, e.UpperBoundSeconds*1e3)
-	fmt.Fprintf(&b, "component times: instruction %.6g ms, shared %.6g ms, global %.6g ms\n",
-		e.Component[CompInstruction]*1e3, e.Component[CompShared]*1e3, e.Component[CompGlobal]*1e3)
-	fmt.Fprintf(&b, "bottleneck: %s (next: %s)\n", e.Bottleneck, e.NextBottleneck)
-	fmt.Fprintf(&b, "occupancy: %s\n", e.Occupancy)
-	fmt.Fprintf(&b, "computational density: %.2f\n", e.Density)
-	fmt.Fprintf(&b, "coalescing efficiency: %.2f\n", e.CoalescingEfficiency)
-	fmt.Fprintf(&b, "bank-conflict factor: %.2f\n", e.BankConflictFactor)
-	for _, c := range e.Causes() {
-		fmt.Fprintf(&b, "cause: %s\n", c)
-	}
-	if e.Serialized {
-		fmt.Fprintf(&b, "stages (serialized; one block per SM):\n")
-	} else {
-		fmt.Fprintf(&b, "stages (overlapped across blocks):\n")
-	}
-	for _, st := range e.Stages {
-		fmt.Fprintf(&b, "  stage %d: instr %.6g ms, shared %.6g ms, global %.6g ms — %s (%d warps)\n",
-			st.Index, st.Times[CompInstruction]*1e3, st.Times[CompShared]*1e3,
-			st.Times[CompGlobal]*1e3, st.Bottleneck, st.Warps)
-	}
-	return b.String()
-}
-
 // CompareError returns |predicted-measured|/measured for the
 // bottleneck-time prediction against a measured time in seconds —
 // the paper's 5-15% accuracy metric.
@@ -491,12 +445,4 @@ func (e *Estimate) GFLOPS(flops int64) float64 {
 		return 0
 	}
 	return float64(flops) / e.TotalSeconds / 1e9
-}
-
-// PeakFraction reports predicted ClassII instruction throughput as a
-// fraction of the configured peak — the paper's "sustained
-// instruction throughput is 81% of peak" style diagnostic.
-func PeakFraction(cal *timing.Calibration, warps int) float64 {
-	cfg := cal.Config()
-	return cal.InstrThroughput(isa.ClassII, warps) / cfg.PeakInstrThroughput(cfg.SPsPerSM)
 }

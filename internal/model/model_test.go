@@ -115,7 +115,7 @@ func TestBottleneckIdentification(t *testing.T) {
 	for _, cse := range cases {
 		est, meas := predictAndMeasure(t, c, cse.l, cse.mem)
 		if est.Bottleneck != cse.want {
-			t.Errorf("%s: model bottleneck = %s, want %s\n%s", cse.name, est.Bottleneck, cse.want, est.Report())
+			t.Errorf("%s: model bottleneck = %s, want %s (components %v)", cse.name, est.Bottleneck, cse.want, est.Component)
 		}
 		wantObserved := map[Component]string{
 			CompInstruction: "instruction", CompShared: "shared", CompGlobal: "global",
@@ -222,12 +222,6 @@ func TestDiagnostics(t *testing.T) {
 	causes := strings.Join(est.Causes(), "; ")
 	if !strings.Contains(causes, "bank conflicts") {
 		t.Errorf("causes missing bank conflicts: %s", causes)
-	}
-	rep := est.Report()
-	for _, want := range []string{"bottleneck", "occupancy", "density", "stage 0"} {
-		if !strings.Contains(rep, want) {
-			t.Errorf("report missing %q:\n%s", want, rep)
-		}
 	}
 
 	// Dense ALU kernel: high density.
@@ -339,26 +333,6 @@ func TestOverlapBracket(t *testing.T) {
 	}
 }
 
-// TestOverlapSensitive: a kernel with balanced components is flagged;
-// a pure-ALU kernel is not.
-func TestOverlapSensitive(t *testing.T) {
-	c := cal(t)
-	est := predict(t, c, barra.Launch{Prog: aluKernel(t), Grid: 60, Block: 256}, 4096)
-	if est.OverlapSensitive(0.5) {
-		t.Error("pure ALU kernel flagged overlap-sensitive")
-	}
-	est2 := &Estimate{Component: Times{1.0, 0.9, 0.1}}
-	est2.Bottleneck = est2.Component.Bottleneck()
-	est2.NextBottleneck = est2.Component.Second()
-	if !est2.OverlapSensitive(0.5) {
-		t.Error("balanced kernel not flagged")
-	}
-	empty := &Estimate{}
-	if empty.OverlapSensitive(0.5) {
-		t.Error("empty estimate flagged")
-	}
-}
-
 // --- Counterfactual overrides (AnalyzeWith) ---
 
 // divergentKernel splits every warp into odd/even paths that each run
@@ -419,9 +393,6 @@ func TestAnalyzeWithZeroMatchesAnalyze(t *testing.T) {
 	}
 	if plain.TotalSeconds != with.TotalSeconds || plain.Component != with.Component {
 		t.Errorf("zero overrides drifted: %+v vs %+v", plain.Component, with.Component)
-	}
-	if !(Overrides{}).Zero() || (Overrides{ForceOverlap: true}).Zero() {
-		t.Error("Overrides.Zero misreports")
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"sort"
 	"sync"
 
-	"gpuperf/internal/asm"
 	"gpuperf/internal/barra"
 	"gpuperf/internal/kernels"
 	"gpuperf/internal/sparse"
@@ -70,9 +69,11 @@ type Workload struct {
 // arrives normalized: Size and Seed are both concrete.
 type BuildFunc func(dev Device, p Params) (*Workload, error)
 
-// KernelSpec describes one named kernel in a Registry.
+// KernelSpec describes one named kernel: a built-in from the
+// Registry or a user submission.
 type KernelSpec struct {
-	// Name is the registry key (e.g. "matmul16", "spmv-bell-imiv").
+	// Name is the kernel name (e.g. "matmul16", "spmv-bell-imiv", or a
+	// submission's "subm-" id).
 	Name string `json:"name"`
 	// Description is a one-line summary for listings.
 	Description string `json:"description"`
@@ -96,7 +97,7 @@ type KernelSpec struct {
 	// reference, so analysis always skips verification and results
 	// carry Result.VerifyError saying so.
 	Unverified bool `json:"unverified,omitempty"`
-	// Build constructs the instance. Never nil in a registered spec.
+	// Build constructs the instance. Never nil.
 	Build BuildFunc `json:"-"`
 }
 
@@ -130,73 +131,23 @@ func (s KernelSpec) build(dev Device, p Params) (*Workload, error) {
 	return w, nil
 }
 
-// Registry maps kernel names to specs. It is safe for concurrent
-// use; the zero value is not valid, use NewRegistry.
+// Registry maps the built-in kernels' names to their specs. It is
+// immutable once built, so it is safe for concurrent use without a
+// lock. DefaultRegistry is its one instance: user-submitted kernels
+// live in a fleet's submission store, and the fleet resolves each
+// kernel name through one or the other (Fleet.lookup).
 type Registry struct {
-	mu    sync.RWMutex
 	specs map[string]KernelSpec
-}
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{specs: map[string]KernelSpec{}}
-}
-
-// Register adds or replaces a spec. Note that a BuildFunc returns a
-// Workload whose launch/memory fields are engine types without
-// public constructors, so registering new kernels is currently for
-// code inside this module (the built-ins, tests, forks); external
-// consumers use the registry read-only.
-func (r *Registry) Register(s KernelSpec) error {
-	if s.Name == "" || s.Build == nil {
-		return fmt.Errorf("gpuperf: kernel spec needs a name and a build function")
-	}
-	if s.DefaultSize <= 0 {
-		return fmt.Errorf("gpuperf: kernel %q needs a positive default size", s.Name)
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.specs[s.Name] = s
-	return nil
-}
-
-// Deregister removes the spec registered under name, reporting
-// whether it was present — how the fleet retires an evicted
-// submission's ephemeral kernel.
-func (r *Registry) Deregister(name string) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	_, ok := r.specs[name]
-	delete(r.specs, name)
-	return ok
-}
-
-// Clone returns an independent registry holding the same specs.
-// A fleet clones its configured registry before accepting
-// submissions, so ephemeral entries never leak into the (possibly
-// process-global) original.
-func (r *Registry) Clone() *Registry {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	c := NewRegistry()
-	for name, s := range r.specs { //gpuperf:unordered map-to-map copy; every ordered view sorts (Specs, Names)
-		c.specs[name] = s
-	}
-	return c
 }
 
 // Lookup returns the spec registered under name.
 func (r *Registry) Lookup(name string) (KernelSpec, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	s, ok := r.specs[name]
 	return s, ok
 }
 
 // Specs returns every registered spec, sorted by name.
 func (r *Registry) Specs() []KernelSpec {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	out := make([]KernelSpec, 0, len(r.specs))
 	for _, s := range r.specs {
 		out = append(out, s)
@@ -215,9 +166,9 @@ func (r *Registry) Names() []string {
 	return names
 }
 
-// ErrUnknownKernel reports a Build or Analyze request naming a kernel
-// the registry does not hold; errors.Is-match it to map the condition
-// (the HTTP front-end turns it into 404).
+// ErrUnknownKernel reports a Build or Analyze request naming no
+// built-in kernel and no resident submission; errors.Is-match it to
+// map the condition (the HTTP front-end turns it into 404).
 var ErrUnknownKernel = fmt.Errorf("gpuperf: unknown kernel")
 
 // ErrInvalidRequest reports request parameters a kernel cannot
@@ -225,58 +176,23 @@ var ErrUnknownKernel = fmt.Errorf("gpuperf: unknown kernel")
 // builder rejects (the HTTP front-end turns it into 400).
 var ErrInvalidRequest = fmt.Errorf("gpuperf: invalid request")
 
+// unknown is the ErrUnknownKernel error for name, listing the
+// built-in kernels.
+func (r *Registry) unknown(name string) error {
+	return fmt.Errorf("%w %q (have %v)", ErrUnknownKernel, name, r.Names())
+}
+
 // Build constructs the named kernel's workload for the device.
 func (r *Registry) Build(dev Device, name string, p Params) (*Workload, error) {
-	w, _, err := r.buildRequest(dev, name, p)
-	return w, err
-}
-
-// prepare resolves name and validates the normalized params without
-// building anything — the cheap front half of a request, so callers
-// can fail fast (or wait for calibration) before allocating inputs.
-func (r *Registry) prepare(name string, p Params) (KernelSpec, Params, error) {
 	s, ok := r.Lookup(name)
 	if !ok {
-		return KernelSpec{}, p, fmt.Errorf("%w %q (have %v)", ErrUnknownKernel, name, r.Names())
+		return nil, r.unknown(name)
 	}
-	p = p.normalize(s.DefaultSize)
-	if err := s.checkSize(p); err != nil {
-		return KernelSpec{}, p, err
-	}
-	return s, p, nil
+	return s.build(dev, p.normalize(s.DefaultSize))
 }
 
-// buildRequest is Build returning the normalized params alongside
-// the workload, so callers can echo the concrete size and seed.
-func (r *Registry) buildRequest(dev Device, name string, p Params) (*Workload, Params, error) {
-	s, p, err := r.prepare(name, p)
-	if err != nil {
-		return nil, p, err
-	}
-	w, err := s.build(dev, p)
-	return w, p, err
-}
-
-// Disassemble renders the named kernel's native-ISA listing. It
-// builds the full problem instance even though only the program is
-// printed: some programs depend on the generated inputs' structure
-// (SpMV's layout follows the matrix), and disassembly is a one-shot
-// CLI path where the extra build cost is acceptable.
-func (r *Registry) Disassemble(dev Device, name string, p Params) (string, error) {
-	w, err := r.Build(dev, name, p)
-	if err != nil {
-		return "", err
-	}
-	return asm.Disassemble(w.Launch.Prog), nil
-}
-
-var (
-	defaultRegistryOnce sync.Once
-	defaultRegistry     *Registry
-)
-
-// DefaultRegistry returns the process-wide registry preloaded with
-// the paper's case-study kernels:
+// DefaultRegistry returns the process-wide registry of the paper's
+// case-study kernels, built once on first use:
 //
 //	matmul-naive, matmul8,
 //	matmul16, matmul32              dense matrix multiply (§5.1; the
@@ -284,17 +200,15 @@ var (
 //	cr, cr-nbc, cr-fwd              cyclic reduction (§5.2)
 //	spmv-ell, spmv-bell-im,
 //	spmv-bell-imiv                  sparse matrix-vector (§5.3)
-func DefaultRegistry() *Registry {
-	defaultRegistryOnce.Do(func() {
-		defaultRegistry = NewRegistry()
-		for _, s := range builtinSpecs() {
-			if err := defaultRegistry.Register(s); err != nil {
-				panic(err) // built-in specs are statically well-formed
-			}
-		}
-	})
-	return defaultRegistry
-}
+func DefaultRegistry() *Registry { return defaultRegistry() }
+
+var defaultRegistry = sync.OnceValue(func() *Registry {
+	r := &Registry{specs: map[string]KernelSpec{}}
+	for _, s := range builtinSpecs() {
+		r.specs[s.Name] = s
+	}
+	return r
+})
 
 func builtinSpecs() []KernelSpec {
 	specs := []KernelSpec{

@@ -13,8 +13,8 @@
 # tree reduction (accepted, listed, persisted to -subs-dir, analyzed
 # MISS then HIT under the measure-only policy), 400 rejections naming
 # the violated ceiling for an out-of-envelope and an over-budget
-# program, and DELETE eviction dropping the id from the registry and
-# the disk slot.
+# program, and DELETE eviction dropping the id from the kernel listing
+# and the disk slot.
 #
 # Leg 2 — a 2-worker router: two lazy workers plus a gpuperfd -route
 # front door that consistent-hashes devices by hardware fingerprint.

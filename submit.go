@@ -10,13 +10,15 @@ import (
 
 // Bring-your-own-kernel: POST /v1/kernels accepts an untrusted
 // program (assembly text or a compiled container) plus its launch
-// geometry and declared input buffers, runs it through the
+// geometry and declared input buffers, and runs it through the
 // internal/ingest admission pipeline (static ceilings plus the bounds
-// verifier), and registers the accepted submission as an ephemeral
-// kernel whose registry name is its content-addressed id. From there
-// the existing analyze/advise/measure/compare path serves it
-// unchanged — including the result cache, whose keys are
-// automatically content-addressed because the kernel name is.
+// verifier). The fleet's submission store is the accepted
+// submission's only owner; its content-addressed id is its kernel
+// name, which the fleet resolves through the store on every request
+// (see Fleet.lookup). From there the existing
+// analyze/advise/measure/compare path serves it unchanged — including
+// the result cache, whose keys are automatically content-addressed
+// because the kernel name is.
 
 // BufferSpec declares one input buffer of a kernel submission; see
 // the field docs in internal/ingest.
@@ -27,38 +29,17 @@ type BufferSpec = ingest.BufferSpec
 // take the package defaults.
 type SubmissionLimits = ingest.Limits
 
-// ingestStore aliases the submission store for the Fleet struct.
-type ingestStore = ingest.Store
-
 // KernelSubmission is the POST /v1/kernels request body: exactly one
 // of Source or Container, the launch geometry, and the declared
-// global-memory buffers (laid out contiguously from address 0 in
-// declaration order, 4 bytes per element).
-type KernelSubmission struct {
-	// Label is an optional human-readable name echoed in receipts; it
-	// does not participate in the submission's content hash.
-	Label string `json:"label,omitempty"`
-	// Source is assembly text in the gpuasm syntax.
-	Source string `json:"source,omitempty"`
-	// Container is a compiled GCUB container (base64 in JSON).
-	Container []byte `json:"container,omitempty"`
-	// Kernel names the kernel within a multi-kernel source or
-	// container; empty means the sole kernel.
-	Kernel string `json:"kernel,omitempty"`
-	// Grid and Block are the launch geometry.
-	Grid  int `json:"grid"`
-	Block int `json:"block"`
-	// Buffers declares the global-memory envelope every access must
-	// provably stay inside.
-	Buffers []BufferSpec `json:"buffers"`
-}
+// global-memory buffers; see the field docs in internal/ingest.
+type KernelSubmission = ingest.Request
 
 // SubmissionReceipt is the POST /v1/kernels response: the accepted
-// submission's content-addressed id (also its registry kernel name —
+// submission's content-addressed id (also its kernel name —
 // pass it as Request.Kernel to analyze it) and the static summary the
 // admission pass computed.
 type SubmissionReceipt struct {
-	// ID is "subm-<hash16>", the submission's registry kernel name.
+	// ID is "subm-<hash16>", the submission's kernel name.
 	ID string `json:"id"`
 	// Kernel is the program's own name inside the container.
 	Kernel string `json:"kernel"`
@@ -90,26 +71,14 @@ func IsSubmissionID(name string) bool { return ingest.IsSubmissionID(name) }
 // receive, without applying any ceilings or admitting anything — what
 // the HTTP router uses to pick the worker shard that owns it.
 func SubmissionID(req KernelSubmission) (string, error) {
-	id, err := ingest.ID(ingestRequest(req))
+	id, err := ingest.ID(req)
 	if err != nil {
 		return "", fmt.Errorf("%w: %v", ErrInvalidRequest, err)
 	}
 	return id, nil
 }
 
-func ingestRequest(req KernelSubmission) ingest.Request {
-	return ingest.Request{
-		Label:     req.Label,
-		Source:    req.Source,
-		Container: req.Container,
-		Kernel:    req.Kernel,
-		Grid:      req.Grid,
-		Block:     req.Block,
-		Buffers:   req.Buffers,
-	}
-}
-
-// openSubmissions builds the fleet's submission store and re-registers
+// openSubmissions opens the fleet's submission store, which reloads
 // any submissions persisted in SubmissionDir. An open failure (an
 // unwritable directory) is deferred to the first SubmitKernel rather
 // than failing fleet construction — the rest of the service works.
@@ -120,28 +89,20 @@ func (f *Fleet) openSubmissions() {
 		MaxBytes: lim.MaxBytes,
 		TTL:      lim.TTL,
 		Dir:      f.opt.SubmissionDir,
-		OnEvict:  func(sub *ingest.Submission) { f.reg.Deregister(sub.ID) },
 	})
-	if f.subsErr != nil {
-		return
-	}
-	for _, sub := range f.subs.List() {
-		f.registerSubmission(sub)
-	}
 }
 
-// registerSubmission installs a submission's ephemeral kernel spec in
-// the fleet's (cloned) registry.
-func (f *Fleet) registerSubmission(sub *ingest.Submission) {
+// submissionSpec is the kernel spec a submission is served as. Its
+// build closes over the immutable Submission: rebuilding per (size,
+// seed) is exactly as deterministic as the built-ins. Size is pinned
+// to 1 — a submission is one concrete problem instance, not a
+// parameterized family.
+func submissionSpec(sub *ingest.Submission) KernelSpec {
 	desc := fmt.Sprintf("user-submitted kernel %q, %d×%d launch", sub.Kernel, sub.Grid, sub.Block)
 	if sub.Label != "" {
 		desc = fmt.Sprintf("user-submitted kernel %q (%s), %d×%d launch", sub.Kernel, sub.Label, sub.Grid, sub.Block)
 	}
-	// The spec build closes over the immutable Submission: rebuilding
-	// per (size, seed) is exactly as deterministic as the built-ins.
-	// Size is pinned to 1 — a submission is one concrete problem
-	// instance, not a parameterized family.
-	spec := KernelSpec{
+	return KernelSpec{
 		Name:        sub.ID,
 		Description: desc,
 		DefaultSize: 1,
@@ -165,52 +126,35 @@ func (f *Fleet) registerSubmission(sub *ingest.Submission) {
 			}, nil
 		},
 	}
-	if err := f.reg.Register(spec); err != nil {
-		// Statically impossible: the spec always carries a name, a
-		// build function and a positive default size.
-		panic(err)
-	}
-}
-
-// submissionTTL is the effective submission lifetime.
-func (f *Fleet) submissionTTL() time.Duration {
-	if ttl := f.opt.SubmissionLimits.TTL; ttl > 0 {
-		return ttl
-	}
-	return ingest.DefaultTTL
 }
 
 // SubmitKernel admits one user-submitted kernel: compile it through
 // the assembler/container toolchain, enforce the per-submission
 // ceilings, prove every memory access inside the declared buffer
-// envelope, and register the result as an ephemeral kernel named by
-// its content-addressed id. Rejections wrap ErrInvalidRequest and
-// name the violated ceiling. Resubmitting an identical program+spec
-// returns the same id with Existing set and refreshes its TTL.
+// envelope, and put the result in the fleet's submission store under
+// its content-addressed id, which is then a kernel name. Rejections
+// wrap ErrInvalidRequest and name the violated ceiling. Resubmitting
+// an identical program+spec returns the same id with Existing set and
+// refreshes its TTL.
 func (f *Fleet) SubmitKernel(req KernelSubmission) (*SubmissionReceipt, error) {
 	if f.subsErr != nil {
 		return nil, f.subsErr
 	}
-	sub, err := ingest.Compile(ingestRequest(req), f.opt.SubmissionLimits, time.Now())
+	sub, err := ingest.Compile(req, f.opt.SubmissionLimits, time.Now())
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInvalidRequest, err)
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	_, missErr := f.subs.Get(sub.ID)
-	existing := missErr == nil
-	if err := f.subs.Put(sub); err != nil {
+	existing, err := f.subs.Put(sub)
+	if err != nil {
 		return nil, err
 	}
-	f.registerSubmission(sub)
-	r := receipt(sub, f.submissionTTL())
+	r := f.receipt(sub)
 	r.Existing = existing
 	return r, nil
 }
 
-// DeleteKernel evicts a submission by id, deregistering its ephemeral
-// kernel and removing its on-disk slot. Unknown (or already expired)
-// ids report ErrUnknownKernel.
+// DeleteKernel evicts a submission by id, removing its on-disk slot.
+// Unknown (or already expired) ids report ErrUnknownKernel.
 func (f *Fleet) DeleteKernel(id string) error {
 	if f.subsErr != nil {
 		return f.subsErr
@@ -227,16 +171,15 @@ func (f *Fleet) Submissions() []*SubmissionReceipt {
 	if f.subs == nil {
 		return nil
 	}
-	ttl := f.submissionTTL()
 	subs := f.subs.List()
 	out := make([]*SubmissionReceipt, len(subs))
 	for i, sub := range subs {
-		out[i] = receipt(sub, ttl)
+		out[i] = f.receipt(sub)
 	}
 	return out
 }
 
-func receipt(sub *ingest.Submission, ttl time.Duration) *SubmissionReceipt {
+func (f *Fleet) receipt(sub *ingest.Submission) *SubmissionReceipt {
 	return &SubmissionReceipt{
 		ID:                  sub.ID,
 		Kernel:              sub.Kernel,
@@ -249,6 +192,6 @@ func receipt(sub *ingest.Submission, ttl time.Duration) *SubmissionReceipt {
 		FootprintBytes:      sub.FootprintBytes,
 		MaxWarpInstructions: sub.MaxWarpInstructions,
 		CreatedAt:           sub.CreatedAt,
-		ExpiresAt:           sub.CreatedAt.Add(ttl),
+		ExpiresAt:           sub.CreatedAt.Add(f.subs.TTL()),
 	}
 }

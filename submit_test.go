@@ -8,7 +8,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 )
 
 // submitReduceSource mirrors the internal/ingest canonical test
@@ -63,6 +65,16 @@ func submitReduceRequest(grid int) KernelSubmission {
 	}
 }
 
+// listed returns the spec f.Kernels() lists under name.
+func listed(f *Fleet, name string) (KernelSpec, bool) {
+	for _, s := range f.Kernels() {
+		if s.Name == name {
+			return s, true
+		}
+	}
+	return KernelSpec{}, false
+}
+
 func TestSubmitKernelLifecycle(t *testing.T) {
 	f := NewFleet(FleetOptions{CalibrationDir: t.TempDir()})
 	rec, err := f.SubmitKernel(submitReduceRequest(4))
@@ -79,10 +91,10 @@ func TestSubmitKernelLifecycle(t *testing.T) {
 		t.Fatalf("SubmissionID = %q, %v; want %q", id, err, rec.ID)
 	}
 
-	// Submissions appear in the kernel listing like any registry entry.
-	spec, ok := f.Registry().Lookup(rec.ID)
+	// Submissions appear in the kernel listing like any built-in.
+	spec, ok := listed(f, rec.ID)
 	if !ok || !spec.Unverified || spec.Family != "submitted" {
-		t.Fatalf("submission spec not registered: %+v ok=%v", spec, ok)
+		t.Fatalf("submission spec not listed: %+v ok=%v", spec, ok)
 	}
 	if _, ok := DefaultRegistry().Lookup(rec.ID); ok {
 		t.Fatal("submission leaked into the process-global registry")
@@ -131,8 +143,8 @@ func TestSubmitKernelLifecycle(t *testing.T) {
 	if err := f.DeleteKernel(rec.ID); !errors.Is(err, ErrUnknownKernel) {
 		t.Fatalf("double delete: %v", err)
 	}
-	if _, ok := f.Registry().Lookup(rec.ID); ok {
-		t.Fatal("deleted submission still registered")
+	if _, ok := listed(f, rec.ID); ok {
+		t.Fatal("deleted submission still listed")
 	}
 	if _, err := f.Analyze(ctx, Request{Kernel: rec.ID}); !errors.Is(err, ErrUnknownKernel) {
 		t.Fatalf("analyze after delete: %v", err)
@@ -187,6 +199,8 @@ func TestMeasureHonoursSubmissionBudget(t *testing.T) {
 	}
 }
 
+// TestSubmitKernelEvictionDeregisters: an LRU-evicted submission
+// leaves the kernel listing; the resident one stays.
 func TestSubmitKernelEvictionDeregisters(t *testing.T) {
 	f := NewFleet(FleetOptions{SubmissionLimits: SubmissionLimits{MaxCount: 1}})
 	a, err := f.SubmitKernel(submitReduceRequest(2))
@@ -197,29 +211,145 @@ func TestSubmitKernelEvictionDeregisters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := f.Registry().Lookup(a.ID); ok {
-		t.Fatal("LRU-evicted submission still registered")
+	if _, ok := listed(f, a.ID); ok {
+		t.Fatal("LRU-evicted submission still listed")
 	}
-	if _, ok := f.Registry().Lookup(b.ID); !ok {
-		t.Fatal("resident submission missing from registry")
+	if _, ok := listed(f, b.ID); !ok {
+		t.Fatal("resident submission missing from the kernel listing")
 	}
 }
 
-// submissionFleet is a dedicated fleet for submission tests (the
-// shared testFleet must stay submission-free), seeded with the shared
-// session's calibration so nothing recalibrates.
-func submissionFleet(t *testing.T) *Fleet {
-	t.Helper()
-	a := testAnalyzer(t)
-	dir := t.TempDir()
-	if err := a.cal.SaveCachedCalibration(dir); err != nil {
+// TestSubmitKernelExpiredIsUnknown: a submission past its TTL is
+// gone for the very next call that names it, whichever call that is:
+// it is absent from Kernels(), and Measure, Analyze and DeleteKernel
+// of it report ErrUnknownKernel, with no other store call in between.
+// Each probe gets a fleet of its own, so no probe's lookup expires
+// the submission for another.
+func TestSubmitKernelExpiredIsUnknown(t *testing.T) {
+	ctx := context.Background()
+	probes := []struct {
+		name string
+		run  func(f *Fleet, id string) error
+	}{
+		{"Kernels", func(f *Fleet, id string) error {
+			if _, ok := listed(f, id); ok {
+				return errors.New("still listed")
+			}
+			return nil
+		}},
+		{"Measure", func(f *Fleet, id string) error {
+			_, err := f.Measure(ctx, Request{Kernel: id})
+			return wantUnknownKernel(err)
+		}},
+		{"Analyze", func(f *Fleet, id string) error {
+			_, err := f.Analyze(ctx, Request{Kernel: id})
+			return wantUnknownKernel(err)
+		}},
+		{"DeleteKernel", func(f *Fleet, id string) error {
+			return wantUnknownKernel(f.DeleteKernel(id))
+		}},
+	}
+	fleets := make([]*Fleet, len(probes))
+	ids := make([]string, len(probes))
+	for i := range probes {
+		fleets[i] = NewFleet(FleetOptions{SubmissionLimits: SubmissionLimits{TTL: 50 * time.Millisecond}})
+		rec, err := fleets[i].SubmitKernel(submitReduceRequest(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = rec.ID
+	}
+	time.Sleep(120 * time.Millisecond)
+	for i, p := range probes {
+		if err := p.run(fleets[i], ids[i]); err != nil {
+			t.Errorf("%s of an expired submission: %v", p.name, err)
+		}
+	}
+}
+
+func wantUnknownKernel(err error) error {
+	if !errors.Is(err, ErrUnknownKernel) {
+		return fmt.Errorf("got %v, want ErrUnknownKernel", err)
+	}
+	return nil
+}
+
+// TestSubmitKernelUseRefreshesRecency: analyzing a submission is a
+// use of it. With room for two, a submission analyzed after a newer
+// one was admitted survives the next admission, and the idle one is
+// the one evicted.
+func TestSubmitKernelUseRefreshesRecency(t *testing.T) {
+	ctx := context.Background()
+	f := cacheTestFleet(t, FleetOptions{SubmissionLimits: SubmissionLimits{MaxCount: 2}})
+	submit := func(grid int) string {
+		t.Helper()
+		rec, err := f.SubmitKernel(submitReduceRequest(grid))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rec.ID
+	}
+	used, idle := submit(2), submit(3)
+	if _, err := f.Analyze(ctx, Request{Kernel: used}); err != nil {
 		t.Fatal(err)
 	}
-	return NewFleet(FleetOptions{DefaultDevice: "gtx285-6sm", CalibrationDir: dir})
+	newest := submit(4)
+	for _, id := range []string{used, newest} {
+		if _, ok := listed(f, id); !ok {
+			t.Errorf("%s evicted; want it resident", id)
+		}
+	}
+	if _, ok := listed(f, idle); ok {
+		t.Errorf("idle %s kept; want it evicted", idle)
+	}
+	if _, err := f.Measure(ctx, Request{Kernel: idle}); !errors.Is(err, ErrUnknownKernel) {
+		t.Errorf("measure of the evicted submission: %v", err)
+	}
+}
+
+// TestSubmitKernelConcurrentOneNew: goroutines submitting one program
+// at once all get its id, and exactly one receipt says it was newly
+// admitted — the store decides that under its own lock.
+func TestSubmitKernelConcurrentOneNew(t *testing.T) {
+	f := NewFleet(FleetOptions{})
+	const n = 8
+	recs := make([]*SubmissionReceipt, n)
+	errs := make([]error, n)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range recs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			recs[i], errs[i] = f.SubmitKernel(submitReduceRequest(4))
+		}()
+	}
+	close(start)
+	wg.Wait()
+	fresh := 0
+	for i, rec := range recs {
+		if errs[i] != nil {
+			t.Fatalf("submit %d: %v", i, errs[i])
+		}
+		if rec.ID != recs[0].ID {
+			t.Fatalf("submit %d got id %s, want %s", i, rec.ID, recs[0].ID)
+		}
+		if !rec.Existing {
+			fresh++
+		}
+	}
+	if fresh != 1 {
+		t.Errorf("%d of %d receipts are new, want exactly 1", fresh, n)
+	}
+	if count, _, _ := f.subs.Stats(); count != 1 {
+		t.Errorf("store holds %d submissions, want 1", count)
+	}
 }
 
 func TestHandlerSubmitKernelRoundTrip(t *testing.T) {
-	h := NewHandler(submissionFleet(t))
+	// A private fleet: the shared testFleet must stay submission-free.
+	h := NewHandler(cacheTestFleet(t, FleetOptions{}))
 	do := func(method, path, body string) *httptest.ResponseRecorder {
 		t.Helper()
 		req := httptest.NewRequest(method, path, strings.NewReader(body))
@@ -334,15 +464,7 @@ func TestHandlerSubmitKernelRejections(t *testing.T) {
 // program hash, and an analyze that first hits the device's shard is
 // retried on the submission's owner after the foreign 404.
 func TestRouterSubmitEndToEnd(t *testing.T) {
-	a := testAnalyzer(t)
-	calDir := t.TempDir()
-	if err := a.cal.SaveCachedCalibration(calDir); err != nil {
-		t.Fatal(err)
-	}
-	fleets := []*Fleet{
-		NewFleet(FleetOptions{DefaultDevice: "gtx285-6sm", CalibrationDir: calDir}),
-		NewFleet(FleetOptions{DefaultDevice: "gtx285-6sm", CalibrationDir: calDir}),
-	}
+	fleets := []*Fleet{cacheTestFleet(t, FleetOptions{}), cacheTestFleet(t, FleetOptions{})}
 	var urls []string
 	byURL := map[string]*Fleet{}
 	for _, f := range fleets {
@@ -465,7 +587,7 @@ func TestSubmitKernelPersistenceAcrossFleets(t *testing.T) {
 		t.Fatal(err)
 	}
 	f2 := NewFleet(FleetOptions{SubmissionDir: dir})
-	if _, ok := f2.Registry().Lookup(rec.ID); !ok {
+	if _, ok := listed(f2, rec.ID); !ok {
 		t.Fatal("submission not reloaded by a fresh fleet")
 	}
 	subs := f2.Submissions()
