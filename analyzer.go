@@ -170,6 +170,9 @@ type simRun struct {
 	w     *Workload
 	stats *barra.Stats
 	cal   *timing.Calibration
+	// input is a copy of w.Mem taken before the functional run
+	// consumed it, for a measured analyze's device-simulator run.
+	input *barra.Memory
 	// phases accumulates per-phase wall-clock seconds (calibration
 	// wait, admission wait, build, engine, model, verify, measure) for
 	// Result.Diagnostics and the fleet's phase histogram. Only the
@@ -270,11 +273,17 @@ func (a *Analyzer) prelude(ctx context.Context, spec KernelSpec, req Request, ne
 }
 
 // simulate runs the prelude and the functional simulation — the
-// common front half of analyze and advise.
-func (a *Analyzer) simulate(ctx context.Context, spec KernelSpec, req Request, dropVerify bool) (*simRun, func(), error) {
+// common front half of analyze and advise. keepInput copies the built
+// memory image into r.input first, as part of the build phase.
+func (a *Analyzer) simulate(ctx context.Context, spec KernelSpec, req Request, dropVerify, keepInput bool) (*simRun, func(), error) {
 	r, release, err := a.prelude(ctx, spec, req, true, dropVerify)
 	if err != nil {
 		return nil, nil, err
+	}
+	if keepInput {
+		_, copyDone := r.phase(ctx, "build")
+		r.input = r.w.Mem.Clone()
+		copyDone()
 	}
 	engCtx, engDone := r.phase(ctx, "engine")
 	r.stats, err = barra.RunContext(engCtx, a.dev, r.w.Launch, r.w.Mem,
@@ -339,7 +348,7 @@ func (a *Analyzer) engineCounters() EngineCounters {
 // CPU reference when the kernel has one, and — with Measure — time
 // the same launch on the device simulator.
 func (a *Analyzer) analyze(ctx context.Context, spec KernelSpec, req Request) (*Result, error) {
-	r, release, err := a.simulate(ctx, spec, req, req.SkipVerify)
+	r, release, err := a.simulate(ctx, spec, req, req.SkipVerify, req.Measure)
 	if err != nil {
 		return nil, err
 	}
@@ -370,15 +379,7 @@ func (a *Analyzer) analyze(ctx context.Context, spec KernelSpec, req Request) (*
 			return nil, err
 		}
 		measCtx, measDone := r.phase(ctx, "measure")
-		// The functional run consumed the inputs; builders are
-		// deterministic per (size, seed), so rebuilding yields the
-		// identical problem instance on fresh memory.
-		w2, err := spec.build(a.dev, Params{Size: req.Size, Seed: req.Seed})
-		if err != nil {
-			measDone()
-			return nil, err
-		}
-		meas, err := device.RunBudget(measCtx, a.dev, w2.Launch, w2.Mem, w2.MaxWarpInstructions)
+		meas, err := device.RunBudget(measCtx, a.dev, r.w.Launch, r.input, r.w.MaxWarpInstructions)
 		measDone()
 		if err != nil {
 			return nil, err
@@ -410,7 +411,7 @@ func (a *Analyzer) analyze(ctx context.Context, spec KernelSpec, req Request) (*
 func (a *Analyzer) advise(ctx context.Context, spec KernelSpec, req Request) (*Advice, error) {
 	// Advice needs only the statistics, so the verification closure
 	// is always dropped.
-	r, release, err := a.simulate(ctx, spec, req, true)
+	r, release, err := a.simulate(ctx, spec, req, true, false)
 	if err != nil {
 		return nil, err
 	}

@@ -224,6 +224,33 @@ func TestAnalyzeMeasure(t *testing.T) {
 	}
 }
 
+// TestMeasuredAnalyzeBuildsOnce: a measured analyze builds its problem
+// instance once and times a copy taken before the functional run
+// consumed it, which a fresh build for Measure times the same.
+func TestMeasuredAnalyzeBuildsOnce(t *testing.T) {
+	a, spec, req := prepared(t, testFleet(t), Request{Kernel: "cr", Size: 64, Seed: 2, Measure: true})
+	builds := 0
+	build := spec.Build
+	spec.Build = func(dev Device, p Params) (*Workload, error) {
+		builds++
+		return build(dev, p)
+	}
+	res, err := a.analyze(context.Background(), spec, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if builds != 1 {
+		t.Errorf("measured analyze built its instance %d times, want 1", builds)
+	}
+	m, err := a.measure(context.Background(), spec, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.MeasuredSeconds != m.Seconds || res.MeasuredDominant != m.Dominant {
+		t.Errorf("analyze measured %v s (%s), Measure %v s (%s)", res.MeasuredSeconds, res.MeasuredDominant, m.Seconds, m.Dominant)
+	}
+}
+
 // stripPhases clears Diagnostics.PhaseSeconds — wall-clock telemetry
 // deliberately outside the determinism contract — so byte-identity
 // tests compare only the simulation's output.

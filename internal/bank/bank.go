@@ -14,7 +14,8 @@
 // each lane's bank into a 64-bit mask and returns 1 when no bank
 // repeats. On a power-of-two bank count a lane's bank is a shift and
 // a mask, so that path does no division. Broadcasts, conflicts and
-// a lane on a bank above 63 take the general dedup-and-count path.
+// a lane on a bank above 63 take the general count: sort the words,
+// then count the distinct ones per bank.
 package bank
 
 import (
@@ -89,10 +90,8 @@ func (s *Sim) bank(word uint32) uint32 {
 // transactionsHalfWarp is the allocation-free conflict count for up
 // to 16 lanes. A half-warp whose lanes all hit distinct banks below
 // 64 costs one transaction, which a 64-bit bank mask shows. Any other
-// access (a broadcast, a conflict, a bank above 63) dedups the words
-// into a fixed array, then takes the densest bank by an O(n²) scan —
-// at n ≤ 16 that is at most 256 compares on registers, far cheaper
-// than building per-bank tables.
+// access (a broadcast, a conflict, a bank above 63) takes
+// countHalfWarp, on fixed-size arrays.
 func (s *Sim) transactionsHalfWarp(addrs []uint32) int {
 	var used uint64
 	for _, a := range addrs {
@@ -105,47 +104,54 @@ func (s *Sim) transactionsHalfWarp(addrs []uint32) int {
 	return 1
 }
 
-// countHalfWarp is transactionsHalfWarp's general count.
+// countHalfWarp is transactionsHalfWarp's general count. It sorts the
+// words by insertion, which is linear on the ascending strided
+// accesses that conflict, so repeats sit side by side. With at most 64
+// banks a per-bank table counts the distinct words; more banks take
+// the densest bank by an O(n²) scan.
 func (s *Sim) countHalfWarp(addrs []uint32) int {
-	var words [gpu.HalfWarp]uint32
-	n := 0
-outer:
-	for _, a := range addrs {
-		w := a >> s.shift
-		for i := 0; i < n; i++ {
-			if words[i] == w {
-				continue outer
+	var sorted [gpu.HalfWarp]uint32
+	for i, a := range addrs {
+		w, j := a>>s.shift, i
+		for ; j > 0 && sorted[j-1] > w; j-- {
+			sorted[j] = sorted[j-1]
+		}
+		sorted[j] = w
+	}
+	words := sorted[:len(addrs)]
+	if words[0] == words[len(words)-1] {
+		return 1 // a broadcast
+	}
+	most := 0
+	if s.banks <= 64 {
+		var perBank [64]uint8
+		for i, w := range words {
+			if i == 0 || w != words[i-1] {
+				b := s.bank(w)
+				perBank[b]++
+				most = max(most, int(perBank[b]))
 			}
 		}
-		words[n] = w
-		n++
+		return most
 	}
-	var bankOf [gpu.HalfWarp]uint32
-	for i := 0; i < n; i++ {
-		bankOf[i] = s.bank(words[i])
+	n := 1
+	for _, w := range words[1:] {
+		if w != words[n-1] {
+			words[n] = w
+			n++
+		}
 	}
-	maxWords := 0
-	for i := 0; i < n; i++ {
-		c := 1
-		for j := 0; j < i; j++ {
-			if bankOf[j] == bankOf[i] {
-				c = 0 // bank already counted at its first word
-				break
-			}
-		}
-		if c == 0 {
-			continue
-		}
-		for j := i + 1; j < n; j++ {
-			if bankOf[j] == bankOf[i] {
+	words = words[:n]
+	for _, w := range words {
+		b, c := s.bank(w), 0
+		for _, v := range words {
+			if s.bank(v) == b {
 				c++
 			}
 		}
-		if c > maxWords {
-			maxWords = c
-		}
+		most = max(most, c)
 	}
-	return maxWords
+	return most
 }
 
 // transactionsLarge handles arbitrary address counts (synthetic

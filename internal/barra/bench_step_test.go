@@ -14,8 +14,8 @@ import (
 	"gpuperf/internal/kbuild"
 )
 
-// aluKernel is a straight-line FMAD/IADD body — the dense-matmul
-// shape where Step cost is pure dispatch + lane execution.
+// aluKernel is a straight-line FMAD/IADD body with every operand a
+// register, where Step cost is pure dispatch + lane execution.
 func aluKernel() *isa.Program {
 	b := kbuild.New("bench-alu")
 	r := b.Regs(4)
@@ -25,6 +25,28 @@ func aluKernel() *isa.Program {
 	for i := 0; i < 16; i++ {
 		b.FMad(r+3, r, r+1, r+2)
 		b.IAdd(r, r, r+1)
+	}
+	b.Exit()
+	return b.MustProgram()
+}
+
+// fmadSmemKernel is the dense-matmul shape: the inner loop of
+// internal/kernels' matmul, a straight-line run of kbuild.FMadS whose
+// a is a register, b one broadcast shared-memory word and c the
+// accumulator, for 16 accumulators over 4 values of k.
+func fmadSmemKernel() *isa.Program {
+	const t = 16
+	b := kbuild.New("bench-fmad-smem")
+	b.SharedBytes(t * t * 4)
+	a, acc := b.Reg(), b.Regs(t)
+	b.MovF(a, 1.5)
+	for c := 0; c < t; c++ {
+		b.MovF(acc+isa.Reg(c), 0)
+	}
+	for k := uint32(0); k < 4; k++ {
+		for c := uint32(0); c < t; c++ {
+			b.FMadS(acc+isa.Reg(c), a, (k+c*t)*4, acc+isa.Reg(c))
+		}
 	}
 	b.Exit()
 	return b.MustProgram()
@@ -51,7 +73,7 @@ func divergentKernel() *isa.Program {
 
 func benchWarpStep(b *testing.B, prog *isa.Program) {
 	mem := NewMemory(1 << 12)
-	shared := make([]uint32, 4)
+	shared := make([]uint32, prog.SharedMemBytes/4)
 	w, err := NewWarp(prog, 0, 0, 32, 1, 32, shared, mem)
 	if err != nil {
 		b.Fatal(err)
@@ -71,5 +93,6 @@ func benchWarpStep(b *testing.B, prog *isa.Program) {
 
 func BenchmarkWarpStep(b *testing.B) {
 	b.Run("alu", func(b *testing.B) { benchWarpStep(b, aluKernel()) })
+	b.Run("fmad-smem", func(b *testing.B) { benchWarpStep(b, fmadSmemKernel()) })
 	b.Run("divergent", func(b *testing.B) { benchWarpStep(b, divergentKernel()) })
 }

@@ -15,14 +15,16 @@ import (
 // straight-line predicated programs: every thread's final register
 // file must agree. This exercises operand resolution, predication,
 // special registers (as ALU operands and through guarded S2R),
-// register-pair doubles and the integer ALU far beyond the
-// hand-written kernels.
+// register-pair doubles, single-precision arithmetic and the integer
+// ALU far beyond the hand-written kernels. Full warps run the
+// executor's full-mask loops; guarded instructions and the partial
+// last warp of each block run the masked ones.
 func TestRandomProgramDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(2024))
 	const trials = 60
 	for trial := 0; trial < trials; trial++ {
 		prog, outBase := randomALUProgram(rng)
-		grid, block := 2, 96 // includes a partial warp
+		grid, block := 2, 80 // the third warp has 16 lanes
 		mem := NewMemory(grid * block * workRegs * 4)
 		if _, err := Run(gpu.GTX285(), Launch{Prog: prog, Grid: grid, Block: block}, mem, nil); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
@@ -77,7 +79,7 @@ func randomALUProgram(rng *rand.Rand) (*isa.Program, uint32) {
 		c := work + isa.Reg(rng.Intn(workRegs))
 		imm := uint32(rng.Intn(1 << 12))
 		sr := isa.SR(isa.SReg(rng.Intn(isa.NumSRegs)))
-		switch rng.Intn(14) {
+		switch rng.Intn(16) {
 		case 0:
 			b.IAdd(dst, a, c)
 		case 1:
@@ -125,6 +127,34 @@ func randomALUProgram(rng *rand.Rand) (*isa.Program, uint32) {
 				if o.Kind == isa.KindReg {
 					b.AndImm(o.Reg+1, o.Reg+1, 0xbfffffff)
 				}
+			}
+			if rng.Intn(2) == 0 {
+				in.Guard, in.GuardNeg = isa.Pred(rng.Intn(isa.NumPreds)), rng.Intn(2) == 0
+			}
+			b.Emit(in)
+		case 14, 15:
+			// A single-precision op whose sources are each a register,
+			// an immediate (a broadcast word, the shape kbuild.FMadS
+			// gives b) or a special register. Clearing bit 30 of each
+			// register source keeps |x| < 2, the immediate is a float
+			// in (-2, 2) and a special register reads as zero or a
+			// denormal, so no result is inf or NaN.
+			in := isa.Instruction{Op: []isa.Opcode{isa.OpFADD, isa.OpFMUL, isa.OpFMAD, isa.OpFNMAD}[rng.Intn(4)], Guard: isa.PT, Dst: dst,
+				Imm: math.Float32bits(float32(4*rng.Float64() - 2))}
+			src := func() isa.Operand {
+				switch rng.Intn(4) {
+				case 0:
+					return isa.Imm()
+				case 1:
+					return sr
+				}
+				r := work + isa.Reg(rng.Intn(workRegs))
+				b.AndImm(r, r, 0xbfffffff)
+				return isa.R(r)
+			}
+			in.SrcA, in.SrcB = src(), src()
+			if in.Op == isa.OpFMAD || in.Op == isa.OpFNMAD {
+				in.SrcC = src()
 			}
 			if rng.Intn(2) == 0 {
 				in.Guard, in.GuardNeg = isa.Pred(rng.Intn(isa.NumPreds)), rng.Intn(2) == 0
@@ -197,6 +227,7 @@ func interpret(p *isa.Program, blockID, tid, blockDim, gridDim int) []uint32 {
 		return 0
 	}
 
+	f32 := math.Float32frombits
 	pair := func(o isa.Operand) float64 {
 		if o.Kind != isa.KindReg {
 			return 0
@@ -265,6 +296,14 @@ func interpret(p *isa.Program, blockID, tid, blockDim, gridDim int) []uint32 {
 				r = x != y
 			}
 			preds[in.PDst] = r
+		case isa.OpFADD:
+			regs[in.Dst] = math.Float32bits(f32(a) + f32(bb))
+		case isa.OpFMUL:
+			regs[in.Dst] = math.Float32bits(f32(a) * f32(bb))
+		case isa.OpFMAD:
+			regs[in.Dst] = math.Float32bits(f32(a)*f32(bb) + f32(cc))
+		case isa.OpFNMAD:
+			regs[in.Dst] = math.Float32bits(f32(cc) - f32(a)*f32(bb))
 		case isa.OpDADD:
 			setPair(in.Dst, pair(in.SrcA)+pair(in.SrcB))
 		case isa.OpDMUL:

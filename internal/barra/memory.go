@@ -51,6 +51,12 @@ func NewMemory(size int) *Memory { return &Memory{words: make([]uint32, size/4),
 // Size returns the memory size in bytes.
 func (m *Memory) Size() int { return m.size }
 
+// Clone returns a copy of the memory's contents, so one built image
+// can feed two runs that each consume their own.
+func (m *Memory) Clone() *Memory {
+	return &Memory{words: append([]uint32(nil), m.words...), size: m.size}
+}
+
 func (m *Memory) check(addr uint32) error {
 	if addr%4 != 0 {
 		return fmt.Errorf("barra: unaligned access at %#x", addr)

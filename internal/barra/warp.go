@@ -692,17 +692,19 @@ func (w *Warp) exec(in *isa.Instruction, active LaneMask, pc int, addrs *[gpu.Wa
 		a := w.srcView(in.SrcA, in.Imm, 0)
 		b := w.srcView(in.SrcB, in.Imm, 1)
 		c := w.srcView(in.SrcC, in.Imm, 2)
-		if active == ^LaneMask(0) && b.m&c.m != 0 {
-			ds, bs, cs := d[:ws], b.s[:ws], c.s[:ws]
-			if a.m != 0 {
-				as := a.s[:ws]
+		// IMAD's operand rule: b may be a broadcast, the shared-memory
+		// word kbuild.FMadS gives every dense-matmul FMAD.
+		if active == ^LaneMask(0) && a.m&c.m != 0 {
+			ds, as, cs := d[:ws], a.s[:ws], c.s[:ws]
+			if b.m != 0 {
+				bs := b.s[:ws]
 				for l := 0; l < ws; l++ {
 					ds[l] = math.Float32bits(math.Float32frombits(as[l])*math.Float32frombits(bs[l]) + math.Float32frombits(cs[l]))
 				}
 			} else {
-				av := math.Float32frombits(a.s[0])
+				bv := math.Float32frombits(b.s[0])
 				for l := 0; l < ws; l++ {
-					ds[l] = math.Float32bits(av*math.Float32frombits(bs[l]) + math.Float32frombits(cs[l]))
+					ds[l] = math.Float32bits(math.Float32frombits(as[l])*bv + math.Float32frombits(cs[l]))
 				}
 			}
 			break

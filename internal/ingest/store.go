@@ -41,10 +41,17 @@ type Store struct {
 	cfg StoreConfig
 
 	mu        sync.Mutex
-	order     *list.List               // front = most recently used
-	byID      map[string]*list.Element // value: *Submission
+	order     *list.List // front = most recently used; value: *entry
+	byAge     *list.List // CreatedAt order, front = oldest; value: *entry
+	byID      map[string]*entry
 	bytes     int64
 	evictions int64 // removals for any reason: LRU, TTL, Delete
+}
+
+// entry is one resident submission, linked into both orders.
+type entry struct {
+	sub      *Submission
+	lru, age *list.Element
 }
 
 // storeSlot is the on-disk envelope; the version gates future layout
@@ -65,7 +72,7 @@ func NewStore(cfg StoreConfig) (*Store, error) {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	s := &Store{cfg: cfg, order: list.New(), byID: make(map[string]*list.Element)}
+	s := &Store{cfg: cfg, order: list.New(), byAge: list.New(), byID: make(map[string]*entry)}
 	if cfg.Dir == "" {
 		return s, nil
 	}
@@ -133,9 +140,11 @@ func (s *Store) Put(sub *Submission) (existing bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.expireLocked()
-	if el, ok := s.byID[sub.ID]; ok {
-		el.Value = sub
-		s.order.MoveToFront(el)
+	if e, ok := s.byID[sub.ID]; ok {
+		e.sub = sub
+		s.order.MoveToFront(e.lru)
+		s.byAge.Remove(e.age)
+		s.insertByAge(e)
 		return true, s.persist(sub)
 	}
 	if err := s.persist(sub); err != nil {
@@ -145,19 +154,33 @@ func (s *Store) Put(sub *Submission) (existing bool, err error) {
 	return false, nil
 }
 
-// admit inserts without persisting; evict trims to budget.
+// admit inserts a submission whose id is not resident, without
+// persisting it; evict trims to budget.
 func (s *Store) admit(sub *Submission, evict bool) {
-	if el, ok := s.byID[sub.ID]; ok {
-		s.order.MoveToFront(el)
-		return
-	}
-	s.byID[sub.ID] = s.order.PushFront(sub)
+	e := &entry{sub: sub}
+	e.lru = s.order.PushFront(e)
+	s.insertByAge(e)
+	s.byID[sub.ID] = e
 	s.bytes += sub.weight()
 	if !evict {
 		return
 	}
 	for (len(s.byID) > s.cfg.MaxCount || s.bytes > s.cfg.MaxBytes) && s.order.Len() > 1 {
-		s.removeLocked(s.order.Back())
+		s.removeLocked(s.order.Back().Value.(*entry))
+	}
+}
+
+// insertByAge links e into byAge after every entry created no later
+// than it: at the back, unless the clock stepped back.
+func (s *Store) insertByAge(e *entry) {
+	at := s.byAge.Back()
+	for at != nil && at.Value.(*entry).sub.CreatedAt.After(e.sub.CreatedAt) {
+		at = at.Prev()
+	}
+	if at == nil {
+		e.age = s.byAge.PushFront(e)
+	} else {
+		e.age = s.byAge.InsertAfter(e, at)
 	}
 }
 
@@ -195,12 +218,12 @@ func (s *Store) Get(id string) (*Submission, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.expireLocked()
-	el, ok := s.byID[id]
+	e, ok := s.byID[id]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
-	s.order.MoveToFront(el)
-	return el.Value.(*Submission), nil
+	s.order.MoveToFront(e.lru)
+	return e.sub, nil
 }
 
 // Delete removes a submission; false if it was not resident (or had
@@ -209,11 +232,11 @@ func (s *Store) Delete(id string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.expireLocked()
-	el, ok := s.byID[id]
+	e, ok := s.byID[id]
 	if !ok {
 		return false
 	}
-	s.removeLocked(el)
+	s.removeLocked(e)
 	return true
 }
 
@@ -224,7 +247,7 @@ func (s *Store) List() []*Submission {
 	s.expireLocked()
 	out := make([]*Submission, 0, len(s.byID))
 	for el := s.order.Front(); el != nil; el = el.Next() {
-		out = append(out, el.Value.(*Submission))
+		out = append(out, el.Value.(*entry).sub)
 	}
 	return out
 }
@@ -239,25 +262,25 @@ func (s *Store) Stats() (count int, bytes int64, evictions int64) {
 	return len(s.byID), s.bytes, s.evictions
 }
 
-// expireLocked drops every submission past its TTL.
+// expireLocked drops every submission past its TTL. byAge holds them
+// oldest first, so the walk stops at the first live one.
 func (s *Store) expireLocked() {
 	now := s.cfg.Now()
-	var dead []*list.Element
-	for el := s.order.Front(); el != nil; el = el.Next() {
-		if now.Sub(el.Value.(*Submission).CreatedAt) > s.cfg.TTL {
-			dead = append(dead, el)
+	for el := s.byAge.Front(); el != nil; el = s.byAge.Front() {
+		e := el.Value.(*entry)
+		if now.Sub(e.sub.CreatedAt) <= s.cfg.TTL {
+			return
 		}
-	}
-	for _, el := range dead {
-		s.removeLocked(el)
+		s.removeLocked(e)
 	}
 }
 
 // removeLocked drops a live submission and its slot file. Leaving the
 // store for any reason counts as an eviction.
-func (s *Store) removeLocked(el *list.Element) {
-	sub := el.Value.(*Submission)
-	s.order.Remove(el)
+func (s *Store) removeLocked(e *entry) {
+	sub := e.sub
+	s.order.Remove(e.lru)
+	s.byAge.Remove(e.age)
 	delete(s.byID, sub.ID)
 	s.bytes -= sub.weight()
 	if path := s.SlotPath(sub.ID); path != "" {

@@ -1,13 +1,14 @@
 package ingest
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 )
 
-func testSub(t *testing.T, grid int) *Submission {
+func testSub(t testing.TB, grid int) *Submission {
 	t.Helper()
 	sub, err := Compile(reduceRequest(grid), Limits{}, time.Unix(1700000000, 0))
 	if err != nil {
@@ -79,6 +80,55 @@ func TestStoreTTL(t *testing.T) {
 	}
 	if n, _, ev := s.Stats(); n != 0 || ev != 1 {
 		t.Fatalf("count = %d, evictions = %d; want 0 and 1", n, ev)
+	}
+}
+
+// TestStoreExpiryFollowsCreatedAt: expiry goes by each submission's
+// latest CreatedAt, whatever the LRU order and admission order. A
+// re-Put refreshes A's clock, and C arrives after the clock stepped
+// back; B and then C expire first, while A, the least recently
+// admitted and most recently used, stays.
+func TestStoreExpiryFollowsCreatedAt(t *testing.T) {
+	t0 := time.Unix(1700000000, 0)
+	clk := t0
+	s, err := NewStore(StoreConfig{
+		TTL: time.Hour,
+		Now: func() time.Time { return clk },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b, c := testSub(t, 1), testSub(t, 2), testSub(t, 3)
+	put := func(sub *Submission, created time.Time, wantExisting bool) {
+		t.Helper()
+		clk = created
+		sub.CreatedAt = created
+		if existing, err := s.Put(sub); err != nil || existing != wantExisting {
+			t.Fatalf("Put %s: existing %v, %v", sub.ID, existing, err)
+		}
+	}
+	put(a, t0, false)
+	put(b, t0.Add(time.Minute), false)
+	refreshed := *a
+	put(&refreshed, t0.Add(2*time.Minute), true)
+	put(c, t0.Add(90*time.Second), false)
+
+	clk = t0.Add(time.Hour + 75*time.Second) // past B's TTL only
+	if _, err := s.Get(b.ID); err == nil {
+		t.Error("B survived its TTL")
+	}
+	if _, err := s.Get(c.ID); err != nil {
+		t.Errorf("C expired early: %v", err)
+	}
+	clk = t0.Add(time.Hour + 105*time.Second) // past C's TTL, not A's refreshed one
+	if _, err := s.Get(c.ID); err == nil {
+		t.Error("C survived its TTL")
+	}
+	if _, err := s.Get(a.ID); err != nil {
+		t.Errorf("A expired before its refreshed TTL: %v", err)
+	}
+	if n, _, ev := s.Stats(); n != 1 || ev != 2 {
+		t.Fatalf("count = %d, evictions = %d; want 1 and 2", n, ev)
 	}
 }
 
@@ -182,5 +232,36 @@ func TestStoreByteBudget(t *testing.T) {
 	}
 	if _, err := s.Get(b.ID); err != nil {
 		t.Fatalf("newest submission evicted: %v", err)
+	}
+}
+
+// BenchmarkStoreGet times the lookup every request naming a submission
+// makes, with one resident and with the default MaxCount resident.
+func BenchmarkStoreGet(b *testing.B) {
+	base := testSub(b, 1)
+	base.CreatedAt = time.Now()
+	for _, n := range []int{1, DefaultMaxCount} {
+		b.Run(fmt.Sprintf("residents=%d", n), func(b *testing.B) {
+			s, err := NewStore(StoreConfig{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			var id string
+			for i := 0; i < n; i++ {
+				sub := *base
+				sub.ID = fmt.Sprintf("%s%016x", IDPrefix, i)
+				if _, err := s.Put(&sub); err != nil {
+					b.Fatal(err)
+				}
+				id = sub.ID
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.Get(id); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
