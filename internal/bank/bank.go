@@ -107,8 +107,9 @@ func (s *Sim) transactionsHalfWarp(addrs []uint32) int {
 // countHalfWarp is transactionsHalfWarp's general count. It sorts the
 // words by insertion, which is linear on the ascending strided
 // accesses that conflict, so repeats sit side by side. With at most 64
-// banks a per-bank table counts the distinct words; more banks take
-// the densest bank by an O(n²) scan.
+// banks a per-bank table counts the distinct words. More banks sort
+// the distinct words' banks the same way; the longest run of one bank
+// is the count.
 func (s *Sim) countHalfWarp(addrs []uint32) int {
 	var sorted [gpu.HalfWarp]uint32
 	for i, a := range addrs {
@@ -134,22 +135,25 @@ func (s *Sim) countHalfWarp(addrs []uint32) int {
 		}
 		return most
 	}
-	n := 1
-	for _, w := range words[1:] {
-		if w != words[n-1] {
-			words[n] = w
+	var bankOf [gpu.HalfWarp]uint32
+	n := 0
+	for i, w := range words {
+		if i == 0 || w != words[i-1] {
+			b, j := s.bank(w), n
+			for ; j > 0 && bankOf[j-1] > b; j-- {
+				bankOf[j] = bankOf[j-1]
+			}
+			bankOf[j] = b
 			n++
 		}
 	}
-	words = words[:n]
-	for _, w := range words {
-		b, c := s.bank(w), 0
-		for _, v := range words {
-			if s.bank(v) == b {
-				c++
-			}
+	run := 0
+	for i := 0; i < n; i++ {
+		if i == 0 || bankOf[i] != bankOf[i-1] {
+			run = 0
 		}
-		most = max(most, c)
+		run++
+		most = max(most, run)
 	}
 	return most
 }

@@ -25,20 +25,26 @@ func BenchmarkBankTransactions(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	wide, err := New(65, 4) // more than 64 banks: the general count's sort path
+	if err != nil {
+		b.Fatal(err)
+	}
 	cases := []struct {
 		name  string
+		sim   *Sim
 		addrs []uint32
 	}{
-		{"conflict-free", benchAddrs(1)},
-		{"broadcast", benchAddrs(0)},
-		{"4way", benchAddrs(4)},
-		{"16way", benchAddrs(16)},
+		{"conflict-free", s, benchAddrs(1)},
+		{"broadcast", s, benchAddrs(0)},
+		{"4way", s, benchAddrs(4)},
+		{"16way", s, benchAddrs(16)},
+		{"65banks-16way", wide, benchAddrs(65)},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				sinkTx += s.Transactions(c.addrs)
+				sinkTx += c.sim.Transactions(c.addrs)
 			}
 		})
 	}

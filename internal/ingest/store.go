@@ -41,17 +41,11 @@ type Store struct {
 	cfg StoreConfig
 
 	mu        sync.Mutex
-	order     *list.List // front = most recently used; value: *entry
-	byAge     *list.List // CreatedAt order, front = oldest; value: *entry
-	byID      map[string]*entry
+	order     *list.List               // front = most recently used
+	byID      map[string]*list.Element // value: *Submission
+	oldest    time.Time                // no resident was created before it
 	bytes     int64
 	evictions int64 // removals for any reason: LRU, TTL, Delete
-}
-
-// entry is one resident submission, linked into both orders.
-type entry struct {
-	sub      *Submission
-	lru, age *list.Element
 }
 
 // storeSlot is the on-disk envelope; the version gates future layout
@@ -72,7 +66,7 @@ func NewStore(cfg StoreConfig) (*Store, error) {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	s := &Store{cfg: cfg, order: list.New(), byAge: list.New(), byID: make(map[string]*entry)}
+	s := &Store{cfg: cfg, order: list.New(), byID: make(map[string]*list.Element)}
 	if cfg.Dir == "" {
 		return s, nil
 	}
@@ -140,11 +134,12 @@ func (s *Store) Put(sub *Submission) (existing bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.expireLocked()
-	if e, ok := s.byID[sub.ID]; ok {
-		e.sub = sub
-		s.order.MoveToFront(e.lru)
-		s.byAge.Remove(e.age)
-		s.insertByAge(e)
+	if sub.CreatedAt.Before(s.oldest) {
+		s.oldest = sub.CreatedAt
+	}
+	if el, ok := s.byID[sub.ID]; ok {
+		el.Value = sub
+		s.order.MoveToFront(el)
 		return true, s.persist(sub)
 	}
 	if err := s.persist(sub); err != nil {
@@ -157,30 +152,13 @@ func (s *Store) Put(sub *Submission) (existing bool, err error) {
 // admit inserts a submission whose id is not resident, without
 // persisting it; evict trims to budget.
 func (s *Store) admit(sub *Submission, evict bool) {
-	e := &entry{sub: sub}
-	e.lru = s.order.PushFront(e)
-	s.insertByAge(e)
-	s.byID[sub.ID] = e
+	s.byID[sub.ID] = s.order.PushFront(sub)
 	s.bytes += sub.weight()
 	if !evict {
 		return
 	}
 	for (len(s.byID) > s.cfg.MaxCount || s.bytes > s.cfg.MaxBytes) && s.order.Len() > 1 {
-		s.removeLocked(s.order.Back().Value.(*entry))
-	}
-}
-
-// insertByAge links e into byAge after every entry created no later
-// than it: at the back, unless the clock stepped back.
-func (s *Store) insertByAge(e *entry) {
-	at := s.byAge.Back()
-	for at != nil && at.Value.(*entry).sub.CreatedAt.After(e.sub.CreatedAt) {
-		at = at.Prev()
-	}
-	if at == nil {
-		e.age = s.byAge.PushFront(e)
-	} else {
-		e.age = s.byAge.InsertAfter(e, at)
+		s.removeLocked(s.order.Back())
 	}
 }
 
@@ -218,12 +196,12 @@ func (s *Store) Get(id string) (*Submission, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.expireLocked()
-	e, ok := s.byID[id]
+	el, ok := s.byID[id]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
-	s.order.MoveToFront(e.lru)
-	return e.sub, nil
+	s.order.MoveToFront(el)
+	return el.Value.(*Submission), nil
 }
 
 // Delete removes a submission; false if it was not resident (or had
@@ -232,11 +210,11 @@ func (s *Store) Delete(id string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.expireLocked()
-	e, ok := s.byID[id]
+	el, ok := s.byID[id]
 	if !ok {
 		return false
 	}
-	s.removeLocked(e)
+	s.removeLocked(el)
 	return true
 }
 
@@ -247,7 +225,7 @@ func (s *Store) List() []*Submission {
 	s.expireLocked()
 	out := make([]*Submission, 0, len(s.byID))
 	for el := s.order.Front(); el != nil; el = el.Next() {
-		out = append(out, el.Value.(*entry).sub)
+		out = append(out, el.Value.(*Submission))
 	}
 	return out
 }
@@ -262,25 +240,35 @@ func (s *Store) Stats() (count int, bytes int64, evictions int64) {
 	return len(s.byID), s.bytes, s.evictions
 }
 
-// expireLocked drops every submission past its TTL. byAge holds them
-// oldest first, so the walk stops at the first live one.
+// expireLocked drops every submission past its TTL. No resident was
+// created before oldest, so while oldest is within the TTL nothing has
+// expired and the walk is skipped. A walk resets oldest from the
+// survivors; a new store's zero oldest makes its first call walk.
 func (s *Store) expireLocked() {
 	now := s.cfg.Now()
-	for el := s.byAge.Front(); el != nil; el = s.byAge.Front() {
-		e := el.Value.(*entry)
-		if now.Sub(e.sub.CreatedAt) <= s.cfg.TTL {
-			return
+	if now.Sub(s.oldest) <= s.cfg.TTL {
+		return
+	}
+	s.oldest = now
+	var dead []*list.Element
+	for el := s.order.Front(); el != nil; el = el.Next() {
+		created := el.Value.(*Submission).CreatedAt
+		if now.Sub(created) > s.cfg.TTL {
+			dead = append(dead, el)
+		} else if created.Before(s.oldest) {
+			s.oldest = created
 		}
-		s.removeLocked(e)
+	}
+	for _, el := range dead {
+		s.removeLocked(el)
 	}
 }
 
 // removeLocked drops a live submission and its slot file. Leaving the
 // store for any reason counts as an eviction.
-func (s *Store) removeLocked(e *entry) {
-	sub := e.sub
-	s.order.Remove(e.lru)
-	s.byAge.Remove(e.age)
+func (s *Store) removeLocked(el *list.Element) {
+	sub := el.Value.(*Submission)
+	s.order.Remove(el)
 	delete(s.byID, sub.ID)
 	s.bytes -= sub.weight()
 	if path := s.SlotPath(sub.ID); path != "" {

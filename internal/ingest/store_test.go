@@ -86,8 +86,8 @@ func TestStoreTTL(t *testing.T) {
 // TestStoreExpiryFollowsCreatedAt: expiry goes by each submission's
 // latest CreatedAt, whatever the LRU order and admission order. A
 // re-Put refreshes A's clock, and C arrives after the clock stepped
-// back; B and then C expire first, while A, the least recently
-// admitted and most recently used, stays.
+// back to before every resident; C and then B expire first, while A,
+// the least recently admitted and most recently used, stays.
 func TestStoreExpiryFollowsCreatedAt(t *testing.T) {
 	t0 := time.Unix(1700000000, 0)
 	clk := t0
@@ -111,18 +111,18 @@ func TestStoreExpiryFollowsCreatedAt(t *testing.T) {
 	put(b, t0.Add(time.Minute), false)
 	refreshed := *a
 	put(&refreshed, t0.Add(2*time.Minute), true)
-	put(c, t0.Add(90*time.Second), false)
+	put(c, t0.Add(-30*time.Second), false)
 
-	clk = t0.Add(time.Hour + 75*time.Second) // past B's TTL only
-	if _, err := s.Get(b.ID); err == nil {
-		t.Error("B survived its TTL")
-	}
-	if _, err := s.Get(c.ID); err != nil {
-		t.Errorf("C expired early: %v", err)
-	}
-	clk = t0.Add(time.Hour + 105*time.Second) // past C's TTL, not A's refreshed one
+	clk = t0.Add(time.Hour - 15*time.Second) // past C's TTL only
 	if _, err := s.Get(c.ID); err == nil {
 		t.Error("C survived its TTL")
+	}
+	if n, _, _ := s.Stats(); n != 2 { // Stats leaves the LRU order as it is
+		t.Errorf("%d resident past C's TTL; want A and B", n)
+	}
+	clk = t0.Add(time.Hour + 75*time.Second) // past B's TTL, not A's refreshed one
+	if _, err := s.Get(b.ID); err == nil {
+		t.Error("B survived its TTL")
 	}
 	if _, err := s.Get(a.ID); err != nil {
 		t.Errorf("A expired before its refreshed TTL: %v", err)
