@@ -52,9 +52,6 @@ func New(banks, wordBytes int) (*Sim, error) {
 // ForGPU builds the simulator for a device configuration.
 func ForGPU(c gpu.Config) (*Sim, error) { return New(c.SharedMemBanks, c.BankWidthBytes) }
 
-// Banks returns the configured bank count.
-func (s *Sim) Banks() int { return s.banks }
-
 // Transactions returns the number of serialized shared-memory
 // transactions needed to service the given byte addresses, which
 // must belong to one half-warp access (inactive lanes excluded by

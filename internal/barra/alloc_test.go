@@ -82,68 +82,56 @@ func newAllocCtx(t testing.TB) *runContext {
 		banks:    bsim,
 		coal:     []*coalesce.Sim{csim},
 		segs:     segs,
-		stats:    newStatsCollector(l, nil, segs),
+		stats:    &statsCollector{segs: segs},
 		maxInstr: 1 << 40,
 	}
 	ctx.budget.Store(ctx.maxInstr)
 	return ctx
 }
 
-// TestSteadyStateZeroAllocs: re-running a block on a warmed worker
-// into a caller-owned stats shard performs zero heap allocations —
-// the engine's per-instruction path (step, masks, bank conflicts,
-// coalescing, hookless stats accounting) is allocation-free. The
-// shard is reused across iterations, so the pin does not depend on
-// sync.Pool (which drops items at random under the race detector).
+// liveBlock runs block 0's live pass on w into bs, without a fold.
+func liveBlock(t testing.TB, w *worker, bs *blockStats) {
+	if err := w.initBlock(0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.schedule(bs, false); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSteadyStateZeroAllocs: re-running a block's live pass on a
+// warmed worker into a caller-owned stats shard performs zero heap
+// allocations — the engine's per-instruction path (step, masks, bank
+// conflicts, coalescing, hookless stats accounting) is
+// allocation-free.
 func TestSteadyStateZeroAllocs(t *testing.T) {
 	ctx := newAllocCtx(t)
 	w := &worker{ctx: ctx}
 	bs := ctx.stats.shard()
-	if _, err := w.runBlock(0, bs); err != nil { // warm-up: builds arenas
-		t.Fatal(err)
-	}
-	avg := testing.AllocsPerRun(50, func() {
-		if _, err := w.runBlock(0, bs); err != nil {
-			t.Fatal(err)
-		}
-	})
+	liveBlock(t, w, bs) // warm-up: builds arenas
+	avg := testing.AllocsPerRun(50, func() { liveBlock(t, w, bs) })
 	if avg != 0 {
 		t.Fatalf("steady-state block execution allocates %.1f times per block; want 0", avg)
 	}
 }
 
-// TestSteadyStateCollectorAllocs: with each block's shard taken from
-// the pool and recycled through merge (as Run's steady state across
-// launches does), execution stays allocation-free. AllocsPerRun
-// divides the total by the run count and truncates, so over 200 runs
-// a stray refill after a GC sheds the pool still reads 0, while one
-// allocation per block reads 1. Under the race detector sync.Pool
-// drops a quarter of its puts, and each drop costs a shard refill, so
-// there the bound stays at 1.
+// TestSteadyStateCollectorAllocs: a worker's whole per-block step —
+// reset its block shard, run the block, fold the shard into its
+// running sum, check the barrier count — allocates nothing once the
+// worker is warm, with or without the race detector.
 func TestSteadyStateCollectorAllocs(t *testing.T) {
 	ctx := newAllocCtx(t)
-	sc := ctx.stats
-	w := &worker{ctx: ctx}
-	bs := sc.shard()
-	nb, err := w.runBlock(0, bs)
-	if err != nil {
+	w := newWorker(ctx)
+	if err := w.block(0); err != nil { // warm-up: builds arenas and the shards' stages
 		t.Fatal(err)
 	}
-	sc.merge(0, bs, nb) // seeds the shard pool
 	avg := testing.AllocsPerRun(200, func() {
-		bs := sc.shard()
-		nb, err := w.runBlock(0, bs)
-		if err != nil {
+		if err := w.block(0); err != nil {
 			t.Fatal(err)
 		}
-		sc.merge(0, bs, nb)
 	})
-	bound := 0.0
-	if raceEnabled {
-		bound = 1
-	}
-	if avg > bound {
-		t.Fatalf("steady-state execution with pooled stats shards allocates %.1f times per block; want at most %.0f", avg, bound)
+	if avg != 0 {
+		t.Fatalf("a worker's per-block step allocates %.1f times per block; want 0", avg)
 	}
 }
 
@@ -156,17 +144,13 @@ func TestSteadyStateZeroAllocsWithMetrics(t *testing.T) {
 	ctx := newAllocCtx(t)
 	w := &worker{ctx: ctx}
 	bs := ctx.stats.shard()
-	if _, err := w.runBlock(0, bs); err != nil { // warm-up: builds arenas
-		t.Fatal(err)
-	}
+	liveBlock(t, w, bs) // warm-up: builds arenas
 	reg := obs.NewRegistry()
 	blocks := reg.NewCounter("test_blocks_total", "")
 	lat := reg.NewHistogram("test_block_seconds", "", obs.DefLatencyBuckets)
 	avg := testing.AllocsPerRun(50, func() {
 		start := time.Now()
-		if _, err := w.runBlock(0, bs); err != nil {
-			t.Fatal(err)
-		}
+		liveBlock(t, w, bs)
 		blocks.Inc()
 		lat.Observe(time.Since(start).Seconds())
 	})
@@ -176,30 +160,25 @@ func TestSteadyStateZeroAllocsWithMetrics(t *testing.T) {
 }
 
 // TestReplayHitAllocs: a replay hit — a block whose lean pass matches
-// a class already simulated — stays allocation-free too. Block 0
-// misses and becomes the class canonical; block 1 then hits on every
-// iteration. Each hit takes its variant shard from sync.Pool, which
-// under the race detector drops a quarter of what it is given back;
-// over 200 hits those refills (two allocations each) stay well below
-// the one allocation per hit that AllocsPerRun's integer average
-// would report.
+// a class already simulated, folded into the worker's running sum —
+// stays allocation-free too. Block 0 misses and becomes the class
+// canonical; block 1 then hits on every iteration.
 func TestReplayHitAllocs(t *testing.T) {
 	ctx := newAllocCtx(t)
 	ctx.replay = newReplayState(ctx.launch.Prog, nil, ctx.cfg.MaxSegmentBytes)
-	w := &worker{ctx: ctx}
-	bs := ctx.stats.shard()
+	w := newWorker(ctx)
 	hit := func() {
-		if _, err := w.runBlockEngine(1, bs); err != nil {
+		if err := w.block(1); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := w.runBlockEngine(0, bs); err != nil { // miss: builds arenas and the class
+	if err := w.block(0); err != nil { // miss: builds arenas and the class
 		t.Fatal(err)
 	}
 	hit() // warm-up: grows the undo log
 	avg := testing.AllocsPerRun(200, hit)
-	if w.engMisses != 1 || w.engHits != 202 {
-		t.Fatalf("engine saw %d misses and %d hits; want 1 and 202", w.engMisses, w.engHits)
+	if n := len(ctx.replay.classes); n != 1 {
+		t.Fatalf("engine found %d classes; want 1, block 1 replaying block 0's", n)
 	}
 	if avg != 0 {
 		t.Fatalf("a replay hit allocates %.1f times per block; want 0", avg)

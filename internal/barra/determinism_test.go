@@ -2,10 +2,11 @@ package barra_test
 
 // Determinism tests for the sharded execution engine: running the
 // three paper kernels (Volkov matmul, BELL+IMIV SpMV, cyclic
-// reduction) at several Parallelism settings must produce Stats that
-// are bit-identical to the serial path, identical final memory
-// contents, and — for the GlobalAccessHook — an identical, block-
-// ordered callback stream.
+// reduction) and the naive matmul at several Parallelism settings
+// must produce Stats, engine counters included, that are
+// bit-identical to the serial path, identical final memory contents,
+// and — for the GlobalAccessHook — an identical, block-ordered
+// callback stream.
 
 import (
 	"math/rand"
@@ -91,6 +92,27 @@ func detCases() []detCase {
 				t.Fatal(err)
 			}
 			return solver.Launch(), mem, nil
+		}},
+		{"matmul-naive", func(t *testing.T) (barra.Launch, *barra.Memory, *barra.Options) {
+			// Its 256 blocks fall into 32 replay classes, so which
+			// blocks replay is where the engine counters could depend
+			// on which worker ran which block.
+			const n = 128
+			mm, err := kernels.NewMatmulNaive(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(11))
+			a := make([]float32, n*n)
+			b := make([]float32, n*n)
+			for i := range a {
+				a[i], b[i] = rng.Float32(), rng.Float32()
+			}
+			mem, err := mm.NewMemory(a, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return mm.Launch(), mem, nil
 		}},
 	}
 }

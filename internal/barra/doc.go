@@ -33,8 +33,8 @@
 // loop of both the homogeneous-block lean pass and the live pass),
 // worker.record and worker.stageEnd (the live per-step stats
 // accounting), bank.Sim.Transactions, coalesce.Sim.HalfWarpInto
-// (the per-access memory models), and statsCollector.merge (the
-// per-block stats fold).
+// (the per-access memory models), and blockStats.add (the per-block
+// fold into a worker's running sum).
 //
 // Where a reachable line deliberately allocates — amortized growth
 // into caller-owned scratch, a cold fallback the engine never takes,
@@ -47,8 +47,8 @@
 // state.
 //
 // When adding code on an annotated path, prefer caller-provided
-// scratch (see the worker type's reusable buffers and blockStatsPool)
-// over fresh slices, and
-// pointer-shaped values over interface boxing; if an allocation is
-// genuinely amortized or cold, annotate it and say why.
+// scratch (see the worker type's reusable buffers and statistics
+// shards) over fresh slices, and pointer-shaped values over interface
+// boxing; if an allocation is genuinely amortized or cold, annotate
+// it and say why.
 package barra

@@ -200,3 +200,28 @@ func TestBlockIsolationWriteAfterRead(t *testing.T) {
 		t.Fatalf("write after foreign read should fail verification, got %v", err)
 	}
 }
+
+// TestIrregularStagingRejected: every block of a launch must pass the
+// same number of barriers. Odd blocks branch around a block-uniform
+// barrier, so no block deadlocks, but the run must still fail, at
+// every parallelism and with replay on or off.
+func TestIrregularStagingRejected(t *testing.T) {
+	b := kbuild.New("oddbar")
+	cta, odd := b.Reg(), b.Reg()
+	b.S2R(cta, isa.SRCtaid)
+	b.AndImm(odd, cta, 1)
+	b.ISetpImm(isa.P0, isa.CmpNE, odd, 0)
+	br := b.BraIf(isa.P0, false) // odd blocks skip the barrier
+	b.Bar()
+	b.SetTarget(br, b.Pos())
+	b.Exit()
+	l := Launch{Prog: b.MustProgram(), Grid: 6, Block: 64}
+	for _, p := range []int{1, 2, 8} {
+		for _, noReplay := range []bool{false, true} {
+			_, err := Run(cfg(), l, NewMemory(64), &Options{Parallelism: p, DisableBlockReplay: noReplay})
+			if err == nil || !strings.Contains(err.Error(), "irregular staging") {
+				t.Errorf("P=%d DisableBlockReplay=%v: got %v, want an irregular staging error", p, noReplay, err)
+			}
+		}
+	}
+}

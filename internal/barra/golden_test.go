@@ -69,12 +69,16 @@ func fingerprint(st *barra.Stats, mem []uint32) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// goldenFingerprints were recorded at PR 1 (pre-refactor engine);
-// the zero-allocation rewrite must reproduce them bit-identically.
+// goldenFingerprints of the three paper kernels were recorded on the
+// first sharded engine, before the zero-allocation rewrite, which must
+// reproduce them bit-identically. matmul-naive's was recorded on the
+// engine that merged per-block shards in block order, before each
+// worker summed its own.
 var goldenFingerprints = map[string]string{
 	"matmul16":       "8813873cb56505c98c47367757a1bb651e446067c3408182b125661acd3aa6a7",
 	"spmv-bell-imiv": "6560b24ebde310e86677e706d3cf092c023c1c95f19fd3d6e83c121ef8cb8fa9",
 	"cr":             "cbd79300f1d0bc82874c70b00fc381f02cae7d2cb3065380f636177a6702d499",
+	"matmul-naive":   "4eaa2bd7edefa31bb9af8ae38814447eacd9c7ec59379b64aca8ad93e802f649",
 }
 
 func TestGoldenStats(t *testing.T) {
@@ -96,19 +100,20 @@ func TestGoldenStats(t *testing.T) {
 
 // goldenEngine pins each golden launch's engine counters — blocks
 // simulated and replayed, batched runs and the instructions they
-// covered — at every parallelism below: the fingerprint above leaves
+// covered — at every parallelism: the fingerprint above leaves
 // Engine out, so only this test notices a change in how the engine
 // batches or replays.
 var goldenEngine = map[string]barra.EngineStats{
 	"matmul16":       {BlocksSimulated: 1, BlocksReplayed: 15, BatchedRuns: 4128, BatchedInstrs: 67840},
 	"spmv-bell-imiv": {BlocksSimulated: 1, BlocksReplayed: 7, BatchedRuns: 2912, BatchedInstrs: 4384},
 	"cr":             {BlocksSimulated: 1, BlocksReplayed: 15, BatchedRuns: 3792, BatchedInstrs: 11680},
+	"matmul-naive":   {BlocksSimulated: 32, BlocksReplayed: 224, BatchedRuns: 66048, BatchedInstrs: 335360},
 }
 
 func TestGoldenEngineStats(t *testing.T) {
 	for _, c := range detCases() {
 		t.Run(c.name, func(t *testing.T) {
-			for _, p := range []int{1, 2} {
+			for _, p := range parallelisms {
 				st, _ := runAt(t, c, p)
 				if want := goldenEngine[c.name]; st.Engine != want {
 					t.Errorf("P=%d: Engine = %+v, want %+v", p, st.Engine, want)

@@ -137,11 +137,6 @@ func (m *Memory) store32(addr, v uint32, block int) error {
 	return nil
 }
 
-// SetFloat32 stores a float at byte address addr.
-func (m *Memory) SetFloat32(addr uint32, f float32) error {
-	return m.Store32(addr, math.Float32bits(f))
-}
-
 // Float32 loads a float from byte address addr.
 func (m *Memory) Float32(addr uint32) (float32, error) {
 	v, err := m.Load32(addr)

@@ -3,7 +3,6 @@ package barra
 import (
 	"math/bits"
 	"sync"
-	"sync/atomic"
 
 	"gpuperf/internal/gpu"
 	"gpuperf/internal/isa"
@@ -25,8 +24,8 @@ import (
 // interleaved instruction stream, active masks, and the shape of
 // every memory access — while recording an undo log of its global
 // stores. On a signature hit the canonical block's stats shard is
-// copied into the block's own shard and the block is done. On a miss
-// the undo log rewinds the block's global stores and the block
+// folded into the worker's running sum and the block is done. On a
+// miss the undo log rewinds the block's global stores and the block
 // re-runs on the ordinary live path, which derives its stats shard
 // the usual way; that shard becomes the class canonical.
 // Misses are therefore twice as expensive as live simulation, but a
@@ -66,10 +65,11 @@ import (
 // (signature misses, block simulates live), over-taint computes more
 // per block than necessary.
 //
-// Workloads whose blocks never match — genuinely irregular address
-// streams — would pay the wasted lean pass on every block, so each
-// worker falls back to plain live simulation after its first
-// engineFallbackMisses blocks all miss without a single hit.
+// Every block takes the lean pass, so which blocks replay depends only
+// on the launch, never on which worker ran which block. A kernel
+// whose blocks never match — a genuinely irregular address stream —
+// pays a lean pass plus a live pass on every block, roughly twice a
+// live run; Options.DisableBlockReplay runs such a launch live.
 
 // sigKey is a block's 128-bit replay signature (two independently
 // folded FNV-64 lanes).
@@ -102,11 +102,6 @@ const (
 	sigFlagSmem                         // step read a shared-memory ALU operand
 )
 
-// engineFallbackMisses is the per-worker miss streak (with zero hits)
-// after which the worker stops attempting replay and runs its
-// remaining blocks live.
-const engineFallbackMisses = 8
-
 // replayState is the cross-worker replay machinery of one run.
 type replayState struct {
 	// variant[pc] marks memory instructions whose address register is
@@ -120,12 +115,6 @@ type replayState struct {
 
 	mu      sync.RWMutex
 	classes map[sigKey]*blockStats // canonical stats shard per signature
-
-	// liveBlocks counts blocks run live by workers that gave up on
-	// replay (see engineFallbackMisses).
-	liveBlocks    atomic.Int64
-	batchedRuns   atomic.Int64
-	batchedInstrs atomic.Int64
 }
 
 func newReplayState(prog *isa.Program, regions []Region, maxA int) *replayState {
@@ -215,14 +204,16 @@ type engineState struct {
 	// folding.
 	addrBuf [gpu.WarpSize]uint32
 
-	runs, instrs int64 // batched-run counters of the block in flight
-	charged      int64 // warp instructions drawn from the budget
+	// runs and instrs count the batched runs of every lean pass the
+	// worker has made and the warp instructions they covered.
+	runs, instrs int64
+	charged      int64 // warp instructions the block's lean pass drew from the budget
 }
 
+// reset readies e for a block's lean pass.
 func (e *engineState) reset() {
 	e.h1, e.h2 = fnvOffset64, fnvOffset64b
 	e.undo = e.undo[:0]
-	e.runs, e.instrs = 0, 0
 	e.charged = 0
 }
 
@@ -388,20 +379,16 @@ func (w *worker) foldEnvelope(a0, lo, hi uint32) {
 	}
 }
 
-// runBlockEngine executes one block on the engine path, recording its
-// statistics into bs: schedule's lean pass (batched functional
-// execution folding the block signature and logging store undos),
-// then replay on a hit or an unwind-and-re-run of schedule's live
-// pass on a miss.
-func (w *worker) runBlockEngine(blockID int, bs *blockStats) (int, error) {
-	rs := w.ctx.replay
-	if w.engMisses >= engineFallbackMisses && w.engHits == 0 {
-		rs.liveBlocks.Add(1)
-		return w.runBlock(blockID, bs)
-	}
+// runBlockEngine executes one block on the engine path and folds its
+// statistics into the worker's running sum: schedule's lean pass
+// (batched functional execution folding the block signature and
+// logging store undos), then replay on a hit or an unwind-and-re-run
+// of schedule's live pass on a miss.
+func (w *worker) runBlockEngine(blockID int) (int, error) {
 	if err := w.initBlock(blockID); err != nil {
 		return 0, err
 	}
+	rs := w.ctx.replay
 	e := &w.eng
 	e.reset()
 	for _, warp := range w.warps {
@@ -409,53 +396,46 @@ func (w *worker) runBlockEngine(blockID int, bs *blockStats) (int, error) {
 	}
 	// varBS accumulates the block's data-derived (variant) memory
 	// statistics during the lean pass.
-	varBS := w.ctx.stats.shard()
+	varBS := w.varBS
+	varBS.reset()
 	barriers, err := w.schedule(varBS, true)
 	for _, warp := range w.warps {
 		warp.undo = nil
 	}
 	if err != nil {
-		varBS.release()
 		return 0, err
 	}
-	rs.batchedRuns.Add(e.runs)
-	rs.batchedInstrs.Add(e.instrs)
 
 	sig := sigKey{e.h1, e.h2}
 	rs.mu.RLock()
 	canon := rs.classes[sig]
 	rs.mu.RUnlock()
 	if canon != nil {
-		w.engHits++
-		bs.copyFrom(canon)
-		bs.add(varBS, 1)
-		varBS.release()
+		w.sum.add(canon, 1)
+		w.sum.add(varBS, 1)
 		return barriers, nil
 	}
-	w.engMisses++
 
 	// Miss: rewind the lean pass's global stores (in reverse, so
 	// aliasing stores restore the true pre-block words), hand the
 	// drawn budget back to this worker's batch — the re-run redraws
 	// exactly the same instructions, keeping the shared pool's
 	// accounting identical to a live run — and re-run the block on
-	// the live path into bs, which the lean pass left untouched. The
-	// re-run's full shard is this block's result; minus the block's
-	// own variant shard it is also the class's canonical uniform
-	// shard, identical whichever member computes it.
+	// the live path, which folds it into the running sum. The
+	// re-run's full shard, w.bs, minus the block's own variant shard
+	// is the class's canonical uniform shard, identical whichever
+	// member computes it.
 	words := w.ctx.mem.words
 	for i := len(e.undo) - 2; i >= 0; i -= 2 {
 		words[e.undo[i]] = e.undo[i+1]
 	}
 	w.avail += e.charged
-	barriers, err = w.runBlock(blockID, bs)
-	if err != nil {
-		varBS.release()
+	if barriers, err = w.runBlock(blockID); err != nil {
 		return 0, err
 	}
-	c := bs.clone()
+	c := w.ctx.stats.shard()
+	c.add(w.bs, 1)
 	c.add(varBS, -1)
-	varBS.release()
 	rs.mu.Lock()
 	if _, dup := rs.classes[sig]; !dup {
 		rs.classes[sig] = c

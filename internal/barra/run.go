@@ -81,8 +81,8 @@ type Options struct {
 	// blocks are sharded across. 0 (the default) uses
 	// runtime.GOMAXPROCS(0); 1 runs every block on one goroutine. A
 	// GlobalAccessHook forces 1. Every setting produces bit-identical
-	// Stats: per-block statistics are merged in ascending block-ID
-	// order after the workers join.
+	// Stats: each worker sums the blocks it ran, and integer sums
+	// fold in any order.
 	Parallelism int
 	// DisableBlockReplay forces every block through live per-step
 	// simulation. By default the engine detects blocks whose
@@ -108,8 +108,11 @@ type Options struct {
 // goroutines (the CUDA model guarantees block independence — see
 // Memory's disjoint-writes contract); warps within a block
 // interleave at barriers. Functional semantics and the returned
-// Stats are independent of scheduling: statistics are collected per
-// block and merged deterministically in block order.
+// Stats are independent of scheduling: each worker folds the blocks
+// it ran into a running sum of integer counters, and Run adds the
+// workers' sums once they join. Every block must pass the same
+// number of barriers; a launch whose blocks differ fails with
+// "irregular staging".
 func Run(cfg gpu.Config, l Launch, mem *Memory, opt *Options) (*Stats, error) {
 	return RunContext(context.Background(), cfg, l, mem, opt)
 }
@@ -188,7 +191,7 @@ func RunContext(ctx context.Context, cfg gpu.Config, l Launch, mem *Memory, opt 
 		workers = l.Grid
 	}
 
-	rc.stats = newStatsCollector(l, opt.Regions, rc.segs)
+	rc.stats = &statsCollector{regions: opt.Regions, segs: rc.segs}
 	if !opt.DisableBlockReplay && rc.hook == nil {
 		maxA := cfg.MaxSegmentBytes
 		for _, s := range rc.segs {
@@ -204,29 +207,22 @@ func RunContext(ctx context.Context, cfg gpu.Config, l Launch, mem *Memory, opt 
 		defer mem.stopTracking()
 	}
 
-	barriers, shards, err := rc.execute(workers)
+	ws, err := rc.execute(workers)
 	if err != nil {
 		return nil, err
 	}
-	for b := 1; b < l.Grid; b++ {
-		if barriers[b] != barriers[0] {
-			return nil, fmt.Errorf("barra: block %d passed %d barriers, block 0 passed %d — irregular staging",
-				b, barriers[b], barriers[0])
-		}
+	sum := ws[0].sum
+	for _, w := range ws[1:] {
+		sum.add(w.sum, 1)
 	}
-	// Deterministic join: fold every block back in ascending block
-	// order, whatever order the workers finished in.
-	for b, bs := range shards {
-		rc.stats.merge(b, bs, barriers[b])
-	}
-	st := rc.stats.finish()
+	st := rc.stats.finish(l, sum)
+	st.Barriers = int(rc.stages.Load()) - 1
 	if rc.replay != nil {
-		sim := int64(len(rc.replay.classes)) + rc.replay.liveBlocks.Load()
-		st.Engine = EngineStats{
-			BlocksSimulated: sim,
-			BlocksReplayed:  int64(l.Grid) - sim,
-			BatchedRuns:     rc.replay.batchedRuns.Load(),
-			BatchedInstrs:   rc.replay.batchedInstrs.Load(),
+		sim := int64(len(rc.replay.classes))
+		st.Engine = EngineStats{BlocksSimulated: sim, BlocksReplayed: int64(l.Grid) - sim}
+		for _, w := range ws {
+			st.Engine.BatchedRuns += w.eng.runs
+			st.Engine.BatchedInstrs += w.eng.instrs
 		}
 	}
 	return st, nil

@@ -1,8 +1,6 @@
 package barra
 
 import (
-	"sync"
-
 	"gpuperf/internal/gpu"
 	"gpuperf/internal/isa"
 )
@@ -68,9 +66,10 @@ type StageStats struct {
 }
 
 // Stats is the dynamic-statistics output of a functional run: the
-// "info extractor" payload of paper Fig. 1. Sharded runs merge
-// per-block statistics in ascending block order, so Stats is
-// bit-identical for every Options.Parallelism setting.
+// "info extractor" payload of paper Fig. 1, summed over every block.
+// Every counter is an integer sum, so the order in which workers fold
+// blocks cannot change a bit: Stats, Engine included, is identical
+// for every Options.Parallelism setting.
 type Stats struct {
 	// Totals over all stages.
 	Total StageStats
@@ -92,27 +91,26 @@ type Stats struct {
 
 	// Engine reports how the execution engine produced these stats
 	// (all zero on the live path: a GlobalAccessHook armed, or replay
-	// disabled). The counters are deterministic at a fixed
-	// Parallelism; the per-worker adaptive fallback can shift a few
-	// blocks between simulated and replayed across different worker
-	// counts on irregular workloads. Every other Stats field is
-	// bit-identical regardless.
+	// disabled). Like every other field it is the same at every
+	// Parallelism.
 	Engine EngineStats
 }
 
 // EngineStats are the execution engine's replay and batching
-// counters for one run.
+// counters for one run. Every block runs the replay engine's lean
+// pass, so all four depend only on the launch, never on which worker
+// ran which block.
 type EngineStats struct {
-	// BlocksSimulated is the number of blocks whose statistics were
-	// derived by full simulation: one per block equivalence class,
-	// plus any blocks run live by workers that abandoned replay.
-	// BlocksReplayed is the number of blocks that reused a class's
-	// canonical shard instead. Their sum is the grid size.
+	// BlocksSimulated is the number of block equivalence classes the
+	// run found: each class's statistics come from one full
+	// simulation. BlocksReplayed is Grid − BlocksSimulated, the blocks
+	// that reused a class's canonical shard. When two workers meet a
+	// new class at once both simulate it, and it still counts once.
 	BlocksSimulated int64
 	BlocksReplayed  int64
-	// BatchedRuns is the number of multi-instruction batched steps;
-	// BatchedInstrs the warp instructions they covered (out of
-	// Total.WarpInstrs).
+	// BatchedRuns is the number of multi-instruction batched steps of
+	// the lean passes; BatchedInstrs the warp instructions they
+	// covered (out of Total.WarpInstrs).
 	BatchedRuns   int64
 	BatchedInstrs int64
 }
@@ -206,39 +204,19 @@ func accumulate(dst, src *StageStats, sign int64) {
 	dst.WarpsWithWork += sign * src.WarpsWithWork
 }
 
-// statsCollector builds one run's *Stats. Blocks record into
-// index-keyed shards (cheaper than maps in the hot loop); merge
-// converts them to the public map form.
+// statsCollector is one run's statistics layout: blocks record into
+// index-keyed shards (cheaper than maps in the hot loop), and finish
+// converts the run's sum to the public map form.
 type statsCollector struct {
 	regions []Region
 	segs    []int // granularities, segs[0] native
-	stats   *Stats
 }
 
-func newStatsCollector(l Launch, regions []Region, segs []int) *statsCollector {
-	c := &statsCollector{
-		regions: regions,
-		segs:    segs,
-		stats: &Stats{
-			GlobalAt:      map[int]MemTraffic{},
-			RegionTraffic: map[string]map[int]MemTraffic{},
-			RegionUseful:  map[string]int64{},
-			Grid:          l.Grid,
-			Block:         l.Block,
-		},
-	}
-	for _, reg := range regions {
-		c.stats.RegionTraffic[reg.Name] = map[int]MemTraffic{}
-		c.stats.RegionUseful[reg.Name] = 0
-	}
-	return c
-}
-
-// blockStats is one block's shard of the statistics, written by the
-// one worker running the block. Shards are pooled process-wide: merge
-// returns each folded shard to blockStatsPool, so the paper's
-// rerun-per-figure workflow — many Run calls in one process — stops
-// churning per-block slices after the first launch warms the pool.
+// blockStats is a shard of the statistics in index-keyed form: the
+// block a worker has in flight, a lean pass's variant shard, a
+// worker's running sum, or a replay class's canonical shard. Every
+// counter is an integer sum, so shards fold in any order to the same
+// bits.
 type blockStats struct {
 	stages        []StageStats
 	globalAt      []MemTraffic   // indexed like statsCollector.segs
@@ -246,69 +224,37 @@ type blockStats struct {
 	regionUseful  []int64        // [region]
 }
 
-var blockStatsPool sync.Pool
-
-// trafficRow returns a zeroed []MemTraffic of length n, reusing prev's
-// backing array when it is large enough.
-func trafficRow(prev []MemTraffic, n int) []MemTraffic {
-	if cap(prev) < n {
-		return make([]MemTraffic, n)
-	}
-	prev = prev[:n]
-	clear(prev)
-	return prev
-}
-
-// shard returns a zeroed shard sized for this run, reusing a pooled
-// one when available.
+// shard returns a zeroed shard sized for this run.
 func (c *statsCollector) shard() *blockStats {
-	bs, _ := blockStatsPool.Get().(*blockStats)
-	if bs == nil {
-		bs = &blockStats{}
+	bs := &blockStats{
+		globalAt:      make([]MemTraffic, len(c.segs)),
+		regionTraffic: make([][]MemTraffic, len(c.regions)),
+		regionUseful:  make([]int64, len(c.regions)),
 	}
-	bs.stages = bs.stages[:0]
-	bs.globalAt = trafficRow(bs.globalAt, len(c.segs))
-	if cap(bs.regionUseful) < len(c.regions) {
-		bs.regionUseful = make([]int64, len(c.regions))
-	} else {
-		bs.regionUseful = bs.regionUseful[:len(c.regions)]
-		clear(bs.regionUseful)
-	}
-	if len(c.regions) == 0 {
-		bs.regionTraffic = bs.regionTraffic[:0]
-	} else {
-		if cap(bs.regionTraffic) < len(c.regions) {
-			rows := make([][]MemTraffic, len(c.regions))
-			copy(rows, bs.regionTraffic[:cap(bs.regionTraffic)])
-			bs.regionTraffic = rows
-		} else {
-			bs.regionTraffic = bs.regionTraffic[:len(c.regions)]
-		}
-		for i := range bs.regionTraffic {
-			bs.regionTraffic[i] = trafficRow(bs.regionTraffic[i], len(c.segs))
-		}
+	for i := range bs.regionTraffic {
+		bs.regionTraffic[i] = make([]MemTraffic, len(c.segs))
 	}
 	return bs
 }
 
-// copyFrom overwrites b's counters with src's, reusing b's backing
-// storage. Both shards must come from the same run (identical segment
-// and region geometry) — the replay path copying a class's canonical
-// shard into a block's own.
-func (b *blockStats) copyFrom(src *blockStats) {
-	b.stages = append(b.stages[:0], src.stages...)
-	copy(b.globalAt, src.globalAt)
-	for i := range b.regionTraffic {
-		copy(b.regionTraffic[i], src.regionTraffic[i])
+// reset zeroes b for the next block, keeping its storage.
+func (b *blockStats) reset() {
+	b.stages = b.stages[:0]
+	clear(b.globalAt)
+	for _, row := range b.regionTraffic {
+		clear(row)
 	}
-	copy(b.regionUseful, src.regionUseful)
+	clear(b.regionUseful)
 }
 
 // add adds sign·src to b, field by field. Both shards must come from
 // the same run. Stages b lacks are created — a variant shard can end
-// before the block's last stage. Sign 1 folds a block's variant shard
-// into a replayed block's shard; sign −1 strips it out of the block's
-// full shard, leaving the class's uniform shard (see replay.go).
+// before the block's last stage. Sign 1 folds a finished block into
+// its worker's running sum (and a replayed block's class and variant
+// shards); sign −1 strips a block's variant shard out of its full
+// shard, leaving the class's uniform shard (see replay.go).
+//
+//gpuperf:noalloc
 func (b *blockStats) add(src *blockStats, sign int64) {
 	for i := range src.stages {
 		accumulate(b.stage(i), &src.stages[i], sign)
@@ -328,28 +274,9 @@ func (b *blockStats) add(src *blockStats, sign int64) {
 	}
 }
 
-// release returns a shard to the pool: merge retiring a folded
-// shard, or the replay path a lean pass's variant shard.
-func (b *blockStats) release() { blockStatsPool.Put(b) }
-
-// clone returns an independent deep copy of b, retained as a replay
-// class's canonical shard for the rest of the run.
-func (b *blockStats) clone() *blockStats {
-	c := &blockStats{
-		stages:        append([]StageStats(nil), b.stages...),
-		globalAt:      append([]MemTraffic(nil), b.globalAt...),
-		regionTraffic: make([][]MemTraffic, len(b.regionTraffic)),
-		regionUseful:  append([]int64(nil), b.regionUseful...),
-	}
-	for i := range b.regionTraffic {
-		c.regionTraffic[i] = append([]MemTraffic(nil), b.regionTraffic[i]...)
-	}
-	return c
-}
-
 func (b *blockStats) stage(i int) *StageStats {
 	for len(b.stages) <= i {
-		b.stages = append(b.stages, StageStats{}) //gpuperf:alloc-ok bounded by the kernel's stage count; shards recycle via blockStatsPool
+		b.stages = append(b.stages, StageStats{}) //gpuperf:alloc-ok bounded by the kernel's stage count; a worker's shards keep their storage from block to block
 	}
 	return &b.stages[i]
 }
@@ -364,45 +291,35 @@ func (c *statsCollector) regionOf(addr uint32) int {
 	return -1
 }
 
-// merge folds one finished block's shard into the run totals and
-// returns the shard to the pool. Run merges every block in ascending
-// block order after the workers join, so Stats never depends on
-// which worker ran which block.
-//
-//gpuperf:noalloc
-func (c *statsCollector) merge(blockID int, bs *blockStats, barriers int) {
-	s := c.stats
-	if blockID == 0 {
-		s.Barriers = barriers
+// finish converts the sum of every block's shard to the run's Stats.
+func (c *statsCollector) finish(l Launch, sum *blockStats) *Stats {
+	s := &Stats{
+		Stages:        sum.stages,
+		GlobalAt:      map[int]MemTraffic{},
+		RegionTraffic: map[string]map[int]MemTraffic{},
+		RegionUseful:  map[string]int64{},
+		Grid:          l.Grid,
+		Block:         l.Block,
 	}
-	for i := range bs.stages {
-		for len(s.Stages) <= i {
-			s.Stages = append(s.Stages, StageStats{}) //gpuperf:alloc-ok bounded by the kernel's stage count, once per run
-		}
-		accumulate(&s.Stages[i], &bs.stages[i], 1)
+	for i := range s.Stages {
+		accumulate(&s.Total, &s.Stages[i], 1)
 	}
 	for si, seg := range c.segs {
-		t := s.GlobalAt[seg]
-		t.Transactions += bs.globalAt[si].Transactions
-		t.Bytes += bs.globalAt[si].Bytes
-		s.GlobalAt[seg] = t
+		s.GlobalAt[seg] = sum.globalAt[si]
 	}
 	for ri, reg := range c.regions {
-		for si, seg := range c.segs {
-			rt := s.RegionTraffic[reg.Name][seg]
-			rt.Transactions += bs.regionTraffic[ri][si].Transactions
-			rt.Bytes += bs.regionTraffic[ri][si].Bytes
-			s.RegionTraffic[reg.Name][seg] = rt
+		rt := s.RegionTraffic[reg.Name]
+		if rt == nil {
+			rt = map[int]MemTraffic{}
+			s.RegionTraffic[reg.Name] = rt
 		}
-		s.RegionUseful[reg.Name] += bs.regionUseful[ri]
+		for si, seg := range c.segs {
+			t := rt[seg]
+			t.Transactions += sum.regionTraffic[ri][si].Transactions
+			t.Bytes += sum.regionTraffic[ri][si].Bytes
+			rt[seg] = t
+		}
+		s.RegionUseful[reg.Name] += sum.regionUseful[ri]
 	}
-	bs.release()
-}
-
-// finish computes the run totals after all blocks have merged.
-func (c *statsCollector) finish() *Stats {
-	for i := range c.stats.Stages {
-		accumulate(&c.stats.Total, &c.stats.Stages[i], 1)
-	}
-	return c.stats
+	return s
 }

@@ -47,8 +47,10 @@ func TestAccumulateCoversEveryField(t *testing.T) {
 		t.Errorf("accumulate sign -1 left %+v, want zero", dst)
 	}
 
-	sc := newStatsCollector(Launch{Grid: 1, Block: 32},
-		[]Region{{Name: "a", Lo: 0, Hi: 64}, {Name: "b", Lo: 64, Hi: 128}}, []int{32, 16, 4})
+	sc := &statsCollector{
+		regions: []Region{{Name: "a", Lo: 0, Hi: 64}, {Name: "b", Lo: 64, Hi: 128}},
+		segs:    []int{32, 16, 4},
+	}
 	bsrc := sc.shard()
 	bsrc.stage(1) // two stages
 	next = 0

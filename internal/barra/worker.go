@@ -24,9 +24,9 @@ const budgetBatch = 8192
 
 // runContext is the immutable state of one Run, shared read-only by
 // every worker: launch, device, simulators (bank and coalesce are
-// stateless), the statistics layout, and the two pieces of
-// cross-worker coordination — the block cursor and the shared
-// instruction budget.
+// stateless), the statistics layout, and the pieces of cross-worker
+// coordination — the block cursor, the shared instruction budget and
+// the barrier count every block must pass.
 type runContext struct {
 	// goCtx is the caller's cancellation context (nil when absent —
 	// tests that assemble a runContext by hand run uncancellable).
@@ -37,8 +37,8 @@ type runContext struct {
 	banks  *bank.Sim
 	coal   []*coalesce.Sim // parallel to segs
 	segs   []int           // granularities; segs[0] is the device's native
-	// stats sizes the per-block shards and folds them into the run's
-	// Stats.
+	// stats sizes the workers' shards and folds their sums into the
+	// run's Stats.
 	stats *statsCollector
 
 	// hook is Options.GlobalAccessHook. A hooked run has one worker,
@@ -60,6 +60,10 @@ type runContext struct {
 	// once one has errored.
 	nextBlock atomic.Int64
 	failed    atomic.Bool
+
+	// stages is one more than the barrier count of the first block to
+	// finish, which every other block must match (0 until then).
+	stages atomic.Int64
 }
 
 // errCancelled marks a worker stopped because a sibling failed first;
@@ -78,11 +82,15 @@ func (ctx *runContext) cancelled() error {
 
 // worker executes blocks one at a time on its own goroutine. All of
 // its state — shared-memory arena, warp contexts, scheduling and
-// accounting scratch — is reused from block to block, and each block
-// records into the statistics shard its caller hands in, so
-// steady-state execution allocates nothing.
+// accounting scratch, statistics shards — is reused from block to
+// block, so steady-state execution allocates nothing.
 type worker struct {
 	ctx *runContext
+
+	// bs records the block in flight, varBS a lean pass's variant
+	// accesses (engine path only), and sum every block this worker
+	// has finished.
+	bs, varBS, sum *blockStats
 
 	shared    []uint32 // shared-memory arena, zeroed per block
 	warps     []*Warp  // reused via Reset
@@ -102,10 +110,40 @@ type worker struct {
 	// eng is the replay signature and undo scratch of the engine
 	// path (see replay.go); unused on the live path.
 	eng engineState
-	// engHits and engMisses drive the engine path's per-worker
-	// adaptive fallback: a worker whose first engineFallbackMisses
-	// blocks all miss without one hit stops attempting replay.
-	engHits, engMisses int
+}
+
+// newWorker returns a worker with its statistics shards. execute
+// calls it on the worker's own goroutine, so a worker's scratch comes
+// from that goroutine's allocation cache instead of being laid out
+// back to back with another worker's.
+func newWorker(ctx *runContext) *worker {
+	w := &worker{ctx: ctx, bs: ctx.stats.shard(), sum: ctx.stats.shard()}
+	if ctx.replay != nil {
+		w.varBS = ctx.stats.shard()
+	}
+	return w
+}
+
+// block runs one block on the run's path — replay engine or live —
+// and checks its barrier count against the run's.
+func (w *worker) block(blockID int) error {
+	run := w.runBlock
+	if w.ctx.replay != nil {
+		run = w.runBlockEngine
+	}
+	barriers, err := run(blockID)
+	if err != nil {
+		return err
+	}
+	stages := &w.ctx.stages
+	if stages.CompareAndSwap(0, int64(barriers)+1) {
+		return nil
+	}
+	if want := int(stages.Load()) - 1; barriers != want {
+		return fmt.Errorf("barra: %q: block %d passed %d barriers, another block passed %d — irregular staging",
+			w.ctx.launch.Prog.Name, blockID, barriers, want)
+	}
+	return nil
 }
 
 // initBlock (re)binds the worker's scratch state to blockID.
@@ -143,13 +181,20 @@ func (w *worker) initBlock(blockID int) error {
 	return nil
 }
 
-// runBlock executes one block live to completion, recording its
-// statistics into bs, and returns its barrier count.
-func (w *worker) runBlock(blockID int, bs *blockStats) (int, error) {
+// runBlock executes one block live to completion, records its
+// statistics into w.bs and folds them into the worker's running sum,
+// and returns its barrier count.
+func (w *worker) runBlock(blockID int) (int, error) {
 	if err := w.initBlock(blockID); err != nil {
 		return 0, err
 	}
-	return w.schedule(bs, false)
+	w.bs.reset()
+	barriers, err := w.schedule(w.bs, false)
+	if err != nil {
+		return 0, err
+	}
+	w.sum.add(w.bs, 1)
+	return barriers, nil
 }
 
 // reserve tops the worker's instruction-budget reservation up to n
@@ -416,12 +461,10 @@ func (w *worker) account(bs *blockStats, stage int) {
 }
 
 // execute shards the grid across the given number of workers and
-// returns each block's barrier count and statistics shard, indexed by
-// block ID.
-func (ctx *runContext) execute(workers int) ([]int, []*blockStats, error) {
+// returns them, each holding the running sum of the blocks it ran.
+func (ctx *runContext) execute(workers int) ([]*worker, error) {
 	grid := ctx.launch.Grid
-	barriers := make([]int, grid)
-	shards := make([]*blockStats, grid)
+	ws := make([]*worker, workers)
 
 	var (
 		wg       sync.WaitGroup
@@ -434,11 +477,12 @@ func (ctx *runContext) execute(workers int) ([]int, []*blockStats, error) {
 		}
 		ctx.failed.Store(true)
 	}
-	for i := 0; i < workers; i++ {
+	for i := range ws {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			w := &worker{ctx: ctx}
+			w := newWorker(ctx)
+			ws[i] = w
 			for {
 				b := int(ctx.nextBlock.Add(1)) - 1
 				if b >= grid || ctx.failed.Load() {
@@ -448,21 +492,10 @@ func (ctx *runContext) execute(workers int) ([]int, []*blockStats, error) {
 					fail(err)
 					return
 				}
-				bs := ctx.stats.shard()
-				var (
-					nb  int
-					err error
-				)
-				if ctx.replay != nil {
-					nb, err = w.runBlockEngine(b, bs)
-				} else {
-					nb, err = w.runBlock(b, bs)
-				}
-				if err != nil {
+				if err := w.block(b); err != nil {
 					fail(err)
 					return
 				}
-				barriers[b], shards[b] = nb, bs
 			}
 		}()
 	}
@@ -471,7 +504,7 @@ func (ctx *runContext) execute(workers int) ([]int, []*blockStats, error) {
 		if firstErr == nil {
 			firstErr = errCancelled
 		}
-		return nil, nil, firstErr
+		return nil, firstErr
 	}
-	return barriers, shards, nil
+	return ws, nil
 }

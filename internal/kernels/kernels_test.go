@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -44,7 +45,10 @@ func TestMatmulCorrectness(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := MulRef(n, a, bm)
+		want, err := MulRef(context.Background(), n, a, bm)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for i := range want {
 			if math.Abs(float64(got[i]-want[i])) > 1e-3 {
 				t.Fatalf("tile %d: C[%d] = %v, want %v", tile, i, got[i], want[i])
@@ -445,7 +449,10 @@ func TestMatmulNaiveCorrectness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := MulRef(n, a, bm)
+	want, err := MulRef(context.Background(), n, a, bm)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range want {
 		if math.Abs(float64(got[i]-want[i])) > 1e-3 {
 			t.Fatalf("C[%d] = %v, want %v", i, got[i], want[i])

@@ -11,6 +11,7 @@
 package kernels
 
 import (
+	"context"
 	"fmt"
 	"math/bits"
 
@@ -26,12 +27,25 @@ import (
 // operands, so the inner loop is almost pure Type II MADs — the
 // paper's ~80% computational density.
 type Matmul struct {
-	// N is the matrix dimension; Tile the sub-matrix edge (8, 16 or
-	// 32 in the paper).
-	N, Tile int
+	matmulData
+	// Tile is the sub-matrix edge (8, 16 or 32 in the paper).
+	Tile int
+}
+
+// matmulData is the data half every matmul variant shares: N×N
+// column-major A, B and C laid out back to back in simulator memory,
+// and the variant's built program. The same inputs therefore run on
+// every variant.
+type matmulData struct {
+	// N is the matrix dimension.
+	N int
 
 	prog                *isa.Program
 	aBase, bBase, cBase uint32
+}
+
+func newMatmulData(n int) matmulData {
+	return matmulData{N: n, bBase: uint32(n * n * 4), cBase: uint32(2 * n * n * 4)}
 }
 
 // Paper Table 2 resource footprints per tile size: register count
@@ -53,12 +67,7 @@ func NewMatmul(n, tile int) (*Matmul, error) {
 	if n <= 0 || n%64 != 0 || n%tile != 0 || n&(n-1) != 0 {
 		return nil, fmt.Errorf("kernels: matrix size %d must be a power of two divisible by 64 and %d", n, tile)
 	}
-	m := &Matmul{
-		N: n, Tile: tile,
-		aBase: 0,
-		bBase: uint32(n * n * 4),
-		cBase: uint32(2 * n * n * 4),
-	}
+	m := &Matmul{matmulData: newMatmulData(n), Tile: tile}
 	prog, err := m.build(res.regs, res.smem)
 	if err != nil {
 		return nil, err
@@ -173,9 +182,6 @@ func (m *Matmul) build(reserveRegs, smemBytes int) (*isa.Program, error) {
 	return b.Program()
 }
 
-// Program returns the built kernel.
-func (m *Matmul) Program() *isa.Program { return m.prog }
-
 // Launch returns the kernel's launch geometry: 64-thread blocks,
 // one per 64×Tile strip of C.
 func (m *Matmul) Launch() barra.Launch {
@@ -186,15 +192,18 @@ func (m *Matmul) Launch() barra.Launch {
 	}
 }
 
+// Program returns the built kernel.
+func (m *matmulData) Program() *isa.Program { return m.prog }
+
 // FLOPs returns 2·N³ (one multiply and one add per MAD).
-func (m *Matmul) FLOPs() int64 { return 2 * int64(m.N) * int64(m.N) * int64(m.N) }
+func (m *matmulData) FLOPs() int64 { return 2 * int64(m.N) * int64(m.N) * int64(m.N) }
 
 // MemoryBytes returns the global-memory footprint of the launch.
-func (m *Matmul) MemoryBytes() int { return 3 * m.N * m.N * 4 }
+func (m *matmulData) MemoryBytes() int { return 3 * m.N * m.N * 4 }
 
 // NewMemory lays out column-major A and B (each N² floats) in fresh
 // simulator memory.
-func (m *Matmul) NewMemory(a, bm []float32) (*barra.Memory, error) {
+func (m *matmulData) NewMemory(a, bm []float32) (*barra.Memory, error) {
 	if len(a) != m.N*m.N || len(bm) != m.N*m.N {
 		return nil, fmt.Errorf("kernels: matrices must be %d elements", m.N*m.N)
 	}
@@ -209,22 +218,33 @@ func (m *Matmul) NewMemory(a, bm []float32) (*barra.Memory, error) {
 }
 
 // ReadC extracts the column-major result matrix.
-func (m *Matmul) ReadC(mem *barra.Memory) ([]float32, error) {
+func (m *matmulData) ReadC(mem *barra.Memory) ([]float32, error) {
 	return mem.ReadFloats(m.cBase, m.N*m.N)
 }
 
-// MulRef computes the column-major product on the CPU in float64,
-// for verification.
-func MulRef(n int, a, b []float32) []float32 {
+// MulRef computes the column-major product C = A·B on the CPU, for
+// verification: float64 accumulation in ascending k per element. It
+// works a column of C at a time and checks ctx before each, so an
+// abandoned request stops within one column (~n² multiply-adds)
+// instead of finishing the whole O(n³) product.
+func MulRef(ctx context.Context, n int, a, b []float32) ([]float32, error) {
 	c := make([]float32, n*n)
+	acc := make([]float64, n)
 	for col := 0; col < n; col++ {
-		for row := 0; row < n; row++ {
-			var acc float64
-			for k := 0; k < n; k++ {
-				acc += float64(a[k*n+row]) * float64(b[col*n+k])
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		clear(acc)
+		for k := 0; k < n; k++ {
+			bv := float64(b[col*n+k])
+			arow := a[k*n : (k+1)*n]
+			for i, av := range arow {
+				acc[i] += float64(av) * bv
 			}
-			c[col*n+row] = float32(acc)
+		}
+		for i, v := range acc {
+			c[col*n+i] = float32(v)
 		}
 	}
-	return c
+	return c, nil
 }

@@ -19,11 +19,7 @@ import (
 // near the half-warp width; the advisor's PerfectCoalescing scenario
 // quantifies exactly the headroom the tiled variants then realize.
 type MatmulNaive struct {
-	// N is the matrix dimension.
-	N int
-
-	prog                *isa.Program
-	aBase, bBase, cBase uint32
+	matmulData
 }
 
 // NewMatmulNaive builds the naive kernel for an N×N multiply. N must
@@ -33,12 +29,7 @@ func NewMatmulNaive(n int) (*MatmulNaive, error) {
 	if n <= 0 || n%64 != 0 || n&(n-1) != 0 {
 		return nil, fmt.Errorf("kernels: matrix size %d must be a power of two divisible by 64", n)
 	}
-	m := &MatmulNaive{
-		N:     n,
-		aBase: 0,
-		bBase: uint32(n * n * 4),
-		cBase: uint32(2 * n * n * 4),
-	}
+	m := &MatmulNaive{newMatmulData(n)}
 	prog, err := m.build()
 	if err != nil {
 		return nil, err
@@ -101,39 +92,8 @@ func (m *MatmulNaive) build() (*isa.Program, error) {
 	return b.Program()
 }
 
-// Program returns the built kernel.
-func (m *MatmulNaive) Program() *isa.Program { return m.prog }
-
 // Launch returns the kernel's geometry: one thread per C element in
 // 64-thread blocks.
 func (m *MatmulNaive) Launch() barra.Launch {
 	return barra.Launch{Prog: m.prog, Grid: m.N * m.N / 64, Block: 64}
-}
-
-// FLOPs returns 2·N³.
-func (m *MatmulNaive) FLOPs() int64 { return 2 * int64(m.N) * int64(m.N) * int64(m.N) }
-
-// MemoryBytes returns the global-memory footprint of the launch.
-func (m *MatmulNaive) MemoryBytes() int { return 3 * m.N * m.N * 4 }
-
-// NewMemory lays out column-major A and B in fresh simulator memory
-// (the same layout the tiled variants use, so the family shares
-// inputs).
-func (m *MatmulNaive) NewMemory(a, bm []float32) (*barra.Memory, error) {
-	if len(a) != m.N*m.N || len(bm) != m.N*m.N {
-		return nil, fmt.Errorf("kernels: matrices must be %d elements", m.N*m.N)
-	}
-	mem := barra.NewMemory(m.MemoryBytes())
-	if err := mem.WriteFloats(m.aBase, a); err != nil {
-		return nil, err
-	}
-	if err := mem.WriteFloats(m.bBase, bm); err != nil {
-		return nil, err
-	}
-	return mem, nil
-}
-
-// ReadC extracts the column-major result matrix.
-func (m *MatmulNaive) ReadC(mem *barra.Memory) ([]float32, error) {
-	return mem.ReadFloats(m.cBase, m.N*m.N)
 }

@@ -246,7 +246,7 @@ func builtinSpecs() []KernelSpec {
 			// variants.
 			MaxSize: 512,
 			Family:  "matmul",
-			Build:   buildMatmulNaive(),
+			Build:   buildMatmul(func(n int) (matmulKernel, error) { return kernels.NewMatmulNaive(n) }),
 		},
 	}
 	for _, tile := range []int{8, 16, 32} {
@@ -259,7 +259,7 @@ func builtinSpecs() []KernelSpec {
 			MaxSize:      4096,
 			Family:       "matmul",
 			Optimization: "perfect-coalescing",
-			Build:        buildMatmul(tile),
+			Build:        buildMatmul(func(n int) (matmulKernel, error) { return kernels.NewMatmul(n, tile) }),
 		})
 	}
 	for _, v := range []struct {
@@ -306,10 +306,22 @@ func maxAbsDiff(got, want []float32, tol float64) (float64, error) {
 	return worst, nil
 }
 
-func buildMatmul(tile int) BuildFunc {
+// matmulKernel is what buildMatmul needs of a matmul variant.
+type matmulKernel interface {
+	Launch() barra.Launch
+	FLOPs() int64
+	NewMemory(a, b []float32) (*barra.Memory, error)
+	ReadC(mem *barra.Memory) ([]float32, error)
+}
+
+// buildMatmul builds one matmul variant from its constructor. Every
+// variant draws the same inputs, so the same (size, seed) gives the
+// whole family bit-identical A and B — measured times across the
+// family compare one optimization at a time.
+func buildMatmul(newKernel func(n int) (matmulKernel, error)) BuildFunc {
 	return func(dev Device, p Params) (*Workload, error) {
 		n := p.Size
-		mm, err := kernels.NewMatmul(n, tile)
+		mm, err := newKernel(n)
 		if err != nil {
 			return nil, err
 		}
@@ -332,7 +344,7 @@ func buildMatmul(tile int) BuildFunc {
 				if err != nil {
 					return 0, err
 				}
-				want, err := mulRefCtx(ctx, n, a, b)
+				want, err := kernels.MulRef(ctx, n, a, b)
 				if err != nil {
 					return 0, err
 				}
@@ -341,74 +353,6 @@ func buildMatmul(tile int) BuildFunc {
 			},
 		}, nil
 	}
-}
-
-// buildMatmulNaive builds the family's pre-optimization baseline.
-// Input generation matches buildMatmul exactly, so the same
-// (size, seed) gives every matmul variant bit-identical A and B —
-// measured times across the family compare one optimization at a
-// time.
-func buildMatmulNaive() BuildFunc {
-	return func(dev Device, p Params) (*Workload, error) {
-		n := p.Size
-		mm, err := kernels.NewMatmulNaive(n)
-		if err != nil {
-			return nil, err
-		}
-		rng := rand.New(rand.NewSource(p.Seed))
-		a := make([]float32, n*n)
-		b := make([]float32, n*n)
-		for i := range a {
-			a[i], b[i] = rng.Float32(), rng.Float32()
-		}
-		mem, err := mm.NewMemory(a, b)
-		if err != nil {
-			return nil, err
-		}
-		return &Workload{
-			Launch: mm.Launch(),
-			Mem:    mem,
-			FLOPs:  mm.FLOPs(),
-			Verify: func(ctx context.Context, mem *barra.Memory) (float64, error) {
-				got, err := mm.ReadC(mem)
-				if err != nil {
-					return 0, err
-				}
-				want, err := mulRefCtx(ctx, n, a, b)
-				if err != nil {
-					return 0, err
-				}
-				return maxAbsDiff(got, want, 1e-5*float64(n))
-			},
-		}, nil
-	}
-}
-
-// mulRefCtx is the column-major reference multiply — bit-identical
-// arithmetic to kernels.MulRef (float64 accumulation, ascending k
-// per element) restructured a column at a time, so an abandoned
-// request stops within one column (~n² multiply-adds) instead of
-// finishing the whole O(n³) product.
-func mulRefCtx(ctx context.Context, n int, a, b []float32) ([]float32, error) {
-	c := make([]float32, n*n)
-	acc := make([]float64, n)
-	for col := 0; col < n; col++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		clear(acc)
-		for k := 0; k < n; k++ {
-			bv := float64(b[col*n+k])
-			arow := a[k*n : (k+1)*n]
-			for i, av := range arow {
-				acc[i] += float64(av) * bv
-			}
-		}
-		for i, v := range acc {
-			c[col*n+i] = float32(v)
-		}
-	}
-	return c, nil
 }
 
 func buildCR(nbc, forwardOnly bool) BuildFunc {

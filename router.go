@@ -436,6 +436,10 @@ func (rt *Router) aggregateStats(ctx context.Context) CacheStats {
 		agg.Submissions += st.Submissions
 		agg.SubmissionBytes += st.SubmissionBytes
 		agg.SubmissionEvictions += st.SubmissionEvictions
+		agg.Engine.BlocksSimulated += st.Engine.BlocksSimulated
+		agg.Engine.BlocksReplayed += st.Engine.BlocksReplayed
+		agg.Engine.BatchedRuns += st.Engine.BatchedRuns
+		agg.Engine.BatchedInstrs += st.Engine.BatchedInstrs
 		// Uptime aggregates as the oldest worker's: "how long has this
 		// deployment been serving" rather than a meaningless sum.
 		if st.UptimeSeconds > agg.UptimeSeconds {

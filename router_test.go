@@ -42,7 +42,8 @@ func (fw *fakeWorker) handler(t *testing.T) http.Handler {
 	})
 	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
 		fw.record(r, "")
-		writeJSON(w, r, http.StatusOK, CacheStats{Hits: 2, Misses: 1, Entries: 1, Bytes: 100})
+		writeJSON(w, r, http.StatusOK, CacheStats{Hits: 2, Misses: 1, Entries: 1, Bytes: 100,
+			Engine: EngineCounters{BlocksSimulated: 3, BlocksReplayed: 61, BatchedRuns: 500, BatchedInstrs: 7000}})
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		fw.record(r, "")
@@ -406,6 +407,9 @@ func TestRouterStatsAggregation(t *testing.T) {
 	}
 	if st.Hits != 4 || st.Misses != 2 || st.Entries != 2 || st.Bytes != 200 {
 		t.Errorf("aggregated stats %+v, want sums of two canned workers", st)
+	}
+	if want := (EngineCounters{BlocksSimulated: 6, BlocksReplayed: 122, BatchedRuns: 1000, BatchedInstrs: 14000}); st.Engine != want {
+		t.Errorf("aggregated engine counters %+v, want %+v", st.Engine, want)
 	}
 }
 
