@@ -40,7 +40,7 @@ func TestMain(m *testing.M) {
 // "gtx285-6sm" (a 6-SM slice — fast, same per-SM behaviour as the
 // full chip) as the default device, its calibration built once and
 // written to the fleet's calibration directory.
-func testFleet(t *testing.T) *Fleet {
+func testFleet(t testing.TB) *Fleet {
 	t.Helper()
 	tfOnce.Do(func() {
 		// Failures are stored, not t.Fatal-ed: the Once would stay
@@ -67,7 +67,7 @@ func testFleet(t *testing.T) *Fleet {
 
 // testAnalyzer returns the shared fleet's calibrated default-device
 // session.
-func testAnalyzer(t *testing.T) *Analyzer {
+func testAnalyzer(t testing.TB) *Analyzer {
 	t.Helper()
 	a, err := testFleet(t).Session("")
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -202,14 +203,17 @@ func compareKey(req CompareRequest, fps []string, baselineFP string) string {
 	}.digest()
 }
 
-// cachedFetch serves one request through the fleet's result store:
+// cachedBody serves one request through the fleet's result store:
 // hit, coalesce onto an identical in-flight computation, or lead the
-// computation and populate both tiers. Every caller — leader
-// included — decodes its own copy from the canonical cached bytes,
-// so concurrent callers never alias one mutable struct and cached
-// responses are byte-identical to freshly computed ones by
-// construction.
-func cachedFetch[T any](ctx context.Context, f *Fleet, key string, compute func(context.Context) (*T, error)) (*T, CacheStatus, error) {
+// computation and populate both tiers. The store holds every value in
+// the form the service sends it (encodeJSON: indented, trailing
+// newline), so an HTTP hit writes the stored bytes as they are and a
+// cached response is byte-identical to a freshly computed one by
+// construction. The body is shared by every caller and must not be
+// modified; it is clipped, so an append copies instead of writing
+// past its end. Typed callers decode their own copy (decodeServed),
+// so no two callers alias one mutable struct.
+func cachedBody(ctx context.Context, f *Fleet, key string, compute func(context.Context) (any, error)) ([]byte, CacheStatus, error) {
 	// The cache span covers the whole store.Do call: on a hit it is
 	// the probe itself; on a miss the computation's spans nest inside
 	// it, so a slow-request tree shows probe-turned-compute honestly.
@@ -219,7 +223,7 @@ func cachedFetch[T any](ctx context.Context, f *Fleet, key string, compute func(
 		if err != nil {
 			return nil, err
 		}
-		return json.Marshal(v)
+		return encodeJSON(v)
 	})
 	sp.End()
 	status := CacheMiss
@@ -232,9 +236,18 @@ func cachedFetch[T any](ctx context.Context, f *Fleet, key string, compute func(
 	if err != nil {
 		return nil, status, err
 	}
+	return slices.Clip(body), status, nil
+}
+
+// decodeServed decodes a served body into a fresh T: the typed Fleet
+// methods' view of the bytes the HTTP routes write.
+func decodeServed[T any](body []byte, st CacheStatus, err error) (*T, CacheStatus, error) {
+	if err != nil {
+		return nil, st, err
+	}
 	v := new(T)
 	if err := json.Unmarshal(body, v); err != nil {
-		return nil, status, fmt.Errorf("gpuperf: decoding cached result: %w", err)
+		return nil, st, fmt.Errorf("gpuperf: decoding cached result: %w", err)
 	}
-	return v, status, nil
+	return v, st, nil
 }

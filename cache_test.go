@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"log/slog"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -15,7 +19,7 @@ import (
 // cacheTestFleet builds a private fleet seeded with the shared test
 // session's calibration, so cache tests measure the cache, not a
 // 6-SM calibration per test.
-func cacheTestFleet(t *testing.T, opt FleetOptions) *Fleet {
+func cacheTestFleet(t testing.TB, opt FleetOptions) *Fleet {
 	t.Helper()
 	a := testAnalyzer(t)
 	dir := t.TempDir()
@@ -317,5 +321,296 @@ func TestFleetCompareCached(t *testing.T) {
 		t.Fatal(err)
 	} else if st != CacheMiss {
 		t.Errorf("baseline flip: %s, want MISS", st)
+	}
+}
+
+// servedLegs are the result-cache hits TestCacheHitAllocs and
+// BenchmarkCacheHit serve through NewHandler: a small and a large
+// analysis (about 2 KB and 17 KB served) and an advice.
+var servedLegs = []struct{ name, path, body string }{
+	{"analyze", "/v1/analyze", `{"kernel":"spmv-ell"}`},
+	{"analyze-17KB", "/v1/analyze", `{"kernel":"matmul8","size":256}`},
+	{"advise", "/v1/advise", `{"kernel":"matmul16","size":64}`},
+}
+
+// postJSON serves one JSON POST through h, with If-None-Match when
+// inm is set.
+func postJSON(h http.Handler, path, body, inm string) *httptest.ResponseRecorder {
+	req := httptest.NewRequest("POST", path, strings.NewReader(body))
+	if inm != "" {
+		req.Header.Set("If-None-Match", inm)
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	return rec
+}
+
+// TestCacheHitAllocs: a result-cache HIT and a 304 revalidation
+// through NewHandler make at most 100 allocations, for a small and a
+// 17 KB body alike. The routes write the stored bytes; decoding and
+// re-encoding them took 125 to 212, growing with the body.
+func TestCacheHitAllocs(t *testing.T) {
+	h := NewHandler(cacheTestFleet(t, FleetOptions{}))
+	const runs = 20
+	for _, leg := range servedLegs {
+		miss := postJSON(h, leg.path, leg.body, "")
+		if miss.Code != http.StatusOK {
+			t.Fatalf("%s: %d (%s)", leg.name, miss.Code, miss.Body)
+		}
+		for _, c := range []struct {
+			name, inm string
+			code      int
+		}{{"HIT", "", http.StatusOK}, {"304", miss.Header().Get("ETag"), http.StatusNotModified}} {
+			// Requests and recorders are made outside the count.
+			reqs := make([]*http.Request, runs+1)
+			recs := make([]*httptest.ResponseRecorder, runs+1)
+			for i := range reqs {
+				reqs[i] = httptest.NewRequest("POST", leg.path, strings.NewReader(leg.body))
+				if c.inm != "" {
+					reqs[i].Header.Set("If-None-Match", c.inm)
+				}
+				recs[i] = httptest.NewRecorder()
+			}
+			i := 0
+			allocs := testing.AllocsPerRun(runs, func() {
+				h.ServeHTTP(recs[i], reqs[i])
+				i++
+			})
+			for _, rec := range recs {
+				if rec.Code != c.code || rec.Header().Get("X-Cache") != string(CacheHit) {
+					t.Fatalf("%s %s: %d X-Cache %q, want %d HIT", leg.name, c.name, rec.Code, rec.Header().Get("X-Cache"), c.code)
+				}
+			}
+			t.Logf("%s %s (%d B body): %.0f allocations", leg.name, c.name, miss.Body.Len(), allocs)
+			if allocs > 100 {
+				t.Errorf("%s %s (%d B body): %.0f allocations, want at most 100", leg.name, c.name, miss.Body.Len(), allocs)
+			}
+		}
+	}
+}
+
+// BenchmarkCacheHit times result-cache hits through the HTTP layer,
+// each request built by httptest inside the loop: an analyze HIT
+// with a small and a 17 KB body, an advise HIT, a 304 revalidation,
+// and a compare HIT routed over two workers, which gathers one
+// analyze HIT per device over loopback HTTP. Access logs are
+// discarded, as in the request benchmark's hot workload.
+func BenchmarkCacheHit(b *testing.B) {
+	quiet := Telemetry{Logger: slog.New(slog.DiscardHandler)}
+	leg := func(b *testing.B, h http.Handler, path, body, inm string, code int) {
+		b.Helper()
+		if rec := postJSON(h, path, body, inm); rec.Code != code {
+			b.Fatalf("%s: %d (%s)", path, rec.Code, rec.Body)
+		}
+		if rec := postJSON(h, path, body, inm); rec.Header().Get("X-Cache") != string(CacheHit) {
+			b.Fatalf("%s: X-Cache %q on the repeat, want HIT", path, rec.Header().Get("X-Cache"))
+		}
+		b.ReportAllocs()
+		for b.Loop() {
+			postJSON(h, path, body, inm)
+		}
+	}
+	h := NewObservedHandler(cacheTestFleet(b, FleetOptions{}), quiet)
+	for _, l := range servedLegs {
+		b.Run(l.name, func(b *testing.B) { leg(b, h, l.path, l.body, "", http.StatusOK) })
+	}
+	b.Run("304", func(b *testing.B) {
+		l := servedLegs[0]
+		etag := postJSON(h, l.path, l.body, "").Header().Get("ETag")
+		leg(b, h, l.path, l.body, etag, http.StatusNotModified)
+	})
+	b.Run("compare-routed", func(b *testing.B) {
+		var urls []string
+		for range 2 {
+			srv := httptest.NewServer(NewObservedHandler(cacheTestFleet(b, FleetOptions{}), quiet))
+			b.Cleanup(srv.Close)
+			urls = append(urls, srv.URL)
+		}
+		rt := routerOver(b, RouterOptions{Workers: urls, DefaultDevice: "gtx285-6sm", Telemetry: quiet})
+		leg(b, rt.Handler(), "/v1/compare", `{"kernel":"matmul16","size":64,"devices":["gtx285-6sm","gtx285-3sm"]}`, "", http.StatusOK)
+	})
+}
+
+// TestServedBodyRoundTrip: the body the store keeps for a computed
+// value, and serves on every hit, equals encodeJSON of the value's
+// compact JSON decoded again — the bytes the service sent when the
+// store held the compact form — for an analysis, a measured
+// analysis, an advice and a comparison.
+func TestServedBodyRoundTrip(t *testing.T) {
+	f := cacheTestFleet(t, FleetOptions{})
+	ctx := context.Background()
+	check := func(name string, compute func(context.Context) (any, error), decoded any) {
+		t.Helper()
+		var v any
+		served, st, err := cachedBody(ctx, f, "round-trip "+name, func(ctx context.Context) (any, error) {
+			var err error
+			v, err = compute(ctx)
+			return v, err
+		})
+		if err != nil || st != CacheMiss {
+			t.Fatalf("%s: %s, %v", name, st, err)
+		}
+		compact, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(compact, decoded); err != nil {
+			t.Fatal(err)
+		}
+		want, err := encodeJSON(decoded)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(served, want) {
+			t.Errorf("%s: served body differs from the re-encoded compact form:\n%s\nvs\n%s", name, served, want)
+		}
+		if hit, st, err := cachedBody(ctx, f, "round-trip "+name, compute); err != nil || st != CacheHit || !bytes.Equal(hit, served) {
+			t.Errorf("%s: hit %s, %v; body equal %v", name, st, err, bytes.Equal(hit, served))
+		}
+	}
+	for _, req := range []Request{
+		{Kernel: "matmul16", Size: 128, Seed: 5},
+		{Kernel: "cr", Size: 64, Seed: 2, Measure: true},
+	} {
+		a, spec, req := prepared(t, f, req)
+		check("analyze "+req.Kernel, func(ctx context.Context) (any, error) { return a.analyze(ctx, spec, req) }, new(Result))
+		check("advise "+req.Kernel, func(ctx context.Context) (any, error) { return a.advise(ctx, spec, req) }, new(Advice))
+	}
+	creq := CompareRequest{Kernel: "spmv-ell", Devices: []string{"gtx285-6sm", "gtx285-3sm"}, Measure: true}
+	check("compare", func(ctx context.Context) (any, error) {
+		cmp, _, err := compareFanout(ctx, f.catalog, creq, creq.Devices[0], f.analyzeLeg)
+		return cmp, err
+	}, new(Comparison))
+}
+
+// TestServedBodyReadOnly: every caller shares the stored body and
+// none can write into it. Concurrent HTTP hits, typed decodes and
+// appends to the served slice on one key run together (under -race
+// this fails if an append could reach the shared backing array), and
+// bodies from memory and from disk come clipped.
+func TestServedBodyReadOnly(t *testing.T) {
+	cacheDir := t.TempDir()
+	f := cacheTestFleet(t, FleetOptions{CacheDir: cacheDir})
+	h := NewHandler(f)
+	ctx := context.Background()
+	const body = `{"kernel":"matmul16","size":64,"seed":11}`
+	req := Request{Kernel: "matmul16", Size: 64, Seed: 11}
+	want := postJSON(h, "/v1/analyze", body, "").Body.Bytes()
+
+	var wg sync.WaitGroup
+	for g := range 6 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 10 {
+				switch g % 3 {
+				case 0:
+					if rec := postJSON(h, "/v1/analyze", body, ""); rec.Header().Get("X-Cache") != string(CacheHit) || !bytes.Equal(rec.Body.Bytes(), want) {
+						t.Errorf("concurrent HIT: X-Cache %q, body equal %v", rec.Header().Get("X-Cache"), bytes.Equal(rec.Body.Bytes(), want))
+					}
+				case 1:
+					if _, st, err := f.AnalyzeCached(ctx, req); err != nil || st != CacheHit {
+						t.Errorf("concurrent typed HIT: %s, %v", st, err)
+					}
+				case 2:
+					b, _, err := f.analyzeJSON(ctx, req)
+					if err != nil {
+						t.Error(err)
+						continue
+					}
+					// The append must copy, so this write lands in
+					// the caller's copy, not the stored body.
+					b = append(b, "appended by a caller"...)
+					b[0] = 'x'
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if rec := postJSON(h, "/v1/analyze", body, ""); !bytes.Equal(rec.Body.Bytes(), want) {
+		t.Error("a caller's append reached the stored body")
+	}
+
+	for name, fl := range map[string]*Fleet{
+		"memory": f,
+		"disk":   NewFleet(FleetOptions{DefaultDevice: "gtx285-6sm", CalibrationDir: f.opt.CalibrationDir, CacheDir: cacheDir}),
+	} {
+		b, st, err := fl.analyzeJSON(ctx, req)
+		if err != nil || st != CacheHit {
+			t.Fatalf("%s: %s, %v", name, st, err)
+		}
+		if cap(b) != len(b) || !bytes.Equal(b, want) {
+			t.Errorf("%s hit: len %d cap %d, body equal %v; want a clipped copy of the served body", name, len(b), cap(b), bytes.Equal(b, want))
+		}
+	}
+}
+
+// TestFleetCacheCompactSlotIsAMiss: a disk slot an older build wrote,
+// a version-1 envelope around the compact JSON that build stored,
+// reads as a MISS. The recompute serves the bytes a fresh fleet
+// serves and rewrites the slot, which the next fleet serves as a
+// disk HIT.
+func TestFleetCacheCompactSlotIsAMiss(t *testing.T) {
+	const body = `{"kernel":"matmul16","size":64,"seed":3}`
+	fresh := cacheTestFleet(t, FleetOptions{})
+	calDir := fresh.opt.CalibrationDir
+	first := postJSON(NewHandler(fresh), "/v1/analyze", body, "")
+	if first.Code != http.StatusOK {
+		t.Fatalf("fresh fleet: %d (%s)", first.Code, first.Body)
+	}
+	var res Result
+	if err := json.Unmarshal(first.Body.Bytes(), &res); err != nil {
+		t.Fatal(err)
+	}
+	compact, err := json.Marshal(&res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, _, norm := prepared(t, fresh, Request{Kernel: "matmul16", Size: 64, Seed: 3})
+	key := analyzeKey(norm, DeviceFingerprint(a.Device()))
+	cacheDir := t.TempDir()
+	slot := resultstore.SlotPath(cacheDir, key)
+	env, err := json.Marshal(struct {
+		Version int    `json:"version"`
+		Key     string `json:"key"`
+		Body    []byte `json:"body"`
+	}{1, key, compact})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(slot, env, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	// Phase timings are re-measured by every computation; everything
+	// else must match the fresh fleet's bytes.
+	withoutPhases := func(b []byte) []byte {
+		t.Helper()
+		var r Result
+		if err := json.Unmarshal(b, &r); err != nil {
+			t.Fatal(err)
+		}
+		stripPhases(&r)
+		out, err := encodeJSON(&r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	opt := FleetOptions{DefaultDevice: "gtx285-6sm", CalibrationDir: calDir, CacheDir: cacheDir}
+	old := postJSON(NewHandler(NewFleet(opt)), "/v1/analyze", body, "")
+	if old.Code != http.StatusOK || old.Header().Get("X-Cache") != string(CacheMiss) {
+		t.Fatalf("version-1 slot: %d X-Cache %q, want 200 MISS", old.Code, old.Header().Get("X-Cache"))
+	}
+	if !bytes.Equal(withoutPhases(old.Body.Bytes()), withoutPhases(first.Body.Bytes())) {
+		t.Errorf("recompute over a version-1 slot differs from a fresh fleet:\n%s\nvs\n%s", old.Body, first.Body)
+	}
+	f := NewFleet(opt)
+	rewritten := postJSON(NewHandler(f), "/v1/analyze", body, "")
+	if rewritten.Header().Get("X-Cache") != string(CacheHit) || f.CacheStats().DiskHits != 1 {
+		t.Errorf("after the recompute: X-Cache %q, stats %+v; want a disk HIT", rewritten.Header().Get("X-Cache"), f.CacheStats())
+	}
+	if !bytes.Equal(rewritten.Body.Bytes(), old.Body.Bytes()) || rewritten.Header().Get("ETag") != old.Header().Get("ETag") {
+		t.Error("the rewritten slot does not serve the recompute's body and ETag")
 	}
 }

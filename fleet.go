@@ -2,6 +2,7 @@ package gpuperf
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"runtime"
@@ -273,20 +274,26 @@ func (f *Fleet) Analyze(ctx context.Context, req Request) (*Result, error) {
 // output-affecting options and device hardware) is a hit; identical
 // requests in flight at once coalesce onto one simulation.
 func (f *Fleet) AnalyzeCached(ctx context.Context, req Request) (*Result, CacheStatus, error) {
+	return decodeServed[Result](f.analyzeJSON(ctx, req))
+}
+
+// analyzeJSON is AnalyzeCached's answer as the stored, served body:
+// what POST /v1/analyze writes. The body is shared and read-only.
+func (f *Fleet) analyzeJSON(ctx context.Context, req Request) ([]byte, CacheStatus, error) {
 	f.countRequest("analyze")
 	return f.analyzeCached(ctx, req)
 }
 
-// analyzeCached is AnalyzeCached without the per-op request count —
+// analyzeCached is analyzeJSON without the per-op request count —
 // the path Compare's per-device analyses take so they don't inflate
 // the "analyze" counter.
-func (f *Fleet) analyzeCached(ctx context.Context, req Request) (*Result, CacheStatus, error) {
+func (f *Fleet) analyzeCached(ctx context.Context, req Request) ([]byte, CacheStatus, error) {
 	a, spec, err := f.prepare(&req)
 	if err != nil {
 		return nil, CacheBypass, err
 	}
 	key := analyzeKey(req, DeviceFingerprint(a.dev))
-	return cachedFetch(ctx, f, key, func(ctx context.Context) (*Result, error) {
+	return cachedBody(ctx, f, key, func(ctx context.Context) (any, error) {
 		return a.analyze(ctx, spec, req)
 	})
 }
@@ -306,13 +313,19 @@ func (f *Fleet) Advise(ctx context.Context, req Request) (*Advice, error) {
 // the request. Advice ignores Measure and SkipVerify, so requests
 // differing only there share one cached slot.
 func (f *Fleet) AdviseCached(ctx context.Context, req Request) (*Advice, CacheStatus, error) {
+	return decodeServed[Advice](f.adviseJSON(ctx, req))
+}
+
+// adviseJSON is AdviseCached's answer as the stored, served body:
+// what POST /v1/advise writes. The body is shared and read-only.
+func (f *Fleet) adviseJSON(ctx context.Context, req Request) ([]byte, CacheStatus, error) {
 	f.countRequest("advise")
 	a, spec, err := f.prepare(&req)
 	if err != nil {
 		return nil, CacheBypass, err
 	}
 	key := adviseKey(req, DeviceFingerprint(a.dev))
-	return cachedFetch(ctx, f, key, func(ctx context.Context) (*Advice, error) {
+	return cachedBody(ctx, f, key, func(ctx context.Context) (any, error) {
 		return a.advise(ctx, spec, req)
 	})
 }
@@ -479,6 +492,17 @@ func validateCompare(cat *DeviceCatalog, req CompareRequest) (baseline string, f
 	return baseline, fps, nil
 }
 
+// compareLeg is the part of one device's Result a comparison reads.
+// Decoding a served analysis into it skips building the rest of the
+// Result: its stages, statistics and diagnostics.
+type compareLeg struct {
+	Size             int     `json:"size"`
+	Seed             int64   `json:"seed"`
+	PredictedSeconds float64 `json:"predicted_seconds"`
+	Bottleneck       string  `json:"bottleneck"`
+	MeasuredSeconds  float64 `json:"measured_seconds"`
+}
+
 // compareFanout runs one analysis per compare-set device through
 // analyzeFn — a local session for Fleet.Compare, a remote worker for
 // the router's scatter-gather — then ranks the entries and assembles
@@ -486,7 +510,7 @@ func validateCompare(cat *DeviceCatalog, req CompareRequest) (baseline string, f
 // byte-identical to a local one. allHit reports that every analysis
 // was a cache hit.
 func compareFanout(ctx context.Context, cat *DeviceCatalog, req CompareRequest, baseline string,
-	analyzeFn func(context.Context, Request) (*Result, CacheStatus, error)) (cmp *Comparison, allHit bool, err error) {
+	analyzeFn func(context.Context, Request) (compareLeg, CacheStatus, error)) (cmp *Comparison, allHit bool, err error) {
 	entries := make([]ComparisonEntry, len(req.Devices))
 	errs := make([]error, len(req.Devices))
 	hits := make([]bool, len(req.Devices))
@@ -494,7 +518,7 @@ func compareFanout(ctx context.Context, cat *DeviceCatalog, req CompareRequest, 
 	seeds := make([]int64, len(req.Devices))
 	fanOut(len(req.Devices), func(i int) {
 		name := req.Devices[i]
-		res, st, err := analyzeFn(ctx, Request{
+		leg, st, err := analyzeFn(ctx, Request{
 			Kernel:      req.Kernel,
 			Device:      name,
 			Size:        req.Size,
@@ -511,11 +535,11 @@ func compareFanout(ctx context.Context, cat *DeviceCatalog, req CompareRequest, 
 		entries[i] = ComparisonEntry{
 			Device:           name,
 			Fingerprint:      DeviceFingerprint(dev),
-			PredictedSeconds: res.PredictedSeconds,
-			Bottleneck:       res.Bottleneck,
-			MeasuredSeconds:  res.MeasuredSeconds,
+			PredictedSeconds: leg.PredictedSeconds,
+			Bottleneck:       leg.Bottleneck,
+			MeasuredSeconds:  leg.MeasuredSeconds,
 		}
-		sizes[i], seeds[i] = res.Size, res.Seed
+		sizes[i], seeds[i] = leg.Size, leg.Seed
 		hits[i] = st == CacheHit
 	})
 	if err := errors.Join(errs...); err != nil {
@@ -566,6 +590,12 @@ func (f *Fleet) Compare(ctx context.Context, req CompareRequest) (*Comparison, e
 // hardware fingerprints) given the same effective baseline, so
 // reordering the devices field re-serves the cached ranking.
 func (f *Fleet) CompareCached(ctx context.Context, req CompareRequest) (*Comparison, CacheStatus, error) {
+	return decodeServed[Comparison](f.compareJSON(ctx, req))
+}
+
+// compareJSON is CompareCached's answer as the stored, served body:
+// what POST /v1/compare writes. The body is shared and read-only.
+func (f *Fleet) compareJSON(ctx context.Context, req CompareRequest) ([]byte, CacheStatus, error) {
 	f.countRequest("compare")
 	baseline, fps, err := validateCompare(f.catalog, req)
 	if err != nil {
@@ -583,12 +613,25 @@ func (f *Fleet) CompareCached(ctx context.Context, req CompareRequest) (*Compari
 			baselineFP = fps[i]
 		}
 	}
-	return cachedFetch(ctx, f, compareKey(norm, fps, baselineFP), func(ctx context.Context) (*Comparison, error) {
-		// Per-device fan-out analyses skip the request counter: the
-		// caller asked for one compare, not N analyzes.
-		cmp, _, err := compareFanout(ctx, f.catalog, req, baseline, f.analyzeCached)
+	return cachedBody(ctx, f, compareKey(norm, fps, baselineFP), func(ctx context.Context) (any, error) {
+		cmp, _, err := compareFanout(ctx, f.catalog, req, baseline, f.analyzeLeg)
 		return cmp, err
 	})
+}
+
+// analyzeLeg is a local comparison's per-device unit: a cached
+// analysis, read for its compareLeg. It skips the request counter:
+// the caller asked for one compare, not N analyzes.
+func (f *Fleet) analyzeLeg(ctx context.Context, req Request) (compareLeg, CacheStatus, error) {
+	body, st, err := f.analyzeCached(ctx, req)
+	if err != nil {
+		return compareLeg{}, st, err
+	}
+	var leg compareLeg
+	if err := json.Unmarshal(body, &leg); err != nil {
+		return compareLeg{}, st, fmt.Errorf("gpuperf: decoding cached result: %w", err)
+	}
+	return leg, st, nil
 }
 
 // FleetHealth is the GET /healthz wire type: overall readiness plus

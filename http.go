@@ -56,7 +56,10 @@ import (
 // fleet's result cache served them via X-Cache (HIT, MISS or
 // COALESCED), and every deterministic body gets a strong ETag
 // honoring If-None-Match with 304 Not Modified. The fully static
-// kernel and device listings additionally set Cache-Control.
+// kernel and device listings additionally set Cache-Control. The
+// result cache holds analyze, advise and compare answers in exactly
+// the form these routes send, so a hit writes the stored bytes
+// without decoding or re-encoding them.
 func NewHandler(f *Fleet) http.Handler { return NewObservedHandler(f, Telemetry{}) }
 
 // NewObservedHandler is NewHandler with the observability layer
@@ -118,12 +121,12 @@ func NewObservedHandler(f *Fleet, tel Telemetry) http.Handler {
 		}
 		annotate(r, "kernel", req.Kernel)
 		annotate(r, "device", req.Device)
-		res, st, err := f.AnalyzeCached(r.Context(), req)
+		body, st, err := f.analyzeJSON(r.Context(), req)
 		if err != nil {
 			writeAnalysisError(w, r, err)
 			return
 		}
-		writeCachedJSON(w, r, res, st, "")
+		writeServed(w, r, body, st, "")
 	})
 	mux.HandleFunc("POST /v1/advise", func(w http.ResponseWriter, r *http.Request) {
 		req, ok := decodeBody[Request](w, r)
@@ -132,12 +135,12 @@ func NewObservedHandler(f *Fleet, tel Telemetry) http.Handler {
 		}
 		annotate(r, "kernel", req.Kernel)
 		annotate(r, "device", req.Device)
-		adv, st, err := f.AdviseCached(r.Context(), req)
+		body, st, err := f.adviseJSON(r.Context(), req)
 		if err != nil {
 			writeAnalysisError(w, r, err)
 			return
 		}
-		writeCachedJSON(w, r, adv, st, "")
+		writeServed(w, r, body, st, "")
 	})
 	mux.HandleFunc("POST /v1/measure", func(w http.ResponseWriter, r *http.Request) {
 		req, ok := decodeBody[Request](w, r)
@@ -160,12 +163,12 @@ func NewObservedHandler(f *Fleet, tel Telemetry) http.Handler {
 		}
 		annotate(r, "kernel", req.Kernel)
 		annotate(r, "device", strings.Join(req.Devices, ","))
-		cmp, st, err := f.CompareCached(r.Context(), req)
+		body, st, err := f.compareJSON(r.Context(), req)
 		if err != nil {
 			writeAnalysisError(w, r, err)
 			return
 		}
-		writeCachedJSON(w, r, cmp, st, "")
+		writeServed(w, r, body, st, "")
 	})
 	return telemetryMiddleware(mux, f.Metrics(), tel)
 }
@@ -266,17 +269,24 @@ func etagMatch(header, etag string) bool {
 	return false
 }
 
-// writeCachedJSON is writeJSON for deterministic bodies: it stamps
-// the strong ETag, answers a matching If-None-Match with 304 Not
-// Modified (headers only), reports the fleet cache's verdict via
-// X-Cache (omitted for CacheBypass), and applies cacheControl when
-// the route sets one.
+// writeCachedJSON is writeJSON for deterministic bodies: writeServed
+// of v's encoding.
 func writeCachedJSON(w http.ResponseWriter, r *http.Request, v any, st CacheStatus, cacheControl string) {
 	body, err := encodeJSON(v)
 	if err != nil {
 		writeEncodeFailure(w, r, v, err)
 		return
 	}
+	writeServed(w, r, body, st, cacheControl)
+}
+
+// writeServed writes a deterministic body, already in its served
+// form: it stamps the strong ETag, answers a matching If-None-Match
+// with 304 Not Modified (headers only), reports the fleet cache's
+// verdict via X-Cache (omitted for CacheBypass), and applies
+// cacheControl when the route sets one. body is only read, so it may
+// be the result cache's shared copy.
+func writeServed(w http.ResponseWriter, r *http.Request, body []byte, st CacheStatus, cacheControl string) {
 	h := w.Header()
 	etag := etagFor(body)
 	h.Set("ETag", etag)
@@ -293,7 +303,7 @@ func writeCachedJSON(w http.ResponseWriter, r *http.Request, v any, st CacheStat
 	h.Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	if _, err := w.Write(body); err != nil {
-		requestLogger(r.Context()).Warn("writing response", "component", "http", "type", fmt.Sprintf("%T", v), "err", err)
+		requestLogger(r.Context()).Warn("writing response", "component", "http", "path", r.URL.Path, "err", err)
 	}
 }
 

@@ -561,7 +561,7 @@ func TestHTTPCacheSpeedupAndStats(t *testing.T) {
 			cold.Header().Get("ETag"), warm.Header().Get("ETag"))
 	}
 	// The >=100x bar: a cold spmv-ell@4096 simulates for hundreds of
-	// milliseconds; a hit decodes ~2 KB of JSON. Guard against a
+	// milliseconds; a hit writes ~2 KB of stored JSON. Guard against a
 	// pathologically fast cold run (CI noise) rather than fail falsely.
 	if coldTime > 10*time.Millisecond && warmTime > coldTime/100 {
 		t.Errorf("hit not >=100x faster: cold %v, warm %v", coldTime, warmTime)

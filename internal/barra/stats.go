@@ -248,16 +248,21 @@ func (b *blockStats) reset() {
 }
 
 // add adds sign·src to b, field by field. Both shards must come from
-// the same run. Stages b lacks are created — a variant shard can end
-// before the block's last stage. Sign 1 folds a finished block into
-// its worker's running sum (and a replayed block's class and variant
-// shards); sign −1 strips a block's variant shard out of its full
-// shard, leaving the class's uniform shard (see replay.go).
+// the same run. Stages b lacks are created, all in one step: a
+// worker's sum and a class's canonical shard start empty in every
+// run, and a variant shard can end before the block's last stage.
+// Sign 1 folds a finished block into its worker's running sum (and a
+// replayed block's class and variant shards); sign −1 strips a
+// block's variant shard out of its full shard, leaving the class's
+// uniform shard (see replay.go).
 //
 //gpuperf:noalloc
 func (b *blockStats) add(src *blockStats, sign int64) {
+	if n := len(src.stages); len(b.stages) < n {
+		b.stages = append(b.stages, make([]StageStats, n-len(b.stages))...) //gpuperf:alloc-ok once per shard and run, to the kernel's stage count
+	}
 	for i := range src.stages {
-		accumulate(b.stage(i), &src.stages[i], sign)
+		accumulate(&b.stages[i], &src.stages[i], sign)
 	}
 	for i := range src.globalAt {
 		b.globalAt[i].Transactions += sign * src.globalAt[i].Transactions

@@ -287,7 +287,11 @@ type envelope struct {
 	Body []byte `json:"body"`
 }
 
-const slotVersion = 1
+// slotVersion names the payload form a slot holds; a slot of any
+// other version reads as a miss and is rewritten by the recompute.
+// Version 1 held the fleet's compact JSON; version 2 holds the body
+// the service sends (indented, trailing newline).
+const slotVersion = 2
 
 // SlotPath returns key's file under dir — one slot per request
 // fingerprint, mirroring timing.CacheFile's per-device-fingerprint

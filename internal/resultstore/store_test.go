@@ -3,6 +3,7 @@ package resultstore
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -116,6 +117,15 @@ func TestDiskCorruptSlotFallbackAndRepair(t *testing.T) {
 			other := New(Config{Dir: dir})
 			other.Put("other", payload)
 			data, err := os.ReadFile(SlotPath(dir, "other"))
+			if err != nil {
+				return err
+			}
+			return os.WriteFile(p, data, 0o644)
+		},
+		"wrong-version": func(p string) error {
+			// A well-formed envelope for this key and payload, written
+			// by a build whose slots held another payload form.
+			data, err := json.Marshal(envelope{Version: slotVersion - 1, Key: "k", Body: payload})
 			if err != nil {
 				return err
 			}

@@ -266,7 +266,7 @@ func (c *Calibration) GlobalBandwidth(blocks, threadsPerBlock, transPerThread in
 	c.gsims++
 	c.mu.Unlock()
 
-	call.bw, call.err = c.simulateGlobal(k)
+	call.bw, call.err = c.simulateGlobal(k, streamBytes(k))
 	c.mu.Lock()
 	delete(c.inflight, k)
 	if call.err == nil {
@@ -277,9 +277,27 @@ func (c *Calibration) GlobalBandwidth(blocks, threadsPerBlock, transPerThread in
 	return call.bw, call.err
 }
 
-// simulateGlobal runs the synthetic global-memory benchmark for k.
-func (c *Calibration) simulateGlobal(k gkey) (float64, error) {
-	const memBytes = 1 << 22
+// maxStreamBytes is the largest memory image the synthetic
+// global-memory benchmark runs over.
+const maxStreamBytes = 1 << 22
+
+// streamBytes sizes k's memory image. Thread i's j-th load reads byte
+// (i + j·T)·4 mod the image size, T the total thread count, so any
+// power of two at least the T·trans·4-byte footprint gives the
+// addresses a maxStreamBytes image gives, and a larger footprint
+// wraps at the ceiling as it always did. Zeroing 4 MiB per geometry
+// used to cost more than a small geometry's whole simulation.
+func streamBytes(k gkey) int {
+	n := 1 << 12
+	for n < k.blocks*k.threads*k.trans*4 && n < maxStreamBytes {
+		n <<= 1
+	}
+	return n
+}
+
+// simulateGlobal runs the synthetic global-memory benchmark for k
+// over a zeroed memBytes image.
+func (c *Calibration) simulateGlobal(k gkey, memBytes int) (float64, error) {
 	prog, err := microbench.GlobalStream(k.trans, k.blocks*k.threads, memBytes)
 	if err != nil {
 		return 0, err

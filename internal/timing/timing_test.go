@@ -3,6 +3,7 @@ package timing
 import (
 	"encoding/json"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"sync"
@@ -443,5 +444,49 @@ func TestGlobalBandwidthConcurrentMissSimulatesOnce(t *testing.T) {
 	}
 	if len(c.inflight) != 0 {
 		t.Errorf("%d in-flight entries left after every caller returned", len(c.inflight))
+	}
+}
+
+// TestStreamBytesKeepsBandwidth: the synthetic global-memory stream
+// over an image sized to its footprint measures, bit for bit, the
+// bandwidth the maxStreamBytes image does, across a sweep of
+// geometries; the size is a power of two between 4 KiB and 4 MiB
+// covering the footprint.
+func TestStreamBytesKeepsBandwidth(t *testing.T) {
+	for _, tc := range []struct {
+		k    gkey
+		want int
+	}{
+		{gkey{1, 32, 1}, 1 << 12},
+		{gkey{4, 256, 1}, 1 << 12},
+		{gkey{4, 256, 2}, 1 << 13},
+		{gkey{5, 256, 1}, 1 << 13},
+		{gkey{192, 256, 9}, 1 << 21},
+		{gkey{256, 512, 8}, 1 << 22},
+		{gkey{4104, 512, 64}, 1 << 22},
+	} {
+		if got := streamBytes(tc.k); got != tc.want {
+			t.Errorf("streamBytes(%v) = %d, want %d", tc.k, got, tc.want)
+		}
+	}
+
+	c := &Calibration{cfg: gpu.GTX285(), gcache: map[gkey]float64{}}
+	rng := rand.New(rand.NewSource(1))
+	ks := []gkey{{1, 32, 1}, {4, 256, 1}, {5, 256, 1}, {16, 192, 12}}
+	for len(ks) < 40 {
+		ks = append(ks, gkey{blocks: 1 + rng.Intn(64), threads: 32 * (1 + rng.Intn(8)), trans: 1 + rng.Intn(24)})
+	}
+	for _, k := range ks {
+		got, err := c.simulateGlobal(k, streamBytes(k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := c.simulateGlobal(k, maxStreamBytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%v over %d B: %v B/s, over %d B: %v B/s", k, streamBytes(k), got, maxStreamBytes, want)
+		}
 	}
 }

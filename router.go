@@ -651,31 +651,32 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 // remoteAnalyze is the compare scatter-gather's per-device unit: one
-// /v1/analyze against the device's shard owner. Worker-side failures
-// come back as proxyError so the assembled comparison reports the
-// worker's own verdict.
-func (rt *Router) remoteAnalyze(ctx context.Context, req Request) (*Result, CacheStatus, error) {
+// /v1/analyze against the device's shard owner, read for the fields a
+// comparison uses. Worker-side failures come back as proxyError so
+// the assembled comparison reports the worker's own verdict; an
+// answer that is not an analysis is the router's 502.
+func (rt *Router) remoteAnalyze(ctx context.Context, req Request) (compareLeg, CacheStatus, error) {
 	wk, err := rt.ShardFor(req.Device)
 	if err != nil {
-		return nil, CacheBypass, err
+		return compareLeg{}, CacheBypass, err
 	}
 	body, err := json.Marshal(req)
 	if err != nil {
-		return nil, CacheBypass, err
+		return compareLeg{}, CacheBypass, err
 	}
 	data, hdr, err := rt.fetch(ctx, wk, http.MethodPost, "/v1/analyze", body)
 	if err != nil {
-		return nil, CacheBypass, err
+		return compareLeg{}, CacheBypass, err
 	}
-	var res Result
-	if err := json.Unmarshal(data, &res); err != nil {
-		return nil, CacheBypass, &proxyError{code: http.StatusBadGateway, msg: fmt.Sprintf("gpuperf: shard %s: decoding result: %v", wk, err)}
+	var leg compareLeg
+	if err := json.Unmarshal(data, &leg); err != nil {
+		return compareLeg{}, CacheBypass, &proxyError{code: http.StatusBadGateway, msg: fmt.Sprintf("gpuperf: shard %s: decoding result: %v", wk, err)}
 	}
 	st := CacheStatus(hdr.Get("X-Cache"))
 	if st == "" {
 		st = CacheBypass
 	}
-	return &res, st, nil
+	return leg, st, nil
 }
 
 // handleCompare scatter-gathers a cross-device comparison: each

@@ -17,7 +17,8 @@ import (
 // fakeWorker is a canned gpuperfd worker: it answers /healthz with a
 // configurable status, echoes analyze/advise bodies back with
 // recognizable headers, and records every request it saw. An analyze
-// of kernel "hang" never answers: it waits for its request to end.
+// of kernel "hang" never answers: it waits for its request to end;
+// one of kernel "not-json" answers 200 with a body that is not JSON.
 type fakeWorker struct {
 	name         string
 	healthStatus int // status for GET /healthz
@@ -62,8 +63,12 @@ func (fw *fakeWorker) handler(t *testing.T) http.Handler {
 			return
 		}
 		fw.record(r, req.Device)
-		if req.Kernel == "hang" {
+		switch req.Kernel {
+		case "hang":
 			<-r.Context().Done()
+			return
+		case "not-json":
+			w.Write([]byte("not json"))
 			return
 		}
 		writeCachedJSON(w, r, Result{Kernel: req.Kernel, Device: req.Device, PredictedSeconds: 1}, CacheMiss, "")
@@ -73,7 +78,7 @@ func (fw *fakeWorker) handler(t *testing.T) http.Handler {
 
 // routerOver builds a Router across the given workers with a long
 // health interval (tests flip state explicitly via markDown).
-func routerOver(t *testing.T, opt RouterOptions) *Router {
+func routerOver(t testing.TB, opt RouterOptions) *Router {
 	t.Helper()
 	opt.HealthInterval = time.Hour
 	rt, err := NewRouter(opt)
@@ -365,6 +370,23 @@ func TestRouterCompareDownShardFailsFast(t *testing.T) {
 			}
 		}
 		fw.mu.Unlock()
+	}
+}
+
+// TestRouterCompareUndecodableAnalysis: a worker whose 200 answer to
+// a compare's per-device analyze is not an analysis fails the routed
+// compare with 502 naming that shard.
+func TestRouterCompareUndecodableAnalysis(t *testing.T) {
+	fw := &fakeWorker{name: "w1", healthStatus: http.StatusOK}
+	srv := httptest.NewServer(fw.handler(t))
+	t.Cleanup(srv.Close)
+	rt := routerOver(t, RouterOptions{Workers: []string{srv.URL}})
+	rec := httptest.NewRecorder()
+	rt.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/compare",
+		strings.NewReader(`{"kernel":"not-json","devices":["gtx285","gtx285-6sm"]}`)))
+	if rec.Code != http.StatusBadGateway || !strings.Contains(rec.Body.String(), "shard "+srv.URL) ||
+		!strings.Contains(rec.Body.String(), "decoding result") {
+		t.Errorf("compare over an undecodable analysis: %d %q, want 502 naming shard %s", rec.Code, rec.Body, srv.URL)
 	}
 }
 

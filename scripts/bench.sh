@@ -11,8 +11,11 @@
 # microbenchmarks (warp step, bank conflicts, coalescing), the timing
 # simulator (BenchmarkDeviceRun: winstr/s per golden kernel, plus the
 # event queue's deterministic pops/winstr and buckets/winstr), the §4.3
-# global-bandwidth run (BenchmarkGlobalBandwidth) and a cold
-# calibration (BenchmarkCalibrate) with -benchmem, and converts the
+# global-bandwidth run (BenchmarkGlobalBandwidth), a cold
+# calibration (BenchmarkCalibrate) and the result cache's hits through
+# the HTTP layer (BenchmarkCacheHit: analyze and advise HITs, a 304
+# revalidation and a routed compare HIT, at the default benchtime
+# because one hit takes microseconds) with -benchmem, and converts the
 # results to a JSON array of
 # {name, ns_per_op, ..., B_per_op, allocs_per_op} records, one field
 # per reported metric (replayed/op becomes replayed_per_op), so CI and
@@ -52,6 +55,7 @@ fi
   go test -run - -bench BenchmarkCoalesceHalfWarp -benchmem ./internal/coalesce/
   go test -run - -bench BenchmarkDeviceRun -benchtime "$BENCHTIME" -benchmem ./internal/device/
   go test -run - -bench 'BenchmarkCalibrate|BenchmarkGlobalBandwidth' -benchtime "$BENCHTIME" -benchmem ./internal/timing/
+  go test -run - -bench BenchmarkCacheHit -benchmem .
 } | tee "$TMP"
 
 awk '
