@@ -2,6 +2,8 @@ package gpuperf
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"sync"
@@ -295,10 +297,19 @@ func (a *Analyzer) simulate(ctx context.Context, spec KernelSpec, req Request, d
 	engDone()
 	if err != nil {
 		release()
-		return nil, nil, err
+		return nil, nil, kernelFault(spec, err)
 	}
 	a.engine.add(r.stats.Engine)
 	return r, release, nil
+}
+
+// kernelFault wraps a simulator error in ErrKernelFault when spec is a
+// submission and the run did not stop for its context.
+func kernelFault(spec KernelSpec, err error) error {
+	if !spec.Unverified || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		return err
+	}
+	return fmt.Errorf("%w: %w", ErrKernelFault, err)
 }
 
 // EngineCounters is the cumulative functional-engine effectiveness
@@ -382,7 +393,7 @@ func (a *Analyzer) analyze(ctx context.Context, spec KernelSpec, req Request) (*
 		meas, err := device.RunBudget(measCtx, a.dev, r.w.Launch, r.input, r.w.MaxWarpInstructions)
 		measDone()
 		if err != nil {
-			return nil, err
+			return nil, kernelFault(spec, err)
 		}
 		res.MeasuredSeconds = meas.Seconds
 		res.MeasuredDominant = meas.DominantComponent()
@@ -454,7 +465,7 @@ func (a *Analyzer) measure(ctx context.Context, spec KernelSpec, req Request) (*
 	meas, err := device.RunBudget(measCtx, a.dev, r.w.Launch, r.w.Mem, r.w.MaxWarpInstructions)
 	measDone()
 	if err != nil {
-		return nil, err
+		return nil, kernelFault(spec, err)
 	}
 	a.observe(r)
 	return &Measurement{

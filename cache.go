@@ -13,6 +13,7 @@ import (
 
 	"gpuperf/internal/obs"
 	"gpuperf/internal/resultstore"
+	"gpuperf/internal/timing"
 )
 
 // The result cache exploits the system's end-to-end determinism: a
@@ -123,9 +124,10 @@ func (f *Fleet) CacheStats() CacheStats {
 // the NORMALIZED size and seed (so "size 0" and the kernel's default
 // size share a slot), the output-affecting options, and hardware
 // fingerprints in place of device names (renaming a device never
-// separates keys — exactly gpu.Fingerprint's contract). Parallelism
-// is deliberately absent: results are bit-identical at any worker
-// count.
+// separates keys — exactly gpu.Fingerprint's contract), and the model
+// version, so a change that moves a prediction never serves a slot
+// written before it. Parallelism is deliberately absent: results are
+// bit-identical at any worker count.
 type requestKey struct {
 	Op     string `json:"op"`
 	Kernel string `json:"kernel"`
@@ -142,6 +144,9 @@ type requestKey struct {
 	// (sorted — the ranking is order-independent) and the baseline's.
 	Devices  []string `json:"devices,omitempty"`
 	Baseline string   `json:"baseline,omitempty"`
+	// Model is timing.ModelVersion. It is omitted at 0, so keys made
+	// before it existed stay valid.
+	Model int `json:"model,omitempty"`
 }
 
 // digest returns the SHA-256 fingerprint of the canonical key. Struct
@@ -169,6 +174,7 @@ func analyzeKey(req Request, devFP string) string {
 		Measure:    req.Measure,
 		SkipVerify: req.SkipVerify,
 		Device:     devFP,
+		Model:      timing.ModelVersion,
 	}.digest()
 }
 
@@ -182,6 +188,7 @@ func adviseKey(req Request, devFP string) string {
 		Size:   req.Size,
 		Seed:   req.Seed,
 		Device: devFP,
+		Model:  timing.ModelVersion,
 	}.digest()
 }
 
@@ -200,6 +207,7 @@ func compareKey(req CompareRequest, fps []string, baselineFP string) string {
 		Measure:  req.Measure,
 		Devices:  sorted,
 		Baseline: baselineFP,
+		Model:    timing.ModelVersion,
 	}.digest()
 }
 

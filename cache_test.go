@@ -14,6 +14,8 @@ import (
 	"testing"
 
 	"gpuperf/internal/resultstore"
+	"gpuperf/internal/slot"
+	"gpuperf/internal/timing"
 )
 
 // cacheTestFleet builds a private fleet seeded with the shared test
@@ -250,12 +252,12 @@ func TestFleetCacheDiskPersistence(t *testing.T) {
 	if err != nil || len(slots) != 1 {
 		t.Fatalf("want exactly one slot file, got %v (%v)", slots, err)
 	}
-	slot := slots[0]
+	file := slots[0]
 	// The slot's name is the content address of the normalized request.
 	a1, _, norm := prepared(t, f1, req)
-	want := resultstore.SlotPath(cacheDir, analyzeKey(norm, DeviceFingerprint(a1.Device())))
-	if slot != want {
-		t.Errorf("slot %s, want %s", slot, want)
+	want := slot.Path(cacheDir, "res-"+analyzeKey(norm, DeviceFingerprint(a1.Device())))
+	if file != want {
+		t.Errorf("slot %s, want %s", file, want)
 	}
 
 	// Restart: a fresh fleet's first answer comes from disk.
@@ -273,7 +275,7 @@ func TestFleetCacheDiskPersistence(t *testing.T) {
 
 	// Truncate the slot: the next fleet recomputes (MISS), repairs the
 	// file, and still answers bit-identically.
-	if err := os.WriteFile(slot, []byte(`{"version":1,`), 0644); err != nil {
+	if err := os.WriteFile(file, []byte(`{"version":1,`), 0644); err != nil {
 		t.Fatal(err)
 	}
 	f3 := NewFleet(FleetOptions{DefaultDevice: "gtx285-6sm", CalibrationDir: calDir, CacheDir: cacheDir})
@@ -569,16 +571,7 @@ func TestFleetCacheCompactSlotIsAMiss(t *testing.T) {
 	a, _, norm := prepared(t, fresh, Request{Kernel: "matmul16", Size: 64, Seed: 3})
 	key := analyzeKey(norm, DeviceFingerprint(a.Device()))
 	cacheDir := t.TempDir()
-	slot := resultstore.SlotPath(cacheDir, key)
-	env, err := json.Marshal(struct {
-		Version int    `json:"version"`
-		Key     string `json:"key"`
-		Body    []byte `json:"body"`
-	}{1, key, compact})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(slot, env, 0o644); err != nil {
+	if err := slot.Write(cacheDir, "res-"+key, 1, key, compact, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -612,5 +605,39 @@ func TestFleetCacheCompactSlotIsAMiss(t *testing.T) {
 	}
 	if !bytes.Equal(rewritten.Body.Bytes(), old.Body.Bytes()) || rewritten.Header().Get("ETag") != old.Header().Get("ETag") {
 		t.Error("the rewritten slot does not serve the recompute's body and ETag")
+	}
+}
+
+// TestFleetCacheOtherModelVersionIsAMiss: a result slot written under
+// another model version reads as a MISS, so a change that moves a
+// prediction never serves an answer cached before it. At version 0
+// every key equals the one earlier builds made, so their slots still
+// hit.
+func TestFleetCacheOtherModelVersionIsAMiss(t *testing.T) {
+	if timing.ModelVersion == 0 {
+		for got, want := range map[string]string{
+			analyzeKey(Request{Kernel: "matmul16", Size: 64, Seed: 3}, "aaaa"):                        "df6f06bb51f29ceb2ef14d91c231f988f38c14265365596779d27fa00dff3bc5",
+			adviseKey(Request{Kernel: "matmul16", Size: 64, Seed: 3}, "aaaa"):                         "4a4863e8fe59c6ca3a01ffa6d35695129a74bbe48fda7263fd31c9ca8cb92709",
+			compareKey(CompareRequest{Kernel: "spmv-ell", Size: 4096}, []string{"fpB", "fpA"}, "fpA"): "ca741f46c2521053821797f6468e3769d503901c18c6dbc1ab93957cb828f8aa",
+		} {
+			if got != want {
+				t.Errorf("key %s, want the earlier builds' %s", got, want)
+			}
+		}
+	}
+	const body = `{"kernel":"matmul16","size":64,"seed":3}`
+	f := cacheTestFleet(t, FleetOptions{CacheDir: t.TempDir()})
+	a, _, norm := prepared(t, f, Request{Kernel: "matmul16", Size: 64, Seed: 3})
+	fp := DeviceFingerprint(a.Device())
+	key := func(model int) string {
+		return requestKey{Op: "analyze", Kernel: norm.Kernel, Size: norm.Size, Seed: norm.Seed, Device: fp, Model: model}.digest()
+	}
+	if key(timing.ModelVersion) != analyzeKey(norm, fp) {
+		t.Fatal("analyzeKey's pre-image is not the one this test varies")
+	}
+	resultstore.New(resultstore.Config{Dir: f.opt.CacheDir}).Put(key(timing.ModelVersion+1), []byte("{\"stale\": true}\n"))
+	rec := postJSON(NewHandler(f), "/v1/analyze", body, "")
+	if rec.Code != http.StatusOK || rec.Header().Get("X-Cache") != string(CacheMiss) || strings.Contains(rec.Body.String(), "stale") {
+		t.Errorf("slot of another model version: %d X-Cache %q body %.80s; want a computed 200 MISS", rec.Code, rec.Header().Get("X-Cache"), rec.Body)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"gpuperf/internal/slot"
 	"gpuperf/internal/timing"
 )
 
@@ -321,7 +322,8 @@ func TestFleetCalibrationsCachedPerFingerprint(t *testing.T) {
 	}
 	six, _ := f.Catalog().Lookup("gtx285-6sm")
 	three, _ := f.Catalog().Lookup("gtx285-3sm")
-	if timing.CacheFile(dir, six) == timing.CacheFile(dir, three) {
+	calPath := func(dev Device) string { return slot.Path(dir, "cal-"+DeviceFingerprint(dev)) }
+	if calPath(six) == calPath(three) {
 		t.Fatal("different devices share a cache slot")
 	}
 	for _, dev := range []Device{six, three} {
@@ -335,11 +337,11 @@ func TestFleetCalibrationsCachedPerFingerprint(t *testing.T) {
 	}
 	// Each file really is a different calibration: the 3-SM curves
 	// must not equal the 6-SM ones wholesale.
-	b6, err := os.ReadFile(timing.CacheFile(dir, six))
+	b6, err := os.ReadFile(calPath(six))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b3, err := os.ReadFile(timing.CacheFile(dir, three))
+	b3, err := os.ReadFile(calPath(three))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,8 +47,9 @@ import (
 // empty means the fleet's default. Analysis errors map to status
 // codes: 400 for a malformed body or parameters the kernel rejects
 // (including sizes beyond the spec's MaxSize ceiling), 404 for an
-// unknown kernel or device, 503 when the request's context ends
-// before the simulation does, 500 otherwise. Error bodies are
+// unknown kernel or device, 422 for a submission that faults when it
+// runs (ErrKernelFault), 503 when the request's context ends before
+// the simulation does, 500 otherwise. Error bodies are
 // {"error": "..."}.
 //
 // Responses are deterministic per request tuple, so the cacheable
@@ -227,6 +228,8 @@ func writeAnalysisError(w http.ResponseWriter, r *http.Request, err error) {
 		writeError(w, r, http.StatusNotFound, err)
 	case errors.Is(err, ErrInvalidRequest):
 		writeError(w, r, http.StatusBadRequest, err)
+	case errors.Is(err, ErrKernelFault):
+		writeError(w, r, http.StatusUnprocessableEntity, err)
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		writeError(w, r, http.StatusServiceUnavailable, err)
 	default:

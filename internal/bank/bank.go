@@ -180,17 +180,6 @@ func (s *Sim) transactionsLarge(addrs []uint32) int {
 	return maxWords
 }
 
-// ConflictDegree reports the k in "k-way bank conflict" for the
-// access (1 = conflict-free). It is Transactions clamped below at 1
-// when any lane is active.
-func (s *Sim) ConflictDegree(addrs []uint32) int {
-	t := s.Transactions(addrs)
-	if t < 1 && len(addrs) > 0 {
-		return 1
-	}
-	return t
-}
-
 // StrideConflict returns the conflict degree of a classic
 // strided access: lanes i = 0..lanes-1 touching word index i*stride.
 // Cyclic reduction's step s has stride 2^s, whose degree doubles

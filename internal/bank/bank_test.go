@@ -169,8 +169,8 @@ func TestEmptyAndDegenerate(t *testing.T) {
 	if s.Transactions(nil) != 0 {
 		t.Error("empty access should cost 0")
 	}
-	if s.ConflictDegree([]uint32{12}) != 1 {
-		t.Error("single lane should be 1")
+	if s.Transactions([]uint32{12}) != 1 {
+		t.Error("single lane should cost 1")
 	}
 	if s.StrideConflict(0, 4) != 0 || s.StrideConflict(4, 0) != 0 {
 		t.Error("degenerate strides should be 0")

@@ -126,46 +126,3 @@ func (s *Sim) HalfWarpInto(dst []Transaction, addrs []uint32, accessBytes int) [
 	}
 	return dst
 }
-
-// Bytes sums the bytes moved by a transaction list.
-func Bytes(txs []Transaction) int {
-	n := 0
-	for _, t := range txs {
-		n += t.Size
-	}
-	return n
-}
-
-// Warp forms transactions for a full warp by splitting it into
-// half-warps, the hardware's issue granularity. active[i] reports
-// whether lane i participates; addrs is indexed by lane.
-func (s *Sim) Warp(addrs []uint32, active []bool, accessBytes int) []Transaction {
-	var txs []Transaction
-	var hw [gpu.HalfWarp]uint32
-	for half := 0; half*gpu.HalfWarp < len(addrs); half++ {
-		n := 0
-		for lane := half * gpu.HalfWarp; lane < (half+1)*gpu.HalfWarp && lane < len(addrs); lane++ {
-			if active == nil || active[lane] {
-				hw[n] = addrs[lane]
-				n++
-			}
-		}
-		txs = s.HalfWarpInto(txs, hw[:n], accessBytes)
-	}
-	return txs
-}
-
-// Efficiency returns useful bytes / transferred bytes for an access:
-// the coalescing-efficiency diagnostic the model reports (1.0 =
-// perfectly coalesced).
-func (s *Sim) Efficiency(addrs []uint32, accessBytes int) float64 {
-	if len(addrs) == 0 {
-		return 1
-	}
-	txs := s.HalfWarp(addrs, accessBytes)
-	moved := Bytes(txs)
-	if moved == 0 {
-		return 1
-	}
-	return float64(len(addrs)*accessBytes) / float64(moved)
-}

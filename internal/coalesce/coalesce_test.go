@@ -123,41 +123,6 @@ func TestPaperFigure10Example(t *testing.T) {
 	}
 }
 
-func TestWarpSplitsIntoHalfWarps(t *testing.T) {
-	s := sim(t)
-	// 32 consecutive floats: two half-warps, one 64B tx each; they
-	// are not merged across the half-warp boundary on CC 1.x.
-	txs := s.Warp(seq(0, 32, 4), nil, 4)
-	if len(txs) != 2 || txs[0].Size != 64 || txs[1].Size != 64 {
-		t.Errorf("got %v", txs)
-	}
-	// Predicated-off lanes are excluded.
-	active := make([]bool, 32)
-	for i := 0; i < 4; i++ {
-		active[i] = true
-	}
-	txs = s.Warp(seq(0, 32, 4), active, 4)
-	if len(txs) != 1 || txs[0].Size != 32 {
-		t.Errorf("masked warp: %v", txs)
-	}
-	if got := s.Warp(nil, nil, 4); got != nil {
-		t.Errorf("empty warp: %v", got)
-	}
-}
-
-func TestEfficiency(t *testing.T) {
-	s := sim(t)
-	if e := s.Efficiency(seq(0, 16, 4), 4); e != 1.0 {
-		t.Errorf("coalesced efficiency = %v", e)
-	}
-	if e := s.Efficiency(seq(0, 16, 128), 4); e != 64.0/512.0 {
-		t.Errorf("scattered efficiency = %v", e)
-	}
-	if e := s.Efficiency(nil, 4); e != 1.0 {
-		t.Errorf("empty efficiency = %v", e)
-	}
-}
-
 // Property tests of the protocol.
 func TestProtocolProperties(t *testing.T) {
 	s := sim(t)

@@ -9,6 +9,7 @@ package device
 // patterns) plus the final memory image.
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -162,15 +163,31 @@ var goldenResults = map[string]string{
 	"GTX285-6sm/spmv-bell-imiv": "4cede2efd6d7eee4662cec982fac31de3c29af50bd195b33a55af6b5fb383471",
 }
 
+// goldenPops are the event queue's exact pops per GTX 285 launch. They
+// move only when the simulator's event sequence does; divided by each
+// launch's WarpInstrs they give BENCH_16.json's pops_per_winstr
+// (1.931, 2.586, 2.614, 1.641, 1.570).
+var goldenPops = map[string]int64{
+	"GTX285/matmul16":       145424,
+	"GTX285/cr":             112864,
+	"GTX285/cr-nbc":         137724,
+	"GTX285/spmv-ell":       19931,
+	"GTX285/spmv-bell-imiv": 13416,
+}
+
 func TestGoldenResults(t *testing.T) {
 	for _, cfg := range goldenDevices() {
 		for _, c := range goldenCases() {
 			key := cfg.Name + "/" + c.name
 			t.Run(key, func(t *testing.T) {
 				l, mem := c.build(t)
-				r, err := Run(cfg, l, mem)
+				s, err := simulate(context.Background(), cfg, l, mem, 0)
 				if err != nil {
 					t.Fatal(err)
+				}
+				r := s.res
+				if want, ok := goldenPops[key]; ok && s.queue.pops != want {
+					t.Errorf("event queue pops: got %d want %d", s.queue.pops, want)
 				}
 				words, err := mem.ReadWords(0, mem.Size()/4)
 				if err != nil {

@@ -16,9 +16,8 @@
 // Accepted submissions become content-addressed Submissions
 // ("subm-<hash16>", the SHA-256 of the canonical container plus the
 // launch/buffer spec) held in a Store bounded by count, bytes and
-// TTL, optionally persisted with the calibration cache's
-// write-temp-then-rename discipline so a daemon restart keeps its
-// submissions. The Store is a submission's only owner: the service
+// TTL, optionally persisted as internal/slot files so a daemon
+// restart keeps its submissions. The Store is a submission's only owner: the service
 // resolves a submission id through Store.Get, which applies the TTL
 // and refreshes the LRU recency, and keeps no copy of its own.
 package ingest

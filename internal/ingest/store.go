@@ -2,15 +2,15 @@ package ingest
 
 import (
 	"container/list"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
 	"time"
+
+	"gpuperf/internal/slot"
 )
 
 // ErrNotFound reports a submission id absent from the store (never
@@ -25,9 +25,9 @@ type StoreConfig struct {
 	MaxBytes int64
 	// TTL expires submissions this long after CreatedAt.
 	TTL time.Duration
-	// Dir, when set, persists each submission as a JSON slot under the
-	// calibration cache's write-temp-then-rename rules so a restarted
-	// daemon keeps its submissions. Empty keeps the store in memory.
+	// Dir, when set, persists each submission as an internal/slot
+	// file, "<id>.json", so a restarted daemon keeps its submissions.
+	// Empty keeps the store in memory.
 	Dir string
 	// Now substitutes the clock in tests.
 	Now func() time.Time
@@ -48,14 +48,9 @@ type Store struct {
 	evictions int64 // removals for any reason: LRU, TTL, Delete
 }
 
-// storeSlot is the on-disk envelope; the version gates future layout
-// changes, and a corrupt or alien slot reads as a miss.
-type storeSlot struct {
-	Version    int         `json:"version"`
-	Submission *Submission `json:"submission"`
-}
-
-const storeSlotVersion = 1
+// slotVersion names a submission slot's body form. Version 1 was a
+// bare {"version","submission"} file; it reads as a miss.
+const slotVersion = 2
 
 // NewStore opens a store, loading any persisted submissions from
 // cfg.Dir (oldest first, so LRU order favors recent ones). Slots that
@@ -79,22 +74,13 @@ func NewStore(cfg StoreConfig) (*Store, error) {
 	}
 	var subs []*Submission
 	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasPrefix(name, IDPrefix) || !strings.HasSuffix(name, ".json") {
+		id, ok := strings.CutSuffix(e.Name(), ".json")
+		if e.IsDir() || !ok || !strings.HasPrefix(id, IDPrefix) {
 			continue
 		}
-		raw, err := os.ReadFile(filepath.Join(cfg.Dir, name))
-		if err != nil {
-			continue
-		}
-		var slot storeSlot
-		if json.Unmarshal(raw, &slot) != nil || slot.Version != storeSlotVersion || slot.Submission == nil {
-			os.Remove(filepath.Join(cfg.Dir, name)) // corrupt slot: drop, don't fail open
-			continue
-		}
-		sub := slot.Submission
-		if sub.ID != strings.TrimSuffix(name, ".json") {
-			os.Remove(filepath.Join(cfg.Dir, name))
+		var sub *Submission
+		if !slot.Read(cfg.Dir, id, slotVersion, id, &sub) || sub == nil || sub.ID != id {
+			os.Remove(s.SlotPath(id)) // corrupt or alien slot: drop, don't fail open
 			continue
 		}
 		subs = append(subs, sub)
@@ -113,7 +99,7 @@ func (s *Store) SlotPath(id string) string {
 	if s.cfg.Dir == "" {
 		return ""
 	}
-	return filepath.Join(s.cfg.Dir, id+".json")
+	return slot.Path(s.cfg.Dir, id)
 }
 
 func (sub *Submission) weight() int64 {
@@ -162,30 +148,13 @@ func (s *Store) admit(sub *Submission, evict bool) {
 	}
 }
 
+// persist writes sub's slot, readable by the daemon's user alone: it
+// holds a client's program.
 func (s *Store) persist(sub *Submission) error {
-	path := s.SlotPath(sub.ID)
-	if path == "" {
+	if s.cfg.Dir == "" {
 		return nil
 	}
-	raw, err := json.Marshal(storeSlot{Version: storeSlotVersion, Submission: sub})
-	if err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(s.cfg.Dir, "tmp-subm-*")
-	if err != nil {
-		return fmt.Errorf("ingest: persist submission: %w", err)
-	}
-	if _, err := tmp.Write(raw); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("ingest: persist submission: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("ingest: persist submission: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
+	if err := slot.Write(s.cfg.Dir, sub.ID, slotVersion, sub.ID, sub, 0o600); err != nil {
 		return fmt.Errorf("ingest: persist submission: %w", err)
 	}
 	return nil

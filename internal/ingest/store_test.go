@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -148,12 +149,25 @@ func TestStorePersistenceAcrossRestart(t *testing.T) {
 	if _, err := s.Put(b); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(s.SlotPath(a.ID)); err != nil {
+	if fi, err := os.Stat(s.SlotPath(a.ID)); err != nil {
 		t.Fatalf("slot not persisted: %v", err)
+	} else if m := fi.Mode().Perm(); m != 0o600 {
+		t.Errorf("submission slot mode %v, want -rw-------", m)
 	}
 
-	// A corrupt slot and an alien file must not break the reload.
+	// A corrupt slot, a version-1 slot (the bare {"version","submission"}
+	// form earlier builds wrote) and an alien file must not break the
+	// reload; both slots are dropped.
 	if err := os.WriteFile(filepath.Join(dir, IDPrefix+"deadbeefdeadbeef.json"), []byte("{"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c := testSub(t, 3)
+	c.CreatedAt = clk
+	v1, err := json.Marshal(map[string]any{"version": 1, "submission": c})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(s.SlotPath(c.ID), v1, 0o600); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(dir, "notes.txt"), []byte("x"), 0o644); err != nil {
@@ -173,8 +187,13 @@ func TestStorePersistenceAcrossRestart(t *testing.T) {
 			t.Fatalf("reloaded submission mangled: %+v", got)
 		}
 	}
-	if _, err := os.Stat(filepath.Join(dir, IDPrefix+"deadbeefdeadbeef.json")); !os.IsNotExist(err) {
-		t.Fatal("corrupt slot not cleaned up")
+	for _, id := range []string{IDPrefix + "deadbeefdeadbeef", c.ID} {
+		if _, err := os.Stat(s.SlotPath(id)); !os.IsNotExist(err) {
+			t.Fatalf("slot %s not cleaned up", id)
+		}
+	}
+	if _, err := s2.Get(c.ID); err == nil {
+		t.Fatal("version-1 slot loaded")
 	}
 
 	// Expired entries are dropped at reload time.

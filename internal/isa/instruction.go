@@ -370,30 +370,3 @@ func (p *Program) Validate() error {
 	}
 	return nil
 }
-
-// Stats summarizes the static composition of the program.
-type Stats struct {
-	Total      int
-	ByClass    [NumClasses]int
-	SharedOps  int
-	GlobalOps  int
-	ControlOps int
-}
-
-// StaticStats counts instructions by cost class and memory kind.
-func (p *Program) StaticStats() Stats {
-	var s Stats
-	for _, in := range p.Code {
-		s.Total++
-		s.ByClass[ClassOf(in.Op)]++
-		switch {
-		case IsShared(in.Op):
-			s.SharedOps++
-		case IsGlobal(in.Op):
-			s.GlobalOps++
-		case IsControl(in.Op):
-			s.ControlOps++
-		}
-	}
-	return s
-}

@@ -154,39 +154,6 @@ func TestProgramValidate(t *testing.T) {
 	}
 }
 
-func TestStaticStats(t *testing.T) {
-	p := &Program{
-		Name: "stats",
-		Code: []Instruction{
-			{Op: OpFMUL, Guard: PT, Dst: 0, SrcA: R(1), SrcB: R(2)},
-			{Op: OpFMAD, Guard: PT, Dst: 0, SrcA: R(1), SrcB: R(2), SrcC: R(0)},
-			{Op: OpSIN, Guard: PT, Dst: 3, SrcA: R(1)},
-			{Op: OpDMUL, Guard: PT, Dst: 4, SrcA: R(1), SrcB: R(2)},
-			{Op: OpSLD, Guard: PT, Dst: 6, SrcA: R(1)},
-			{Op: OpGST, Guard: PT, SrcA: R(1), SrcB: R(2)},
-			{Op: OpBAR, Guard: PT},
-			{Op: OpEXIT, Guard: PT},
-		},
-		RegsPerThread: 7,
-	}
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	s := p.StaticStats()
-	if s.Total != 8 {
-		t.Errorf("Total = %d, want 8", s.Total)
-	}
-	if s.ByClass[ClassI] != 1 || s.ByClass[ClassIII] != 1 || s.ByClass[ClassIV] != 1 {
-		t.Errorf("ByClass = %v", s.ByClass)
-	}
-	if s.ByClass[ClassII] != 5 {
-		t.Errorf("ClassII = %d, want 5", s.ByClass[ClassII])
-	}
-	if s.SharedOps != 1 || s.GlobalOps != 1 || s.ControlOps != 2 {
-		t.Errorf("mem/control = %d/%d/%d", s.SharedOps, s.GlobalOps, s.ControlOps)
-	}
-}
-
 // randomInstruction builds a structurally valid random instruction
 // for round-trip properties.
 func randomInstruction(rng *rand.Rand) Instruction {

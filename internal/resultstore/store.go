@@ -4,22 +4,19 @@
 // identical computations.
 //
 // Keys are request fingerprints (hex digests computed by the caller);
-// values are opaque serialized payloads. The disk layer generalizes
-// internal/timing's calibration-cache machinery — one file per key,
-// written atomically (write-temp-then-rename), where a corrupt,
-// truncated or wrong-slot file reads as a miss (never an error) and
-// is repaired by the next successful Put.
+// values are opaque serialized payloads. The disk layer keeps one
+// internal/slot file per key, "res-<key>.json": written atomically,
+// where a corrupt, truncated or wrong-slot file reads as a miss
+// (never an error) and is repaired by the next successful Put.
 package resultstore
 
 import (
 	"container/list"
 	"context"
-	"encoding/json"
 	"errors"
-	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
+
+	"gpuperf/internal/slot"
 )
 
 // Status classifies how one Do call was served.
@@ -188,38 +185,17 @@ func (s *Store) lead(key string, compute func() ([]byte, error)) ([]byte, Status
 	return body, Miss, nil
 }
 
-// Get looks key up in memory, then disk (promoting a disk hit),
-// without deduplication. ok=false is a miss.
-func (s *Store) Get(key string) (body []byte, st Status, ok bool) {
-	s.mu.Lock()
-	if body, ok := s.memGet(key); ok {
-		s.stats.MemoryHits++
-		s.stats.Hits++
-		s.mu.Unlock()
-		return body, MemoryHit, true
-	}
-	s.mu.Unlock()
-	if body, ok := s.diskGet(key); ok {
-		s.mu.Lock()
-		s.memPut(key, body)
-		s.stats.DiskHits++
-		s.stats.Hits++
-		s.mu.Unlock()
-		return body, DiskHit, true
-	}
-	return nil, Miss, false
-}
-
 // Put stores body under key in both tiers. The disk write is
 // best-effort: a failure is counted, never surfaced — the memory
-// tier (and the caller's in-hand result) stay valid, mirroring the
-// calibration cache's contract.
+// tier (and the caller's in-hand result) stay valid.
 func (s *Store) Put(key string, body []byte) {
 	s.mu.Lock()
 	s.memPut(key, body)
 	s.mu.Unlock()
 	if s.cfg.Dir != "" {
-		if err := s.diskPut(key, body); err != nil {
+		// The slot stores body base64-encoded, so it holds any byte
+		// string, not just JSON.
+		if err := slot.Write(s.cfg.Dir, "res-"+key, slotVersion, key, body, 0o644); err != nil {
 			s.mu.Lock()
 			s.stats.SaveErrors++
 			s.mu.Unlock()
@@ -276,84 +252,23 @@ func (s *Store) memPut(key string, body []byte) {
 	}
 }
 
-// envelope is the disk slot format: the payload plus the key it was
-// stored under, so a slot that was renamed, truncated or corrupted
-// reads as a miss instead of serving foreign bytes.
-type envelope struct {
-	Version int    `json:"version"`
-	Key     string `json:"key"`
-	// Body is the opaque payload (base64 on disk, so the envelope
-	// holds any byte string, not just JSON).
-	Body []byte `json:"body"`
-}
-
 // slotVersion names the payload form a slot holds; a slot of any
 // other version reads as a miss and is rewritten by the recompute.
 // Version 1 held the fleet's compact JSON; version 2 holds the body
 // the service sends (indented, trailing newline).
 const slotVersion = 2
 
-// SlotPath returns key's file under dir — one slot per request
-// fingerprint, mirroring timing.CacheFile's per-device-fingerprint
-// scheme.
-func SlotPath(dir, key string) string {
-	return filepath.Join(dir, "res-"+key+".json")
-}
-
-// diskGet reads key's slot. Any failure — missing, unreadable,
-// corrupt, wrong version, wrong embedded key — is a miss, never an
-// error: the caller recomputes and the following Put repairs the
-// slot.
+// diskGet reads key's slot. Any failure is a miss, never an error:
+// the caller recomputes and the following Put repairs the slot.
 func (s *Store) diskGet(key string) ([]byte, bool) {
 	if s.cfg.Dir == "" {
 		return nil, false
 	}
-	data, err := os.ReadFile(SlotPath(s.cfg.Dir, key))
-	if err != nil {
+	var body []byte
+	if !slot.Read(s.cfg.Dir, "res-"+key, slotVersion, key, &body) || len(body) == 0 {
 		return nil, false
 	}
-	var env envelope
-	if err := json.Unmarshal(data, &env); err != nil {
-		return nil, false
-	}
-	if env.Version != slotVersion || env.Key != key || len(env.Body) == 0 {
-		return nil, false
-	}
-	return env.Body, true
-}
-
-// diskPut writes key's slot atomically: temp file in the same
-// directory, then rename — a concurrent reader never observes a
-// partial write and a crash never corrupts an existing slot.
-func (s *Store) diskPut(key string, body []byte) error {
-	if err := os.MkdirAll(s.cfg.Dir, 0o755); err != nil {
-		return fmt.Errorf("resultstore: %w", err)
-	}
-	data, err := json.Marshal(envelope{Version: slotVersion, Key: key, Body: body})
-	if err != nil {
-		return fmt.Errorf("resultstore: %w", err)
-	}
-	path := SlotPath(s.cfg.Dir, key)
-	tmp, err := os.CreateTemp(s.cfg.Dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("resultstore: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return fmt.Errorf("resultstore: %w", err)
-	}
-	if err := tmp.Chmod(0o644); err != nil {
-		tmp.Close()
-		return fmt.Errorf("resultstore: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("resultstore: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("resultstore: %w", err)
-	}
-	return nil
+	return body, true
 }
 
 func isContextError(err error) bool {

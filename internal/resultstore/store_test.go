@@ -11,7 +11,18 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"gpuperf/internal/slot"
 )
+
+var errPeekMiss = errors.New("peek: miss")
+
+// peek probes key through Do with a computation that fails, so a miss
+// stores nothing; ok reports a memory or disk hit.
+func peek(s *Store, key string) (body []byte, st Status, ok bool) {
+	body, st, err := s.Do(context.Background(), key, func() ([]byte, error) { return nil, errPeekMiss })
+	return body, st, err == nil
+}
 
 // TestMemoryLRUEviction: the memory tier respects its byte budget by
 // evicting least-recently-used entries, and a touched entry survives
@@ -22,15 +33,15 @@ func TestMemoryLRUEviction(t *testing.T) {
 	s.Put("a", body)
 	s.Put("b", body)
 	// Touch "a" so "b" is the eviction candidate.
-	if _, _, ok := s.Get("a"); !ok {
+	if _, _, ok := peek(s, "a"); !ok {
 		t.Fatal("a missing before eviction")
 	}
 	s.Put("c", body) // 120 bytes > 100: evict LRU ("b")
-	if _, _, ok := s.Get("b"); ok {
+	if _, _, ok := peek(s, "b"); ok {
 		t.Error("b should have been evicted")
 	}
 	for _, k := range []string{"a", "c"} {
-		if _, _, ok := s.Get(k); !ok {
+		if _, _, ok := peek(s, k); !ok {
 			t.Errorf("%s should have survived", k)
 		}
 	}
@@ -48,24 +59,24 @@ func TestMemoryLRUEviction(t *testing.T) {
 	// An entry larger than the whole budget never enters the memory
 	// tier (it would evict everything for a single-use slot).
 	s.Put("huge", bytes.Repeat([]byte("y"), 200))
-	if _, _, ok := s.Get("huge"); ok {
+	if _, _, ok := peek(s, "huge"); ok {
 		t.Error("over-budget entry should not be cached in memory")
 	}
 }
 
-// TestMemoryBytesZeroDisablesMemory: with no budget every Get is a
+// TestMemoryBytesZeroDisablesMemory: with no budget every probe is a
 // miss (or a disk hit when a directory is configured).
 func TestMemoryBytesZeroDisablesMemory(t *testing.T) {
 	s := New(Config{})
 	s.Put("k", []byte("v"))
-	if _, _, ok := s.Get("k"); ok {
+	if _, _, ok := peek(s, "k"); ok {
 		t.Error("memory tier should be disabled at budget 0")
 	}
 
 	dir := t.TempDir()
 	s2 := New(Config{Dir: dir})
 	s2.Put("k", []byte("v"))
-	body, st, ok := s2.Get("k")
+	body, st, ok := peek(s2, "k")
 	if !ok || st != DiskHit || string(body) != "v" {
 		t.Errorf("disk-only store: got %q status %d ok %v", body, st, ok)
 	}
@@ -80,11 +91,11 @@ func TestDiskRoundTripAndSharing(t *testing.T) {
 	w.Put("key1", []byte(`{"x":1}`))
 
 	r := New(Config{MemoryBytes: 1 << 20, Dir: dir})
-	body, st, ok := r.Get("key1")
+	body, st, ok := peek(r, "key1")
 	if !ok || st != DiskHit || string(body) != `{"x":1}` {
 		t.Fatalf("disk read: %q status %d ok %v", body, st, ok)
 	}
-	if _, st, ok := r.Get("key1"); !ok || st != MemoryHit {
+	if _, st, ok := peek(r, "key1"); !ok || st != MemoryHit {
 		t.Errorf("second read should be a memory hit, got status %d ok %v", st, ok)
 	}
 }
@@ -116,25 +127,21 @@ func TestDiskCorruptSlotFallbackAndRepair(t *testing.T) {
 			// slot file had been renamed by hand.
 			other := New(Config{Dir: dir})
 			other.Put("other", payload)
-			data, err := os.ReadFile(SlotPath(dir, "other"))
+			data, err := os.ReadFile(slot.Path(dir, "res-other"))
 			if err != nil {
 				return err
 			}
 			return os.WriteFile(p, data, 0o644)
 		},
-		"wrong-version": func(p string) error {
+		"wrong-version": func(string) error {
 			// A well-formed envelope for this key and payload, written
 			// by a build whose slots held another payload form.
-			data, err := json.Marshal(envelope{Version: slotVersion - 1, Key: "k", Body: payload})
-			if err != nil {
-				return err
-			}
-			return os.WriteFile(p, data, 0o644)
+			return slot.Write(dir, "res-k", slotVersion-1, "k", payload, 0o644)
 		},
 	}
 	for name, corrupt := range corruptions {
 		t.Run(name, func(t *testing.T) {
-			path := SlotPath(dir, "k")
+			path := slot.Path(dir, "res-k")
 			if err := corrupt(path); err != nil {
 				t.Fatal(err)
 			}
@@ -148,11 +155,48 @@ func TestDiskCorruptSlotFallbackAndRepair(t *testing.T) {
 			// ... and the Do repaired the slot: the next fresh store
 			// reads it from disk again.
 			repaired := New(Config{MemoryBytes: 1 << 20, Dir: dir})
-			body, st, ok := repaired.Get("k")
+			body, st, ok := peek(repaired, "k")
 			if !ok || st != DiskHit || string(body) != string(payload) {
 				t.Errorf("slot not repaired: body %q status %d ok %v", body, st, ok)
 			}
 		})
+	}
+}
+
+// TestDiskSlotBytesUnchanged: a result slot holds, byte for byte, the
+// envelope the store wrote before internal/slot owned the format — the
+// body base64-encoded — with mode 0644, and a slot in that form hits.
+func TestDiskSlotBytesUnchanged(t *testing.T) {
+	dir := t.TempDir()
+	const key = "3f2a0c5e9b1d4477"
+	body := []byte("{\n  \"kernel\": \"matmul16\",\n  \"note\": \"<&>\"\n}\n")
+	New(Config{Dir: dir}).Put(key, body)
+	path := slot.Path(dir, "res-"+key)
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(struct {
+		Version int    `json:"version"`
+		Key     string `json:"key"`
+		Body    []byte `json:"body"`
+	}{2, key, body})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("slot bytes changed:\n got %s\nwant %s", got, want)
+	}
+	if fi, err := os.Stat(path); err != nil {
+		t.Fatal(err)
+	} else if m := fi.Mode().Perm(); m != 0o644 {
+		t.Errorf("slot mode %v, want -rw-r--r--", m)
+	}
+	if err := os.WriteFile(path, want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if b, st, ok := peek(New(Config{Dir: dir}), key); !ok || st != DiskHit || !bytes.Equal(b, body) {
+		t.Errorf("slot in the earlier bytes: %q status %d ok %v; want a disk hit", b, st, ok)
 	}
 }
 

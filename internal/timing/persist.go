@@ -3,28 +3,32 @@ package timing
 import (
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 
 	"gpuperf/internal/gpu"
 	"gpuperf/internal/isa"
+	"gpuperf/internal/slot"
 )
+
+// ModelVersion names the model's predictions and calibration curves.
+// Bump it with every change that moves a prediction or a calibration
+// curve: result and calibration slots written under another value
+// read as misses, so a cache directory never serves stale answers.
+const ModelVersion = 0
 
 // calibrationJSON is the serialized form of a Calibration: the
 // configuration it was measured on, the measured per-warp curves,
 // and any synthetic global-memory benchmark results cached so far
 // (keyed "blocks/threads/transactions").
 type calibrationJSON struct {
-	Version  int                       `json:"version"`
 	Config   gpu.Config                `json:"config"`
 	Instr    [isa.NumClasses][]float64 `json:"instr"`
 	SharedTx []float64                 `json:"shared_tx"`
 	Global   map[string]float64        `json:"global,omitempty"`
 }
 
-const persistVersion = 1
-
-// MarshalJSON serializes the calibration curves.
+// MarshalJSON serializes the calibration curves. Safe to call while
+// other goroutines use the calibration: the mutable global-bandwidth
+// cache is snapshotted under its lock.
 func (c *Calibration) MarshalJSON() ([]byte, error) {
 	c.mu.Lock()
 	global := make(map[string]float64, len(c.gcache))
@@ -33,7 +37,6 @@ func (c *Calibration) MarshalJSON() ([]byte, error) {
 	}
 	c.mu.Unlock()
 	return json.Marshal(calibrationJSON{
-		Version:  persistVersion,
 		Config:   c.cfg,
 		Instr:    c.instr,
 		SharedTx: c.sharedTx,
@@ -41,77 +44,48 @@ func (c *Calibration) MarshalJSON() ([]byte, error) {
 	})
 }
 
-// SaveFile persists the calibration to path atomically: the JSON is
-// written to a temporary file in the same directory and renamed into
-// place, so a concurrent LoadCalibrationFile never observes a
-// partial write and a crash never corrupts an existing cache.
-// Safe to call while other goroutines use the calibration (the
-// mutable global-bandwidth cache is snapshotted under its lock).
-func (c *Calibration) SaveFile(path string) error {
-	data, err := c.MarshalJSON()
-	if err != nil {
-		return err
-	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("timing: save calibration: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return fmt.Errorf("timing: save calibration: %w", err)
-	}
-	if err := tmp.Chmod(0o644); err != nil {
-		tmp.Close()
-		return fmt.Errorf("timing: save calibration: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("timing: save calibration: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("timing: save calibration: %w", err)
-	}
-	return nil
+// calSlotVersion names the calibration slot's body form (see
+// internal/slot). Version 1 was a bare MarshalJSON file carrying its
+// own version field; it reads as a miss.
+const calSlotVersion = 2
+
+// calKey is the calibration slot's key: the device fingerprint, which
+// also names the slot file, and the model version the curves were
+// measured under.
+func calKey(fingerprint string, model int) string {
+	return fmt.Sprintf("%s/model-%d", fingerprint, model)
 }
 
-// CacheFile returns the calibration-cache path for cfg under the
-// cache directory dir: one file per device fingerprint, so two
+// LoadCachedCalibration looks up cfg's calibration slot under dir,
+// "cal-<fingerprint>": one slot per device fingerprint, so two
 // configurations differing in any knob never share a file, while a
-// renamed-but-identical configuration reuses its curves.
-func CacheFile(dir string, cfg gpu.Config) string {
-	return filepath.Join(dir, "cal-"+gpu.Fingerprint(cfg)+".json")
-}
-
-// LoadCachedCalibration looks up cfg's entry in the cache directory.
-// A missing, unreadable, corrupt or mismatched file — the embedded
-// configuration's fingerprint disagreeing with cfg's, e.g. after a
-// manual rename of cache files — is a cache miss (nil, false), never
-// an error: the caller falls back to a fresh calibration.
+// renamed but identical configuration reuses its curves. Any failure
+// — a missing, corrupt or truncated slot, one written under another
+// ModelVersion, or one whose embedded configuration is not cfg's
+// hardware — is a miss (nil, false), never an error: the caller falls
+// back to a fresh calibration.
 func LoadCachedCalibration(dir string, cfg gpu.Config) (*Calibration, bool) {
-	cal, err := LoadCalibrationFile(CacheFile(dir, cfg))
-	if err != nil || gpu.Fingerprint(cal.Config()) != gpu.Fingerprint(cfg) {
+	fp := gpu.Fingerprint(cfg)
+	var raw json.RawMessage
+	if !slot.Read(dir, "cal-"+fp, calSlotVersion, calKey(fp, ModelVersion), &raw) {
+		return nil, false
+	}
+	cal, err := LoadCalibration(raw)
+	if err != nil || gpu.Fingerprint(cal.Config()) != fp {
 		return nil, false
 	}
 	return cal, true
 }
 
 // SaveCachedCalibration writes c into its fingerprint slot under dir,
-// creating the directory if needed. Atomic like SaveFile.
+// creating the directory if needed. The write is atomic, and safe
+// while other goroutines use the calibration.
 func (c *Calibration) SaveCachedCalibration(dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	fp := gpu.Fingerprint(c.cfg)
+	if err := slot.Write(dir, "cal-"+fp, calSlotVersion, calKey(fp, ModelVersion), c, 0o644); err != nil {
 		return fmt.Errorf("timing: save calibration: %w", err)
 	}
-	return c.SaveFile(CacheFile(dir, c.cfg))
-}
-
-// LoadCalibrationFile reads a calibration cache written by SaveFile.
-func LoadCalibrationFile(path string) (*Calibration, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("timing: load calibration: %w", err)
-	}
-	return LoadCalibration(data)
+	return nil
 }
 
 // LoadCalibration reconstructs a Calibration from MarshalJSON
@@ -120,9 +94,6 @@ func LoadCalibration(data []byte) (*Calibration, error) {
 	var p calibrationJSON
 	if err := json.Unmarshal(data, &p); err != nil {
 		return nil, fmt.Errorf("timing: %w", err)
-	}
-	if p.Version != persistVersion {
-		return nil, fmt.Errorf("timing: unsupported calibration version %d", p.Version)
 	}
 	if err := p.Config.Validate(); err != nil {
 		return nil, fmt.Errorf("timing: embedded config: %w", err)

@@ -11,6 +11,7 @@ import (
 
 	"gpuperf/internal/gpu"
 	"gpuperf/internal/isa"
+	"gpuperf/internal/slot"
 )
 
 var (
@@ -242,18 +243,18 @@ func TestCalibrationPersistence(t *testing.T) {
 	}
 }
 
-// TestSaveFileAtomicAndConcurrent: SaveFile round-trips through the
-// filesystem, leaves no temp droppings, replaces an existing cache
-// atomically, and is safe to run while other goroutines grow the
-// global-bandwidth cache (exercised under -race).
+// TestSaveFileAtomicAndConcurrent: SaveCachedCalibration round-trips
+// through the filesystem, leaves no temp droppings, replaces an
+// existing slot atomically, and is safe to run while other goroutines
+// grow the global-bandwidth cache (exercised under -race).
 func TestSaveFileAtomicAndConcurrent(t *testing.T) {
 	c := cal(t)
 	dir := t.TempDir()
-	path := filepath.Join(dir, "cal.json")
+	name := "cal-" + gpu.Fingerprint(c.Config())
 
-	// Seed the path with garbage: a failed or partial save must not
+	// Seed the slot with garbage: a failed or partial save must not
 	// destroy it, a successful one must replace it wholesale.
-	if err := os.WriteFile(path, []byte("{corrupt"), 0o644); err != nil {
+	if err := os.WriteFile(slot.Path(dir, name), []byte("{corrupt"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -269,16 +270,16 @@ func TestSaveFileAtomicAndConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := c.SaveFile(path); err != nil {
+			if err := c.SaveCachedCalibration(dir); err != nil {
 				t.Error(err)
 			}
 		}()
 	}
 	wg.Wait()
 
-	c2, err := LoadCalibrationFile(path)
-	if err != nil {
-		t.Fatalf("reload after concurrent saves: %v", err)
+	c2, ok := LoadCachedCalibration(dir, c.Config())
+	if !ok {
+		t.Fatal("miss after concurrent saves")
 	}
 	if c2.Config().Name != c.Config().Name {
 		t.Error("config not persisted")
@@ -287,16 +288,22 @@ func TestSaveFileAtomicAndConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 1 || entries[0].Name() != "cal.json" {
-		t.Errorf("temp files left behind: %v", entries)
+	if len(entries) != 1 || entries[0].Name() != name+".json" {
+		t.Fatalf("temp files left behind: %v", entries)
+	}
+	if fi, err := entries[0].Info(); err != nil {
+		t.Fatal(err)
+	} else if m := fi.Mode().Perm(); m != 0o644 {
+		t.Errorf("calibration slot mode %v, want -rw-r--r--", m)
 	}
 }
 
 // TestCacheFilePerFingerprint: two configurations differing in a
-// single knob get distinct cache files; a renamed configuration with
-// identical hardware shares one.
+// single knob get distinct calibration slots; a renamed configuration
+// with identical hardware shares one.
 func TestCacheFilePerFingerprint(t *testing.T) {
 	dir := t.TempDir()
+	path := func(cfg gpu.Config) string { return slot.Path(dir, "cal-"+gpu.Fingerprint(cfg)) }
 	base := gpu.GTX285()
 	knobs := map[string]gpu.Config{
 		"base":  base,
@@ -307,7 +314,7 @@ func TestCacheFilePerFingerprint(t *testing.T) {
 	}
 	paths := map[string]string{}
 	for name, cfg := range knobs {
-		p := CacheFile(dir, cfg)
+		p := path(cfg)
 		if prev, dup := paths[p]; dup {
 			t.Errorf("%s and %s share cache file %s", name, prev, p)
 		}
@@ -315,7 +322,7 @@ func TestCacheFilePerFingerprint(t *testing.T) {
 	}
 	renamed := base
 	renamed.Name = "fleet-alias"
-	if CacheFile(dir, renamed) != CacheFile(dir, base) {
+	if path(renamed) != path(base) {
 		t.Error("renaming a configuration must not move its cache slot")
 	}
 }
@@ -341,17 +348,35 @@ func TestCachedCalibrationRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCachedCalibrationCorruptionIsAMiss: a corrupt, truncated or
-// fingerprint-mismatched cache file reads as a miss (fall back to
-// fresh calibration), never as an error or as wrong curves.
+// TestCachedCalibrationCorruptionIsAMiss: a corrupt, truncated,
+// fingerprint-mismatched or other-model-version slot reads as a miss
+// (fall back to fresh calibration), never as an error or as wrong
+// curves; so does a version-1 file, the bare MarshalJSON form with its
+// own version field that earlier builds wrote, and the next save
+// rewrites it.
 func TestCachedCalibrationCorruptionIsAMiss(t *testing.T) {
 	c := cal(t)
 	cfg := c.Config()
+	fp := gpu.Fingerprint(cfg)
 	dir := t.TempDir()
+	path := slot.Path(dir, "cal-"+fp)
 	if err := c.SaveCachedCalibration(dir); err != nil {
 		t.Fatal(err)
 	}
-	good, err := os.ReadFile(CacheFile(dir, cfg))
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	curves, err := c.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var v1 map[string]any
+	if err := jsonUnmarshal(curves, &v1); err != nil {
+		t.Fatal(err)
+	}
+	v1["version"] = 1
+	v1Blob, err := jsonMarshal(v1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,19 +384,33 @@ func TestCachedCalibrationCorruptionIsAMiss(t *testing.T) {
 		"garbage":   []byte("not json at all"),
 		"truncated": good[:len(good)/2],
 		"empty":     {},
+		"version-1": v1Blob,
 	} {
-		if err := os.WriteFile(CacheFile(dir, cfg), blob, 0o644); err != nil {
+		if err := os.WriteFile(path, blob, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		if _, ok := LoadCachedCalibration(dir, cfg); ok {
 			t.Errorf("%s cache file served as a hit", name)
 		}
 	}
+	if err := c.SaveCachedCalibration(dir); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := LoadCachedCalibration(dir, cfg); !ok {
+		t.Error("the save after a version-1 miss did not rewrite the slot")
+	}
+	// Curves measured under another model version miss.
+	if err := slot.Write(dir, "cal-"+fp, calSlotVersion, calKey(fp, ModelVersion+1), c, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := LoadCachedCalibration(dir, cfg); ok {
+		t.Error("a slot written under another model version served as a hit")
+	}
 	// A valid file sitting in the wrong fingerprint slot (e.g. a
 	// manual rename) must also miss: the embedded hardware is not the
 	// requested hardware.
 	other := gpu.GTX285(gpu.WithBanks(17))
-	if err := os.WriteFile(CacheFile(dir, other), good, 0o644); err != nil {
+	if err := os.WriteFile(slot.Path(dir, "cal-"+gpu.Fingerprint(other)), good, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := LoadCachedCalibration(dir, other); ok {

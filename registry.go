@@ -176,6 +176,13 @@ var ErrUnknownKernel = fmt.Errorf("gpuperf: unknown kernel")
 // builder rejects (the HTTP front-end turns it into 400).
 var ErrInvalidRequest = fmt.Errorf("gpuperf: invalid request")
 
+// ErrKernelFault reports a user-submitted kernel that faulted while
+// it ran: an unaligned access, a barrier deadlock or a spent
+// instruction budget. The fault is the kernel's, not the server's
+// (the HTTP front-end turns it into 422); a built-in kernel's failure
+// is never classified as one.
+var ErrKernelFault = fmt.Errorf("gpuperf: kernel fault")
+
 // unknown is the ErrUnknownKernel error for name, listing the
 // built-in kernels.
 func (r *Registry) unknown(name string) error {

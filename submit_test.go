@@ -199,6 +199,56 @@ func TestMeasureHonoursSubmissionBudget(t *testing.T) {
 	}
 }
 
+// TestSubmittedKernelFaultIs422: a submission the verifier admits but
+// that faults at run time is the kernel's fault, not the server's:
+// analyze, advise and measure answer 422 naming the fault, a routed
+// analyze relays it, and /metrics counts these apart from 500s. One
+// program loads from an unaligned address; the other loops until it
+// spends its instruction budget.
+func TestSubmittedKernelFaultIs422(t *testing.T) {
+	f := cacheTestFleet(t, FleetOptions{SubmissionLimits: SubmissionLimits{MaxWarpInstructions: 5000}})
+	h := NewHandler(f)
+	worker := httptest.NewServer(h)
+	t.Cleanup(worker.Close)
+	routed := routerOver(t, RouterOptions{Workers: []string{worker.URL}, DefaultDevice: "gtx285-6sm"}).Handler()
+	buf := []BufferSpec{{Name: "buf", Elem: "u32", Count: 64, Fill: "zeros"}}
+	faults := []struct {
+		source, fault string
+	}{
+		{".kernel unal\n.regs 3\ns2r r0, %tid\nshl r1, r0, 2\niadd r1, r1, 2\ngld r2, r1\nexit\n", "unaligned access at 0x2"},
+		{".kernel spin\n.regs 1\nmov r0, 0\niadd r0, r0, 1\nbra @1\nexit\n", "instruction budget exhausted"},
+	}
+	for _, c := range faults {
+		rec, err := f.SubmitKernel(KernelSubmission{Source: c.source, Grid: 1, Block: 32, Buffers: buf})
+		if err != nil {
+			t.Fatalf("admission: %v", err)
+		}
+		body := fmt.Sprintf(`{"kernel":%q}`, rec.ID)
+		for _, path := range []string{"/v1/analyze", "/v1/advise", "/v1/measure"} {
+			got := postJSON(h, path, body, "")
+			if got.Code != http.StatusUnprocessableEntity || !strings.Contains(got.Body.String(), c.fault) {
+				t.Errorf("%s %s: %d (%s), want 422 naming %q", rec.Kernel, path, got.Code, got.Body, c.fault)
+			}
+		}
+		if got := postJSON(routed, "/v1/analyze", body, ""); got.Code != http.StatusUnprocessableEntity || !strings.Contains(got.Body.String(), c.fault) {
+			t.Errorf("%s routed analyze: %d (%s), want 422 naming %q", rec.Kernel, got.Code, got.Body, c.fault)
+		}
+	}
+	metrics := httptest.NewRecorder()
+	h.ServeHTTP(metrics, httptest.NewRequest("GET", "/metrics", nil))
+	for _, line := range []string{
+		`gpuperf_http_requests_total{route="/v1/analyze",method="POST",code="422"} 4`,
+		`gpuperf_http_requests_total{route="/v1/measure",method="POST",code="422"} 2`,
+	} {
+		if !strings.Contains(metrics.Body.String(), line) {
+			t.Errorf("metrics lack %s", line)
+		}
+	}
+	if strings.Contains(metrics.Body.String(), `code="500"`) {
+		t.Error("a kernel fault was counted as a server error")
+	}
+}
+
 // TestSubmitKernelEvictionDeregisters: an LRU-evicted submission
 // leaves the kernel listing; the resident one stays.
 func TestSubmitKernelEvictionDeregisters(t *testing.T) {
