@@ -78,6 +78,7 @@ func newAllocCtx(t testing.TB) *runContext {
 	ctx := &runContext{
 		cfg:      c,
 		launch:   l,
+		code:     Predecode(l.Prog),
 		mem:      NewMemory(1 << 20),
 		banks:    bsim,
 		coal:     []*coalesce.Sim{csim},

@@ -71,10 +71,55 @@ func divergentKernel() *isa.Program {
 	return b.MustProgram()
 }
 
+// smemKernel is a shared-memory round trip: each lane stores a word
+// and loads its neighbour's, the shape of CR's reduction steps.
+func smemKernel() *isa.Program {
+	b := kbuild.New("bench-smem")
+	b.SharedBytes(2 * 33 * 4)
+	tid, addr, x := b.Reg(), b.Reg(), b.Reg()
+	b.S2R(tid, isa.SRTid)
+	b.ShlImm(addr, tid, 2)
+	b.Mov(x, tid)
+	for i := uint32(0); i < 16; i++ {
+		b.SstOff(addr, x, i%2*33*4)
+		b.SldOff(x, addr, (i+1)%2*33*4+4)
+	}
+	b.Exit()
+	return b.MustProgram()
+}
+
+// cmpKernel is guard arithmetic: a shift, a mask and a compare per
+// step, cycling through every comparison.
+func cmpKernel() *isa.Program {
+	b := kbuild.New("bench-cmp")
+	tid, x, y := b.Reg(), b.Reg(), b.Reg()
+	b.S2R(tid, isa.SRTid)
+	for i := 0; i < 16; i++ {
+		b.ShrImm(x, tid, uint32(i%5))
+		b.AndImm(y, x, 7)
+		b.ISetpImm(isa.Pred(i%isa.NumPreds), isa.CmpOp(i%isa.NumCmps), y, 3)
+	}
+	b.Exit()
+	return b.MustProgram()
+}
+
+// gatherKernel is a run of full-mask, coalesced global loads.
+func gatherKernel() *isa.Program {
+	b := kbuild.New("bench-gather")
+	tid, addr, x := b.Reg(), b.Reg(), b.Reg()
+	b.S2R(tid, isa.SRTid)
+	b.ShlImm(addr, tid, 2)
+	for i := uint32(0); i < 16; i++ {
+		b.GldOff(x, addr, i*32*4)
+	}
+	b.Exit()
+	return b.MustProgram()
+}
+
 func benchWarpStep(b *testing.B, prog *isa.Program) {
 	mem := NewMemory(1 << 12)
 	shared := make([]uint32, prog.SharedMemBytes/4)
-	w, err := NewWarp(prog, 0, 0, 32, 1, 32, shared, mem)
+	w, err := NewWarp(Predecode(prog), 0, 0, 32, 1, 32, shared, mem)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -95,4 +140,7 @@ func BenchmarkWarpStep(b *testing.B) {
 	b.Run("alu", func(b *testing.B) { benchWarpStep(b, aluKernel()) })
 	b.Run("fmad-smem", func(b *testing.B) { benchWarpStep(b, fmadSmemKernel()) })
 	b.Run("divergent", func(b *testing.B) { benchWarpStep(b, divergentKernel()) })
+	b.Run("smem", func(b *testing.B) { benchWarpStep(b, smemKernel()) })
+	b.Run("cmp", func(b *testing.B) { benchWarpStep(b, cmpKernel()) })
+	b.Run("gather", func(b *testing.B) { benchWarpStep(b, gatherKernel()) })
 }

@@ -15,13 +15,14 @@ import (
 // straight-line predicated programs: every thread's final register
 // file must agree. This exercises operand resolution, predication,
 // special registers (as ALU operands and through guarded S2R),
-// register-pair doubles, single-precision arithmetic and the integer
-// ALU far beyond the hand-written kernels. Full warps run the
-// executor's full-mask loops; guarded instructions and the partial
-// last warp of each block run the masked ones.
+// register-pair doubles, single- and double-precision arithmetic,
+// every integer and float comparison, shared-memory round trips and
+// the integer ALU far beyond the hand-written kernels. Full warps run
+// the executor's full-mask kernels; guarded instructions and the
+// partial last warp of each block run the masked loops.
 func TestRandomProgramDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(2024))
-	const trials = 60
+	const trials = 80
 	for trial := 0; trial < trials; trial++ {
 		prog, outBase := randomALUProgram(rng)
 		grid, block := 2, 80 // the third warp has 16 lanes
@@ -30,8 +31,9 @@ func TestRandomProgramDifferential(t *testing.T) {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		for blockID := 0; blockID < grid; blockID++ {
+			wants := interpretBlock(prog, blockID, block, grid)
 			for tid := 0; tid < block; tid++ {
-				want := interpret(prog, blockID, tid, block, grid)
+				want := wants[tid]
 				for r := 0; r < workRegs; r++ {
 					addr := outBase + uint32(((blockID*block+tid)*workRegs+r)*4)
 					got, err := mem.Load32(addr)
@@ -50,11 +52,16 @@ func TestRandomProgramDifferential(t *testing.T) {
 
 const workRegs = 6 // r0..r5 carry values; r6+ is scratch for addressing
 
+// smemWords is the word stride of the program's two shared-memory
+// areas; each holds one word per thread of an 80-thread block.
+const smemWords = 96
+
 // randomALUProgram builds a straight-line program of predicated ALU
-// work on registers r0..r5, ending with a coalesced dump of all six
-// to global memory.
+// and shared-memory work on registers r0..r5, ending with a coalesced
+// dump of all six to global memory.
 func randomALUProgram(rng *rand.Rand) (*isa.Program, uint32) {
 	b := kbuild.New("difftest")
+	b.SharedBytes(2 * smemWords * 4)
 	// r0..r5 are the working set, preallocated.
 	work := b.Regs(workRegs)
 	tid := b.Reg()
@@ -72,6 +79,19 @@ func randomALUProgram(rng *rand.Rand) (*isa.Program, uint32) {
 		b.IMadImm(work+isa.Reg(r), flat, uint32(r*3+1), tid)
 	}
 
+	// finite clears bit 30 of r, so as a float |r| < 2: no float op
+	// below yields inf or NaN, whose payload would depend on the
+	// operand order each compiler picks.
+	finite := func(r isa.Reg) isa.Operand {
+		b.AndImm(r, r, 0xbfffffff)
+		return isa.R(r)
+	}
+	guard := func(in *isa.Instruction) {
+		if rng.Intn(2) == 0 {
+			in.Guard, in.GuardNeg = isa.Pred(rng.Intn(isa.NumPreds)), rng.Intn(2) == 0
+		}
+	}
+
 	n := 10 + rng.Intn(60)
 	for i := 0; i < n; i++ {
 		dst := work + isa.Reg(rng.Intn(workRegs))
@@ -79,7 +99,7 @@ func randomALUProgram(rng *rand.Rand) (*isa.Program, uint32) {
 		c := work + isa.Reg(rng.Intn(workRegs))
 		imm := uint32(rng.Intn(1 << 12))
 		sr := isa.SR(isa.SReg(rng.Intn(isa.NumSRegs)))
-		switch rng.Intn(16) {
+		switch rng.Intn(22) {
 		case 0:
 			b.IAdd(dst, a, c)
 		case 1:
@@ -135,8 +155,7 @@ func randomALUProgram(rng *rand.Rand) (*isa.Program, uint32) {
 		case 14, 15:
 			// A single-precision op whose sources are each a register,
 			// an immediate (a broadcast word, the shape kbuild.FMadS
-			// gives b) or a special register. Clearing bit 30 of each
-			// register source keeps |x| < 2, the immediate is a float
+			// gives b) or a special register. The immediate is a float
 			// in (-2, 2) and a special register reads as zero or a
 			// denormal, so no result is inf or NaN.
 			in := isa.Instruction{Op: []isa.Opcode{isa.OpFADD, isa.OpFMUL, isa.OpFMAD, isa.OpFNMAD}[rng.Intn(4)], Guard: isa.PT, Dst: dst,
@@ -148,18 +167,83 @@ func randomALUProgram(rng *rand.Rand) (*isa.Program, uint32) {
 				case 1:
 					return sr
 				}
-				r := work + isa.Reg(rng.Intn(workRegs))
-				b.AndImm(r, r, 0xbfffffff)
-				return isa.R(r)
+				return finite(work + isa.Reg(rng.Intn(workRegs)))
 			}
 			in.SrcA, in.SrcB = src(), src()
 			if in.Op == isa.OpFMAD || in.Op == isa.OpFNMAD {
 				in.SrcC = src()
 			}
-			if rng.Intn(2) == 0 {
-				in.Guard, in.GuardNeg = isa.Pred(rng.Intn(isa.NumPreds)), rng.Intn(2) == 0
-			}
+			guard(&in)
 			b.Emit(in)
+		case 16:
+			// AND and SHR with a register b, and IMAD with an
+			// immediate b, a register a and c.
+			switch rng.Intn(3) {
+			case 0:
+				b.Emit(isa.Instruction{Op: isa.OpAND, Guard: isa.PT, Dst: dst, SrcA: isa.R(a), SrcB: isa.R(c)})
+			case 1:
+				b.Emit(isa.Instruction{Op: isa.OpSHR, Guard: isa.PT, Dst: dst, SrcA: isa.R(a), SrcB: isa.R(c)})
+			default:
+				b.IMadImm(dst, a, imm, c)
+			}
+		case 17:
+			// MOV of a register or an immediate, sometimes guarded.
+			in := isa.Instruction{Op: isa.OpMOV, Guard: isa.PT, Dst: dst, SrcA: isa.R(a)}
+			if rng.Intn(2) == 0 {
+				in.SrcA, in.Imm = isa.Imm(), imm
+			}
+			guard(&in)
+			b.Emit(in)
+		case 18:
+			// A compare of a register against an immediate near zero or
+			// another register, for every comparison, then a guarded
+			// update that makes the predicate visible.
+			p := isa.Pred(rng.Intn(isa.NumPreds))
+			in := isa.Instruction{Op: isa.OpISETP, Guard: isa.PT, PDst: p, Cmp: isa.CmpOp(rng.Intn(isa.NumCmps)),
+				SrcA: isa.R(a), SrcB: isa.R(c)}
+			if rng.Intn(2) == 0 {
+				in.SrcB, in.Imm = isa.Imm(), uint32(rng.Intn(64)-32)
+			}
+			guard(&in)
+			b.Emit(in)
+			g := b.Pos()
+			b.IAddImm(dst, dst, uint32(1+rng.Intn(64)))
+			b.Guarded(g, p, rng.Intn(2) == 0)
+		case 19:
+			// A float compare of finite registers or an immediate,
+			// made visible the same way.
+			p := isa.Pred(rng.Intn(isa.NumPreds))
+			in := isa.Instruction{Op: isa.OpFSETP, Guard: isa.PT, PDst: p, Cmp: isa.CmpOp(rng.Intn(isa.NumCmps)),
+				SrcA: finite(a), SrcB: finite(c)}
+			if rng.Intn(2) == 0 {
+				in.SrcB, in.Imm = isa.Imm(), math.Float32bits(float32(4*rng.Float64()-2))
+			}
+			guard(&in)
+			b.Emit(in)
+			g := b.Pos()
+			b.IAddImm(dst, dst, uint32(1+rng.Intn(64)))
+			b.Guarded(g, p, rng.Intn(2) == 0)
+		case 20, 21:
+			// A shared-memory round trip: each thread stores a register
+			// or a special register (a broadcast word unless it is
+			// %tid or %laneid) at its own word of one area, then loads
+			// the word of thread tid^k (k < 16, so a lane reads inside
+			// its own warp and the 16-lane warp inside its 16 lanes).
+			// Either access may be guarded; a lane then reads whatever
+			// the word held before.
+			area := uint32(rng.Intn(2)) * smemWords * 4
+			b.ShlImm(addr, tid, 2)
+			st := isa.Instruction{Op: isa.OpSST, Guard: isa.PT, SrcA: isa.R(addr), SrcB: isa.R(a), Imm: area}
+			if rng.Intn(4) == 0 {
+				st.SrcB = sr
+			}
+			guard(&st)
+			b.Emit(st)
+			b.Emit(isa.Instruction{Op: isa.OpXOR, Guard: isa.PT, Dst: addr, SrcA: isa.R(tid), SrcB: isa.Imm(), Imm: uint32(rng.Intn(16))})
+			b.ShlImm(addr, addr, 2)
+			ld := isa.Instruction{Op: isa.OpSLD, Guard: isa.PT, Dst: dst, SrcA: isa.R(addr), Imm: area}
+			guard(&ld)
+			b.Emit(ld)
 		}
 		// A third of the instructions are followed by a fresh
 		// compare plus a guarded update, exercising predication.
@@ -195,19 +279,52 @@ func progText(p *isa.Program) string {
 	return out
 }
 
-// interpret runs the program for one thread with an independent
-// (scalar, switch-based) implementation of the semantics.
-func interpret(p *isa.Program, blockID, tid, blockDim, gridDim int) []uint32 {
-	regs := make([]uint32, p.RegsPerThread)
-	preds := make([]bool, isa.NumPreds)
-	out := make([]uint32, workRegs)
+// interpretBlock runs the program for every thread of one block with
+// an independent (scalar, switch-based) implementation of the
+// semantics and returns each thread's dumped registers. Threads step
+// in lockstep, one instruction at a time, so a shared-memory load sees
+// every store of the instructions before it; the executor runs one
+// warp at a time instead, which agrees because each warp touches only
+// its own threads' shared words.
+func interpretBlock(p *isa.Program, blockID, blockDim, gridDim int) [][]uint32 {
+	regs := make([][]uint32, blockDim)
+	preds := make([][]bool, blockDim)
+	out := make([][]uint32, blockDim)
+	for t := range regs {
+		regs[t] = make([]uint32, p.RegsPerThread)
+		preds[t] = make([]bool, isa.NumPreds)
+		out[t] = make([]uint32, workRegs)
+	}
+	shared := make([]uint32, p.SharedMemBytes/4)
+	for pc := 0; pc < len(p.Code); pc++ {
+		in := p.Code[pc]
+		if in.Op == isa.OpEXIT {
+			break
+		}
+		for tid := range regs {
+			interpretStep(in, regs[tid], preds[tid], out[tid], shared, blockID, tid, blockDim, gridDim)
+		}
+	}
+	return out
+}
 
-	val := func(o isa.Operand, imm uint32) uint32 {
+// interpretStep executes one instruction for one thread.
+func interpretStep(in isa.Instruction, regs []uint32, preds []bool, out, shared []uint32, blockID, tid, blockDim, gridDim int) {
+	if in.Guard != isa.PT || in.GuardNeg {
+		h := in.Guard != isa.PT && preds[in.Guard]
+		if in.GuardNeg {
+			h = !h
+		}
+		if !h {
+			return
+		}
+	}
+	val := func(o isa.Operand) uint32 {
 		switch o.Kind {
 		case isa.KindReg:
 			return regs[o.Reg]
 		case isa.KindImm:
-			return imm
+			return in.Imm
 		case isa.KindSReg:
 			switch o.SReg {
 			case isa.SRTid:
@@ -226,7 +343,6 @@ func interpret(p *isa.Program, blockID, tid, blockDim, gridDim int) []uint32 {
 		}
 		return 0
 	}
-
 	f32 := math.Float32frombits
 	pair := func(o isa.Operand) float64 {
 		if o.Kind != isa.KindReg {
@@ -238,85 +354,75 @@ func interpret(p *isa.Program, blockID, tid, blockDim, gridDim int) []uint32 {
 		bits := math.Float64bits(v)
 		regs[r], regs[r+1] = uint32(bits), uint32(bits>>32)
 	}
-
-	for pc := 0; pc < len(p.Code); pc++ {
-		in := p.Code[pc]
-		if in.Guard != isa.PT {
-			h := preds[in.Guard]
-			if in.GuardNeg {
-				h = !h
-			}
-			if !h {
-				continue
-			}
+	cmp := func(lt, eq bool) bool {
+		switch in.Cmp {
+		case isa.CmpLT:
+			return lt
+		case isa.CmpLE:
+			return lt || eq
+		case isa.CmpGT:
+			return !lt && !eq
+		case isa.CmpGE:
+			return !lt
+		case isa.CmpEQ:
+			return eq
+		case isa.CmpNE:
+			return !eq
 		}
-		a := val(in.SrcA, in.Imm)
-		bb := val(in.SrcB, in.Imm)
-		cc := val(in.SrcC, in.Imm)
-		switch in.Op {
-		case isa.OpS2R, isa.OpMOV:
-			regs[in.Dst] = a
-		case isa.OpIADD:
-			regs[in.Dst] = a + bb
-		case isa.OpISUB:
-			regs[in.Dst] = a - bb
-		case isa.OpIMUL:
-			regs[in.Dst] = a * bb
-		case isa.OpIMAD:
-			regs[in.Dst] = a*bb + cc
-		case isa.OpSHL:
-			regs[in.Dst] = a << (bb & 31)
-		case isa.OpSHR:
-			regs[in.Dst] = a >> (bb & 31)
-		case isa.OpAND:
-			regs[in.Dst] = a & bb
-		case isa.OpXOR:
-			regs[in.Dst] = a ^ bb
-		case isa.OpIMIN:
-			if int32(a) < int32(bb) {
-				regs[in.Dst] = a
-			} else {
-				regs[in.Dst] = bb
-			}
-		case isa.OpISETP:
-			var r bool
-			x, y := int32(a), int32(bb)
-			switch in.Cmp {
-			case isa.CmpLT:
-				r = x < y
-			case isa.CmpLE:
-				r = x <= y
-			case isa.CmpGT:
-				r = x > y
-			case isa.CmpGE:
-				r = x >= y
-			case isa.CmpEQ:
-				r = x == y
-			case isa.CmpNE:
-				r = x != y
-			}
-			preds[in.PDst] = r
-		case isa.OpFADD:
-			regs[in.Dst] = math.Float32bits(f32(a) + f32(bb))
-		case isa.OpFMUL:
-			regs[in.Dst] = math.Float32bits(f32(a) * f32(bb))
-		case isa.OpFMAD:
-			regs[in.Dst] = math.Float32bits(f32(a)*f32(bb) + f32(cc))
-		case isa.OpFNMAD:
-			regs[in.Dst] = math.Float32bits(f32(cc) - f32(a)*f32(bb))
-		case isa.OpDADD:
-			setPair(in.Dst, pair(in.SrcA)+pair(in.SrcB))
-		case isa.OpDMUL:
-			setPair(in.Dst, pair(in.SrcA)*pair(in.SrcB))
-		case isa.OpDFMA:
-			setPair(in.Dst, pair(in.SrcA)*pair(in.SrcB)+pair(in.SrcC))
-		case isa.OpGST:
-			// The dump: recover the register index from the offset.
-			r := int(in.Imm / 4 % workRegs)
-			out[r] = bb
-		case isa.OpEXIT:
-			return out
-		}
+		return false
 	}
-	return out
+
+	a, bb, cc := val(in.SrcA), val(in.SrcB), val(in.SrcC)
+	switch in.Op {
+	case isa.OpS2R, isa.OpMOV:
+		regs[in.Dst] = a
+	case isa.OpIADD:
+		regs[in.Dst] = a + bb
+	case isa.OpISUB:
+		regs[in.Dst] = a - bb
+	case isa.OpIMUL:
+		regs[in.Dst] = a * bb
+	case isa.OpIMAD:
+		regs[in.Dst] = a*bb + cc
+	case isa.OpSHL:
+		regs[in.Dst] = a << (bb & 31)
+	case isa.OpSHR:
+		regs[in.Dst] = a >> (bb & 31)
+	case isa.OpAND:
+		regs[in.Dst] = a & bb
+	case isa.OpXOR:
+		regs[in.Dst] = a ^ bb
+	case isa.OpIMIN:
+		if int32(a) < int32(bb) {
+			regs[in.Dst] = a
+		} else {
+			regs[in.Dst] = bb
+		}
+	case isa.OpISETP:
+		preds[in.PDst] = cmp(int32(a) < int32(bb), a == bb)
+	case isa.OpFSETP:
+		// Finite operands only, so "not less and not equal" is greater.
+		preds[in.PDst] = cmp(f32(a) < f32(bb), f32(a) == f32(bb))
+	case isa.OpFADD:
+		regs[in.Dst] = math.Float32bits(f32(a) + f32(bb))
+	case isa.OpFMUL:
+		regs[in.Dst] = math.Float32bits(f32(a) * f32(bb))
+	case isa.OpFMAD:
+		regs[in.Dst] = math.Float32bits(float32(f32(a)*f32(bb)) + f32(cc))
+	case isa.OpFNMAD:
+		regs[in.Dst] = math.Float32bits(f32(cc) - float32(f32(a)*f32(bb)))
+	case isa.OpDADD:
+		setPair(in.Dst, pair(in.SrcA)+pair(in.SrcB))
+	case isa.OpDMUL:
+		setPair(in.Dst, pair(in.SrcA)*pair(in.SrcB))
+	case isa.OpDFMA:
+		setPair(in.Dst, float64(pair(in.SrcA)*pair(in.SrcB))+pair(in.SrcC))
+	case isa.OpSST:
+		shared[(a+in.Imm)/4] = bb
+	case isa.OpSLD:
+		regs[in.Dst] = shared[(a+in.Imm)/4]
+	case isa.OpGST:
+		// The dump: recover the register index from the offset.
+		out[in.Imm/4%workRegs] = bb
+	}
 }

@@ -49,7 +49,7 @@ import (
 // or straddling a boundary (hash the absolute base, forcing an exact
 // match). Shared-memory addresses are block-local and hash raw.
 //
-// Variant accesses. A flow-insensitive taint analysis marks memory
+// Variant accesses. A per-PC taint analysis marks memory
 // instructions whose address register derives from loaded data
 // (e.g. the x-gather of SpMV, whose column indices differ per
 // block). Their addresses are excluded from the signature, and their
@@ -128,45 +128,62 @@ func newReplayState(prog *isa.Program, regions []Region, maxA int) *replayState 
 
 // taintAnalysis computes, per instruction, whether a memory
 // instruction's address register derives from loaded data — the
-// addresses that vary freely across blocks of a regular kernel. The
-// fixpoint is flow-insensitive (a register tainted anywhere is
-// tainted everywhere) and shared memory is a single taint cell:
-// storing a tainted value taints every subsequent shared load and
-// shared ALU operand. Loaded global data is always tainted (every
-// block reads different data); thread/block indices are not — the
-// linear address translation they induce is exactly what the
-// signature's modulo-A folding absorbs.
+// addresses that vary freely across blocks of a regular kernel.
+// Register taint is tracked per PC: a forward dataflow over the
+// fall-through and branch edges, OR at joins, to a fixpoint. An
+// unguarded write replaces its destination's taint; a guarded one
+// may leave some lanes' old values, so it only adds to it. Shared
+// memory is one taint cell for the whole program: warps of a block
+// reach a PC at different times, so storing a tainted value taints
+// every shared load and shared ALU operand. Loaded global data is
+// always tainted (every block reads different data); thread/block
+// indices are not — the linear address translation they induce is
+// exactly what the signature's modulo-A folding absorbs.
 func taintAnalysis(p *isa.Program) []bool {
-	regT := make([]bool, p.RegsPerThread)
+	n, words := len(p.Code), (p.RegsPerThread+63)/64
+	// in[pc*words:][:words] is the register taint on entry to pc, for
+	// the PCs an edge from PC 0 reaches.
+	in := make([]uint64, n*words)
+	reached := make([]bool, n)
+	reached[0] = true
+	out := make([]uint64, words)
 	sharedT := false
 	for changed := true; changed; {
 		changed = false
-		setReg := func(r isa.Reg, taint bool) {
-			if taint && int(r) < len(regT) && !regT[r] {
-				regT[r] = true
-				changed = true
+		for pc := range p.Code {
+			if !reached[pc] {
+				continue
 			}
-		}
-		for i := range p.Code {
-			in := &p.Code[i]
-			dbl := isa.IsDouble(in.Op)
+			ins := &p.Code[pc]
+			cur := in[pc*words : (pc+1)*words]
+			copy(out, cur)
+			has := func(r isa.Reg) bool { return cur[r/64]>>(r%64)&1 != 0 }
+			dbl := isa.IsDouble(ins.Op)
 			src := func(o isa.Operand) bool {
 				switch o.Kind {
 				case isa.KindReg:
-					return regT[o.Reg] || dbl && regT[o.Reg+1]
+					return has(o.Reg) || dbl && has(o.Reg+1)
 				case isa.KindSmem:
 					return sharedT
 				}
 				return false
 			}
-			tainted := src(in.SrcA) || src(in.SrcB) || src(in.SrcC)
-			switch in.Op {
+			kill := ins.Guard == isa.PT && !ins.GuardNeg
+			set := func(r isa.Reg, taint bool) {
+				if kill {
+					out[r/64] &^= 1 << (r % 64)
+				}
+				if taint {
+					out[r/64] |= 1 << (r % 64)
+				}
+			}
+			switch ins.Op {
 			case isa.OpGLD:
-				setReg(in.Dst, true)
+				set(ins.Dst, true)
 			case isa.OpSLD:
-				setReg(in.Dst, sharedT)
+				set(ins.Dst, sharedT)
 			case isa.OpSST:
-				if src(in.SrcB) && !sharedT {
+				if src(ins.SrcB) && !sharedT {
 					sharedT = true
 					changed = true
 				}
@@ -177,18 +194,48 @@ func taintAnalysis(p *isa.Program) []bool {
 				// signature, so data-dependent control flow simply
 				// never matches a foreign block.
 			default:
-				setReg(in.Dst, tainted)
+				t := src(ins.SrcA) || src(ins.SrcB) || src(ins.SrcC)
+				set(ins.Dst, t)
 				if dbl {
-					setReg(in.Dst+1, tainted)
+					set(ins.Dst+1, t)
 				}
+			}
+			flow := func(to int) {
+				if to < 0 || to >= n {
+					return
+				}
+				if !reached[to] {
+					reached[to] = true
+					changed = true
+				}
+				next := in[to*words : (to+1)*words]
+				for i, v := range out {
+					if next[i]|v != next[i] {
+						next[i] |= v
+						changed = true
+					}
+				}
+			}
+			switch ins.Op {
+			case isa.OpEXIT:
+			case isa.OpBRA:
+				if !(ins.Guard == isa.PT && ins.GuardNeg) {
+					flow(int(ins.Target))
+				}
+				if !kill {
+					flow(pc + 1)
+				}
+			default:
+				flow(pc + 1)
 			}
 		}
 	}
-	variant := make([]bool, len(p.Code))
-	for i := range p.Code {
-		in := &p.Code[i]
-		if isa.IsMemory(in.Op) && in.SrcA.Kind == isa.KindReg && regT[in.SrcA.Reg] {
-			variant[i] = true
+	variant := make([]bool, n)
+	for pc := range p.Code {
+		ins := &p.Code[pc]
+		if r := ins.SrcA.Reg; isa.IsMemory(ins.Op) && ins.SrcA.Kind == isa.KindReg &&
+			in[pc*words+int(r)/64]>>(r%64)&1 != 0 {
+			variant[pc] = true
 		}
 	}
 	return variant

@@ -141,6 +141,7 @@ func RunContext(ctx context.Context, cfg gpu.Config, l Launch, mem *Memory, opt 
 		goCtx:  ctx,
 		cfg:    cfg,
 		launch: l,
+		code:   Predecode(l.Prog),
 		mem:    mem,
 		banks:  bsim,
 		hook:   opt.GlobalAccessHook,

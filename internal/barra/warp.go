@@ -43,7 +43,8 @@ func laneBits(n int) LaneMask {
 // paper's kernels do. Barriers may not execute while diverged.
 type Warp struct {
 	prog *isa.Program
-	// meta is the predecoded per-PC metadata of prog.
+	// meta is the predecoded per-PC metadata of prog, shared with
+	// every warp of the launch.
 	meta []instrMeta
 	done bool
 
@@ -174,11 +175,19 @@ type instrMeta struct {
 	run int32
 }
 
-// predecode builds the per-PC metadata of p. It runs once per
-// NewWarp — a few compares per instruction, noise next to the many
-// times each instruction executes — so no cross-program cache is
-// needed (and none retains programs beyond their run).
-func predecode(p *isa.Program) []instrMeta {
+// Decoded is a program with its per-PC predecoded metadata. A launch
+// predecodes its program once, and every warp it builds shares the
+// table read-only.
+type Decoded struct {
+	prog *isa.Program
+	meta []instrMeta
+}
+
+// Predecode builds the per-PC metadata of p, once per launch: the
+// engine and the device simulator each predecode before they build
+// their first warp. No cross-launch cache is kept, so none retains
+// programs beyond their run.
+func Predecode(p *isa.Program) *Decoded {
 	meta := make([]instrMeta, len(p.Code))
 	for i := range p.Code {
 		in := &p.Code[i]
@@ -205,18 +214,19 @@ func predecode(p *isa.Program) []instrMeta {
 			}
 		}
 	}
-	return meta
+	return &Decoded{prog: p, meta: meta}
 }
 
-// NewWarp builds a warp ready to run prog. Lanes [0,lanes) exist.
-func NewWarp(prog *isa.Program, blockID, warpID, blockDim, gridDim, lanes int, shared []uint32, global *Memory) (*Warp, error) {
+// NewWarp builds a warp ready to run the predecoded program code.
+// Lanes [0,lanes) exist.
+func NewWarp(code *Decoded, blockID, warpID, blockDim, gridDim, lanes int, shared []uint32, global *Memory) (*Warp, error) {
 	if lanes <= 0 || lanes > gpu.WarpSize {
 		return nil, fmt.Errorf("barra: warp with %d lanes", lanes)
 	}
 	w := &Warp{
-		prog:    prog,
-		meta:    predecode(prog),
-		regs:    make([]uint32, prog.RegsPerThread*gpu.WarpSize),
+		prog:    code.prog,
+		meta:    code.meta,
+		regs:    make([]uint32, code.prog.RegsPerThread*gpu.WarpSize),
 		exists:  laneBits(lanes),
 		blockID: blockID,
 		shared:  shared,
@@ -450,25 +460,43 @@ func (w *Warp) pairAt(o isa.Operand, l int) float64 {
 	return math.Float64frombits(uint64(w.regs[i+gpu.WarpSize])<<32 | uint64(w.regs[i]))
 }
 
+// col views a 32-lane column as an array, so a full-mask loop runs
+// with no per-lane mask test or bounds check. Only a column (a view
+// with m != 0) has 32 words; a broadcast view has one.
+func col(s []uint32) *[gpu.WarpSize]uint32 { return (*[gpu.WarpSize]uint32)(s) }
+
+// f32 and u32 move a word between its bit pattern and its float.
+func f32(u uint32) float32 { return math.Float32frombits(u) }
+func u32(f float32) uint32 { return math.Float32bits(f) }
+
 // exec executes one predecoded non-control instruction for every
 // active lane, with the opcode dispatch and operand resolution
 // hoisted out of the lane loop. addrs receives per-lane byte
 // addresses for memory instructions; it may be nil for any other.
+//
+// Under a full mask the opcodes the built-in kernels execute in volume
+// run fixed-width kernels over 32-lane arrays (see the *Full
+// functions); every other mask and operand shape runs the masked loop
+// below them, the reference the kernels must match. Float products are
+// rounded by an explicit float32 conversion before they are added,
+// which the Go spec makes binding, so no platform fuses them into one
+// multiply-add.
 func (w *Warp) exec(in *isa.Instruction, active LaneMask, pc int, addrs *[gpu.WarpSize]uint32) error {
 	const ws = gpu.WarpSize
+	full := active == fullMask
 	switch in.Op {
 	case isa.OpNOP:
 
 	case isa.OpMOV, isa.OpS2R:
 		d := w.regCol(in.Dst)
 		a := w.srcView(in.SrcA, in.Imm, 0)
-		if active == ^LaneMask(0) {
+		if full {
 			if a.m != 0 {
-				copy(d, a.s)
+				*col(d) = *col(a.s)
 			} else {
-				v := a.s[0]
-				for l := range d {
-					d[l] = v
+				ds, v := col(d), a.s[0]
+				for l := range ds {
+					ds[l] = v
 				}
 			}
 			break
@@ -482,20 +510,11 @@ func (w *Warp) exec(in *isa.Instruction, active LaneMask, pc int, addrs *[gpu.Wa
 		d := w.regCol(in.Dst)
 		a := w.srcView(in.SrcA, in.Imm, 0)
 		b := w.srcView(in.SrcB, in.Imm, 1)
-		// Full-mask fast paths: constant-length reslices eliminate the
-		// per-lane bounds and mask work of view.at.
-		if active == ^LaneMask(0) && a.m != 0 {
-			ds, as := d[:ws], a.s[:ws]
+		if full && a.m != 0 {
 			if b.m != 0 {
-				bs := b.s[:ws]
-				for l := 0; l < ws; l++ {
-					ds[l] = as[l] + bs[l]
-				}
+				iaddFull(col(d), col(a.s), col(b.s))
 			} else {
-				bv := b.s[0]
-				for l := 0; l < ws; l++ {
-					ds[l] = as[l] + bv
-				}
+				iaddImmFull(col(d), col(a.s), b.s[0])
 			}
 			break
 		}
@@ -527,18 +546,11 @@ func (w *Warp) exec(in *isa.Instruction, active LaneMask, pc int, addrs *[gpu.Wa
 		a := w.srcView(in.SrcA, in.Imm, 0)
 		b := w.srcView(in.SrcB, in.Imm, 1)
 		c := w.srcView(in.SrcC, in.Imm, 2)
-		if active == ^LaneMask(0) && a.m&c.m != 0 {
-			ds, as, cs := d[:ws], a.s[:ws], c.s[:ws]
+		if full && a.m&c.m != 0 {
 			if b.m != 0 {
-				bs := b.s[:ws]
-				for l := 0; l < ws; l++ {
-					ds[l] = as[l]*bs[l] + cs[l]
-				}
+				imadFull(col(d), col(a.s), col(b.s), col(c.s))
 			} else {
-				bv := b.s[0]
-				for l := 0; l < ws; l++ {
-					ds[l] = as[l]*bv + cs[l]
-				}
+				imadImmFull(col(d), col(a.s), b.s[0], col(c.s))
 			}
 			break
 		}
@@ -569,11 +581,8 @@ func (w *Warp) exec(in *isa.Instruction, active LaneMask, pc int, addrs *[gpu.Wa
 		d := w.regCol(in.Dst)
 		a := w.srcView(in.SrcA, in.Imm, 0)
 		b := w.srcView(in.SrcB, in.Imm, 1)
-		if active == ^LaneMask(0) && a.m != 0 && b.m == 0 {
-			ds, as, sh := d[:ws], a.s[:ws], b.s[0]&31
-			for l := 0; l < ws; l++ {
-				ds[l] = as[l] << sh
-			}
+		if full && a.m != 0 && b.m == 0 {
+			shlFull(col(d), col(a.s), b.s[0]&31)
 			break
 		}
 		for l := 0; l < ws; l++ {
@@ -585,6 +594,10 @@ func (w *Warp) exec(in *isa.Instruction, active LaneMask, pc int, addrs *[gpu.Wa
 		d := w.regCol(in.Dst)
 		a := w.srcView(in.SrcA, in.Imm, 0)
 		b := w.srcView(in.SrcB, in.Imm, 1)
+		if full && a.m != 0 && b.m == 0 {
+			shrFull(col(d), col(a.s), b.s[0]&31)
+			break
+		}
 		for l := 0; l < ws; l++ {
 			if active>>uint(l)&1 != 0 {
 				d[l] = a.at(l) >> (b.at(l) & 31)
@@ -594,6 +607,10 @@ func (w *Warp) exec(in *isa.Instruction, active LaneMask, pc int, addrs *[gpu.Wa
 		d := w.regCol(in.Dst)
 		a := w.srcView(in.SrcA, in.Imm, 0)
 		b := w.srcView(in.SrcB, in.Imm, 1)
+		if full && a.m != 0 && b.m == 0 {
+			andImmFull(col(d), col(a.s), b.s[0])
+			break
+		}
 		for l := 0; l < ws; l++ {
 			if active>>uint(l)&1 != 0 {
 				d[l] = a.at(l) & b.at(l)
@@ -621,13 +638,8 @@ func (w *Warp) exec(in *isa.Instruction, active LaneMask, pc int, addrs *[gpu.Wa
 		a := w.srcView(in.SrcA, in.Imm, 0)
 		b := w.srcView(in.SrcB, in.Imm, 1)
 		var res LaneMask
-		if active == ^LaneMask(0) && a.m != 0 && b.m == 0 {
-			as, bv, cmp := a.s[:ws], int32(b.s[0]), in.Cmp
-			for l := 0; l < ws; l++ {
-				if icmp(cmp, int32(as[l]), bv) {
-					res |= 1 << uint(l)
-				}
-			}
+		if full && a.m != 0 && b.m == 0 {
+			res = isetpImmFull(in.Cmp, col(a.s), int32(b.s[0]))
 		} else {
 			for l := 0; l < ws; l++ {
 				if active>>uint(l)&1 != 0 && icmp(in.Cmp, int32(a.at(l)), int32(b.at(l))) {
@@ -650,10 +662,10 @@ func (w *Warp) exec(in *isa.Instruction, active LaneMask, pc int, addrs *[gpu.Wa
 		d := w.regCol(in.Dst)
 		a := w.srcView(in.SrcA, in.Imm, 0)
 		b := w.srcView(in.SrcB, in.Imm, 1)
-		if active == ^LaneMask(0) && a.m&b.m != 0 {
-			ds, as, bs := d[:ws], a.s[:ws], b.s[:ws]
-			for l := 0; l < ws; l++ {
-				ds[l] = math.Float32bits(math.Float32frombits(as[l]) + math.Float32frombits(bs[l]))
+		if full && a.m&b.m != 0 {
+			ds, as, bs := col(d), col(a.s), col(b.s)
+			for l := range ds {
+				ds[l] = u32(f32(as[l]) + f32(bs[l]))
 			}
 			break
 		}
@@ -675,10 +687,10 @@ func (w *Warp) exec(in *isa.Instruction, active LaneMask, pc int, addrs *[gpu.Wa
 		d := w.regCol(in.Dst)
 		a := w.srcView(in.SrcA, in.Imm, 0)
 		b := w.srcView(in.SrcB, in.Imm, 1)
-		if active == ^LaneMask(0) && a.m&b.m != 0 {
-			ds, as, bs := d[:ws], a.s[:ws], b.s[:ws]
-			for l := 0; l < ws; l++ {
-				ds[l] = math.Float32bits(math.Float32frombits(as[l]) * math.Float32frombits(bs[l]))
+		if full && a.m&b.m != 0 {
+			ds, as, bs := col(d), col(a.s), col(b.s)
+			for l := range ds {
+				ds[l] = u32(f32(as[l]) * f32(bs[l]))
 			}
 			break
 		}
@@ -694,24 +706,17 @@ func (w *Warp) exec(in *isa.Instruction, active LaneMask, pc int, addrs *[gpu.Wa
 		c := w.srcView(in.SrcC, in.Imm, 2)
 		// IMAD's operand rule: b may be a broadcast, the shared-memory
 		// word kbuild.FMadS gives every dense-matmul FMAD.
-		if active == ^LaneMask(0) && a.m&c.m != 0 {
-			ds, as, cs := d[:ws], a.s[:ws], c.s[:ws]
+		if full && a.m&c.m != 0 {
 			if b.m != 0 {
-				bs := b.s[:ws]
-				for l := 0; l < ws; l++ {
-					ds[l] = math.Float32bits(math.Float32frombits(as[l])*math.Float32frombits(bs[l]) + math.Float32frombits(cs[l]))
-				}
+				fmadFull(col(d), col(a.s), col(b.s), col(c.s))
 			} else {
-				bv := math.Float32frombits(b.s[0])
-				for l := 0; l < ws; l++ {
-					ds[l] = math.Float32bits(math.Float32frombits(as[l])*bv + math.Float32frombits(cs[l]))
-				}
+				fmadImmFull(col(d), col(a.s), f32(b.s[0]), col(c.s))
 			}
 			break
 		}
 		for l := 0; l < ws; l++ {
 			if active>>uint(l)&1 != 0 {
-				d[l] = math.Float32bits(a.fat(l)*b.fat(l) + c.fat(l))
+				d[l] = math.Float32bits(float32(a.fat(l)*b.fat(l)) + c.fat(l))
 			}
 		}
 	case isa.OpFNMAD:
@@ -719,9 +724,13 @@ func (w *Warp) exec(in *isa.Instruction, active LaneMask, pc int, addrs *[gpu.Wa
 		a := w.srcView(in.SrcA, in.Imm, 0)
 		b := w.srcView(in.SrcB, in.Imm, 1)
 		c := w.srcView(in.SrcC, in.Imm, 2)
+		if full && a.m&b.m&c.m != 0 {
+			fnmadFull(col(d), col(a.s), col(b.s), col(c.s))
+			break
+		}
 		for l := 0; l < ws; l++ {
 			if active>>uint(l)&1 != 0 {
-				d[l] = math.Float32bits(c.fat(l) - a.fat(l)*b.fat(l))
+				d[l] = math.Float32bits(c.fat(l) - float32(a.fat(l)*b.fat(l)))
 			}
 		}
 	case isa.OpFMIN:
@@ -803,13 +812,17 @@ func (w *Warp) exec(in *isa.Instruction, active LaneMask, pc int, addrs *[gpu.Wa
 			case isa.OpDMUL:
 				r = x * y
 			default:
-				r = x*y + w.pairAt(in.SrcC, l)
+				r = float64(x*y) + w.pairAt(in.SrcC, l)
 			}
 			v := math.Float64bits(r)
 			i := int(in.Dst)*ws + l
 			w.regs[i], w.regs[i+ws] = uint32(v), uint32(v>>32)
 		}
 
+	// The memory opcodes' full-mask kernels are the per-lane loop
+	// without its mask test, with the alignment and bounds checks
+	// inlined: a failing lane returns the error the per-lane loop
+	// gives, after the same lanes before it.
 	case isa.OpGLD:
 		d := w.regCol(in.Dst)
 		a := w.regCol(in.SrcA.Reg) // memory addresses are always registers
@@ -819,6 +832,19 @@ func (w *Warp) exec(in *isa.Instruction, active LaneMask, pc int, addrs *[gpu.Wa
 			// word read, inlined here because gathers dominate the
 			// memory-bound profile.
 			words := g.words
+			if full {
+				ds, as := col(d), col(a)
+				for l := range ds {
+					addr := as[l] + imm
+					addrs[l] = addr
+					i := addr >> 2
+					if addr&3 != 0 || int(i) >= len(words) {
+						return fmt.Errorf("barra: %q pc=%d lane=%d: %w", w.prog.Name, pc, l, g.check(addr))
+					}
+					ds[l] = words[i]
+				}
+				break
+			}
 			for l := 0; l < ws; l++ {
 				if active>>uint(l)&1 == 0 {
 					continue
@@ -849,6 +875,22 @@ func (w *Warp) exec(in *isa.Instruction, active LaneMask, pc int, addrs *[gpu.Wa
 		a := w.regCol(in.SrcA.Reg)
 		b := w.srcView(in.SrcB, in.Imm, 1)
 		imm := in.Imm
+		if g := w.global; full && g.writers == nil {
+			as, words, u := col(a), g.words, w.undo
+			for l := range as {
+				addr := as[l] + imm
+				addrs[l] = addr
+				i := addr >> 2
+				if addr&3 != 0 || int(i) >= len(words) {
+					return fmt.Errorf("barra: %q pc=%d lane=%d: %w", w.prog.Name, pc, l, g.check(addr))
+				}
+				if u != nil {
+					*u = append(*u, i, words[i]) //gpuperf:alloc-ok undo log reuses per-worker capacity across blocks; growth amortizes to zero
+				}
+				words[i] = b.at(l)
+			}
+			break
+		}
 		for l := 0; l < ws; l++ {
 			if active>>uint(l)&1 == 0 {
 				continue
@@ -868,6 +910,19 @@ func (w *Warp) exec(in *isa.Instruction, active LaneMask, pc int, addrs *[gpu.Wa
 		d := w.regCol(in.Dst)
 		a := w.regCol(in.SrcA.Reg)
 		imm := in.Imm
+		if full {
+			ds, as, sh := col(d), col(a), w.shared
+			for l := range ds {
+				addr := as[l] + imm
+				addrs[l] = addr
+				i := addr >> 2
+				if addr&3 != 0 || int(i) >= len(sh) {
+					return fmt.Errorf("barra: %q pc=%d lane=%d: %w", w.prog.Name, pc, l, sharedFault("load", addr, len(sh)))
+				}
+				ds[l] = sh[i]
+			}
+			break
+		}
 		for l := 0; l < ws; l++ {
 			if active>>uint(l)&1 == 0 {
 				continue
@@ -884,6 +939,19 @@ func (w *Warp) exec(in *isa.Instruction, active LaneMask, pc int, addrs *[gpu.Wa
 		a := w.regCol(in.SrcA.Reg)
 		b := w.srcView(in.SrcB, in.Imm, 1)
 		imm := in.Imm
+		if full {
+			as, sh := col(a), w.shared
+			for l := range as {
+				addr := as[l] + imm
+				addrs[l] = addr
+				i := addr >> 2
+				if addr&3 != 0 || int(i) >= len(sh) {
+					return fmt.Errorf("barra: %q pc=%d lane=%d: %w", w.prog.Name, pc, l, sharedFault("store", addr, len(sh)))
+				}
+				sh[i] = b.at(l)
+			}
+			break
+		}
 		for l := 0; l < ws; l++ {
 			if active>>uint(l)&1 == 0 {
 				continue
@@ -898,6 +966,142 @@ func (w *Warp) exec(in *isa.Instruction, active LaneMask, pc int, addrs *[gpu.Wa
 		return fmt.Errorf("barra: %q pc=%d: unimplemented opcode %s", w.prog.Name, pc, in.Op)
 	}
 	return nil
+}
+
+// The full-mask ALU kernels. Each computes one 32-lane column from
+// 32-lane columns and hoisted broadcast words. A destination may alias
+// a source column: lane l reads its sources before it writes d[l], and
+// no lane reads another lane's word.
+
+func iaddFull(d, a, b *[gpu.WarpSize]uint32) {
+	for l := 0; l <= len(d)-4; l += 4 {
+		d[l] = a[l] + b[l]
+		d[l+1] = a[l+1] + b[l+1]
+		d[l+2] = a[l+2] + b[l+2]
+		d[l+3] = a[l+3] + b[l+3]
+	}
+}
+
+func iaddImmFull(d, a *[gpu.WarpSize]uint32, b uint32) {
+	for l := 0; l <= len(d)-4; l += 4 {
+		d[l] = a[l] + b
+		d[l+1] = a[l+1] + b
+		d[l+2] = a[l+2] + b
+		d[l+3] = a[l+3] + b
+	}
+}
+
+func imadFull(d, a, b, c *[gpu.WarpSize]uint32) {
+	for l := 0; l <= len(d)-4; l += 4 {
+		d[l] = a[l]*b[l] + c[l]
+		d[l+1] = a[l+1]*b[l+1] + c[l+1]
+		d[l+2] = a[l+2]*b[l+2] + c[l+2]
+		d[l+3] = a[l+3]*b[l+3] + c[l+3]
+	}
+}
+
+func imadImmFull(d, a *[gpu.WarpSize]uint32, b uint32, c *[gpu.WarpSize]uint32) {
+	for l := 0; l <= len(d)-4; l += 4 {
+		d[l] = a[l]*b + c[l]
+		d[l+1] = a[l+1]*b + c[l+1]
+		d[l+2] = a[l+2]*b + c[l+2]
+		d[l+3] = a[l+3]*b + c[l+3]
+	}
+}
+
+func andImmFull(d, a *[gpu.WarpSize]uint32, b uint32) {
+	for l := 0; l <= len(d)-4; l += 4 {
+		d[l] = a[l] & b
+		d[l+1] = a[l+1] & b
+		d[l+2] = a[l+2] & b
+		d[l+3] = a[l+3] & b
+	}
+}
+
+func shlFull(d, a *[gpu.WarpSize]uint32, sh uint32) {
+	for l := 0; l <= len(d)-4; l += 4 {
+		d[l] = a[l] << sh
+		d[l+1] = a[l+1] << sh
+		d[l+2] = a[l+2] << sh
+		d[l+3] = a[l+3] << sh
+	}
+}
+
+func shrFull(d, a *[gpu.WarpSize]uint32, sh uint32) {
+	for l := 0; l <= len(d)-4; l += 4 {
+		d[l] = a[l] >> sh
+		d[l+1] = a[l+1] >> sh
+		d[l+2] = a[l+2] >> sh
+		d[l+3] = a[l+3] >> sh
+	}
+}
+
+func fmadFull(d, a, b, c *[gpu.WarpSize]uint32) {
+	for l := 0; l <= len(d)-4; l += 4 {
+		d[l] = u32(float32(f32(a[l])*f32(b[l])) + f32(c[l]))
+		d[l+1] = u32(float32(f32(a[l+1])*f32(b[l+1])) + f32(c[l+1]))
+		d[l+2] = u32(float32(f32(a[l+2])*f32(b[l+2])) + f32(c[l+2]))
+		d[l+3] = u32(float32(f32(a[l+3])*f32(b[l+3])) + f32(c[l+3]))
+	}
+}
+
+func fmadImmFull(d, a *[gpu.WarpSize]uint32, b float32, c *[gpu.WarpSize]uint32) {
+	for l := 0; l <= len(d)-4; l += 4 {
+		d[l] = u32(float32(f32(a[l])*b) + f32(c[l]))
+		d[l+1] = u32(float32(f32(a[l+1])*b) + f32(c[l+1]))
+		d[l+2] = u32(float32(f32(a[l+2])*b) + f32(c[l+2]))
+		d[l+3] = u32(float32(f32(a[l+3])*b) + f32(c[l+3]))
+	}
+}
+
+func fnmadFull(d, a, b, c *[gpu.WarpSize]uint32) {
+	for l := 0; l <= len(d)-4; l += 4 {
+		d[l] = u32(f32(c[l]) - float32(f32(a[l])*f32(b[l])))
+		d[l+1] = u32(f32(c[l+1]) - float32(f32(a[l+1])*f32(b[l+1])))
+		d[l+2] = u32(f32(c[l+2]) - float32(f32(a[l+2])*f32(b[l+2])))
+		d[l+3] = u32(f32(c[l+3]) - float32(f32(a[l+3])*f32(b[l+3])))
+	}
+}
+
+// isetpImmFull returns the lanes where a[l] c y holds, signed: the
+// comparison is chosen once, not per lane.
+func isetpImmFull(c isa.CmpOp, a *[gpu.WarpSize]uint32, y int32) LaneMask {
+	var res LaneMask
+	switch c {
+	case isa.CmpLT:
+		for l, x := range a {
+			res |= b2m(int32(x) < y) << l
+		}
+	case isa.CmpLE:
+		for l, x := range a {
+			res |= b2m(int32(x) <= y) << l
+		}
+	case isa.CmpGT:
+		for l, x := range a {
+			res |= b2m(int32(x) > y) << l
+		}
+	case isa.CmpGE:
+		for l, x := range a {
+			res |= b2m(int32(x) >= y) << l
+		}
+	case isa.CmpEQ:
+		for l, x := range a {
+			res |= b2m(int32(x) == y) << l
+		}
+	case isa.CmpNE:
+		for l, x := range a {
+			res |= b2m(int32(x) != y) << l
+		}
+	}
+	return res
+}
+
+// b2m is 1 for true and 0 for false.
+func b2m(b bool) LaneMask {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // branch executes a (possibly divergent) branch on the split cur.
@@ -935,25 +1139,28 @@ func (w *Warp) branch(in *isa.Instruction, cur int) error {
 
 func (w *Warp) sharedLoad(addr uint32) (uint32, error) {
 	i := addr >> 2
-	if addr&3 != 0 {
-		return 0, fmt.Errorf("unaligned shared load at %#x", addr)
-	}
-	if int(i) >= len(w.shared) {
-		return 0, fmt.Errorf("shared load at %#x beyond allocation %#x", addr, 4*len(w.shared))
+	if addr&3 != 0 || int(i) >= len(w.shared) {
+		return 0, sharedFault("load", addr, len(w.shared))
 	}
 	return w.shared[i], nil
 }
 
 func (w *Warp) sharedStore(addr, v uint32) error {
 	i := addr >> 2
-	if addr&3 != 0 {
-		return fmt.Errorf("unaligned shared store at %#x", addr)
-	}
-	if int(i) >= len(w.shared) {
-		return fmt.Errorf("shared store at %#x beyond allocation %#x", addr, 4*len(w.shared))
+	if addr&3 != 0 || int(i) >= len(w.shared) {
+		return sharedFault("store", addr, len(w.shared))
 	}
 	w.shared[i] = v
 	return nil
+}
+
+// sharedFault is the error of a shared-memory op ("load" or "store")
+// at a misaligned addr or one beyond an arena of the given words.
+func sharedFault(op string, addr uint32, words int) error {
+	if addr&3 != 0 {
+		return fmt.Errorf("unaligned shared %s at %#x", op, addr)
+	}
+	return fmt.Errorf("shared %s at %#x beyond allocation %#x", op, addr, 4*words)
 }
 
 func icmp(c isa.CmpOp, a, b int32) bool {

@@ -33,6 +33,7 @@ type runContext struct {
 	goCtx  context.Context
 	cfg    gpu.Config
 	launch Launch
+	code   *Decoded // launch.Prog predecoded, shared by every warp
 	mem    *Memory
 	banks  *bank.Sim
 	coal   []*coalesce.Sim // parallel to segs
@@ -159,7 +160,7 @@ func (w *worker) initBlock(blockID int) error {
 			if lanes > gpu.WarpSize {
 				lanes = gpu.WarpSize
 			}
-			warp, err := NewWarp(l.Prog, blockID, wi, l.Block, l.Grid, lanes, w.shared, w.ctx.mem)
+			warp, err := NewWarp(w.ctx.code, blockID, wi, l.Block, l.Grid, lanes, w.shared, w.ctx.mem)
 			if err != nil {
 				return err
 			}

@@ -343,6 +343,7 @@ type simCluster struct {
 type sim struct {
 	cfg     gpu.Config
 	launch  barra.Launch
+	code    *barra.Decoded // launch.Prog predecoded once for every block
 	mem     *barra.Memory
 	banks   *bank.Sim
 	coal    *coalesce.Sim
@@ -417,7 +418,7 @@ func simulate(ctx context.Context, cfg gpu.Config, l barra.Launch, mem *barra.Me
 	}
 
 	s := &sim{
-		cfg: cfg, launch: l, mem: mem, banks: bsim, coal: csim,
+		cfg: cfg, launch: l, code: barra.Predecode(l.Prog), mem: mem, banks: bsim, coal: csim,
 		budget: budget,
 		txBuf:  make([]coalesce.Transaction, 0, gpu.HalfWarp),
 		queue:  newEventQueue(min(l.Grid, cfg.NumSMs*occRes.Blocks) * l.WarpsPerBlock()),
@@ -511,7 +512,7 @@ func (s *sim) startBlock(sm *simSM, t float64) error {
 		if lanes > gpu.WarpSize {
 			lanes = gpu.WarpSize
 		}
-		fw, err := barra.NewWarp(l.Prog, blockID, wi, l.Block, l.Grid, lanes, shared, s.mem)
+		fw, err := barra.NewWarp(s.code, blockID, wi, l.Block, l.Grid, lanes, shared, s.mem)
 		if err != nil {
 			return err
 		}
@@ -649,7 +650,7 @@ func (s *sim) stepWarp(w *simWarp, now float64) (exited bool, err error) {
 				}
 			}
 			start := max(t, sm.smemFree)
-			busy := s.smemTxCycles * float64(halves)
+			busy := float64(s.smemTxCycles * float64(halves))
 			sm.smemFree = start + busy
 			s.res.BusyShared += busy
 			s.res.SharedBytes += int64(halves) * 4
@@ -691,7 +692,7 @@ func (s *sim) timeShared(w *simWarp, in *isa.Instruction, info *barra.StepInfo, 
 		return
 	}
 	start := max(t, sm.smemFree)
-	busy := s.smemTxCycles * float64(totalTx)
+	busy := float64(s.smemTxCycles * float64(totalTx))
 	sm.smemFree = start + busy
 	s.res.BusyShared += busy
 	s.res.SharedBytes += int64(info.ActiveCount) * 4
@@ -702,7 +703,7 @@ func (s *sim) timeShared(w *simWarp, in *isa.Instruction, info *barra.StepInfo, 
 	// doubling. The SM-level server above still charges only the
 	// bandwidth (2 cycles/transaction).
 	degree := float64(totalTx) / float64(halves)
-	done := start + busy + s.smemLat*degree
+	done := start + busy + float64(s.smemLat*degree)
 	w.smemReady = done
 	if in.Op == isa.OpSLD {
 		w.regReady[in.Dst] = done

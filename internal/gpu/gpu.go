@@ -205,7 +205,7 @@ func (c Config) PeakGlobalBandwidth() float64 {
 // PeakGFLOPS returns the theoretical single-precision peak assuming
 // one MAD (2 flops) per SP per cycle (≈710 GFLOPS, paper §4.1).
 func (c Config) PeakGFLOPS() float64 {
-	return c.PeakInstrThroughput(c.SPsPerSM) * WarpSize * 2 / 1e9
+	return float64(c.PeakInstrThroughput(c.SPsPerSM)*WarpSize) * 2 / 1e9
 }
 
 // Validate reports a configuration whose parameters are inconsistent

@@ -239,7 +239,7 @@ func MulRef(ctx context.Context, n int, a, b []float32) ([]float32, error) {
 			bv := float64(b[col*n+k])
 			arow := a[k*n : (k+1)*n]
 			for i, av := range arow {
-				acc[i] += float64(av) * bv
+				acc[i] += float64(float64(av) * bv)
 			}
 		}
 		for i, v := range acc {

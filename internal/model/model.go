@@ -347,7 +347,7 @@ func effectiveStage(st *barra.StageStats, ov Overrides) ([isa.NumClasses]int64, 
 			}
 			f := float64(packed) / float64(div)
 			for c := range byClass {
-				keep := int64(float64(st.DivByClass[c])*f + 0.5)
+				keep := int64(float64(float64(st.DivByClass[c])*f) + 0.5)
 				byClass[c] += keep - st.DivByClass[c]
 				if byClass[c] < 0 {
 					byClass[c] = 0
@@ -374,7 +374,7 @@ func stageWarps(st *barra.StageStats, stats *barra.Stats, l barra.Launch, occ oc
 	warps := occ.ActiveWarps
 	if st.WarpsWithWork > 0 && stats.Grid > 0 {
 		perBlock := float64(st.WarpsWithWork) / float64(stats.Grid)
-		w := int(perBlock*float64(occ.Blocks) + 0.5)
+		w := int(float64(perBlock*float64(occ.Blocks)) + 0.5)
 		if w < warps {
 			warps = w
 		}

@@ -162,7 +162,7 @@ func (m *Blocked) MulDense(x []float32) ([]float32, error) {
 			blk := m.Vals[q][j]
 			for r := 0; r < bs; r++ {
 				for cc := 0; cc < bs; cc++ {
-					acc[r] += float64(blk[r*bs+cc]) * float64(x[int(c)*bs+cc])
+					acc[r] += float64(float64(blk[r*bs+cc]) * float64(x[int(c)*bs+cc]))
 				}
 			}
 		}

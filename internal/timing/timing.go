@@ -175,7 +175,7 @@ func fillGaps(curve []float64) {
 		if last > 0 && i-last > 1 {
 			for j := last + 1; j < i; j++ {
 				f := float64(j-last) / float64(i-last)
-				curve[j] = curve[last]*(1-f) + curve[i]*f
+				curve[j] = float64(curve[last]*(1-f)) + float64(curve[i]*f)
 			}
 		}
 		if last == 0 && i > 1 {

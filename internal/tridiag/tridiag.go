@@ -47,13 +47,13 @@ func NewRandom(n int, rng *rand.Rand) System {
 	}
 	for i := 0; i < n; i++ {
 		if i > 0 {
-			s.A[i] = -(0.2 + 0.8*rng.Float32())
+			s.A[i] = -(0.2 + float32(0.8*rng.Float32()))
 		}
 		if i < n-1 {
-			s.C[i] = -(0.2 + 0.8*rng.Float32())
+			s.C[i] = -(0.2 + float32(0.8*rng.Float32()))
 		}
 		s.B[i] = 2.5 + float32(math.Abs(float64(s.A[i]))) + float32(math.Abs(float64(s.C[i]))) + rng.Float32()
-		s.D[i] = 2*rng.Float32() - 1
+		s.D[i] = float32(2*rng.Float32()) - 1
 	}
 	return s
 }
@@ -84,18 +84,18 @@ func (s System) SolveThomas() ([]float32, error) {
 	cp[0] = float64(s.C[0]) / b0
 	dp[0] = float64(s.D[0]) / b0
 	for i := 1; i < n; i++ {
-		den := float64(s.B[i]) - float64(s.A[i])*cp[i-1]
+		den := float64(s.B[i]) - float64(float64(s.A[i])*cp[i-1])
 		if den == 0 {
 			return nil, fmt.Errorf("tridiag: zero pivot at %d", i)
 		}
 		cp[i] = float64(s.C[i]) / den
-		dp[i] = (float64(s.D[i]) - float64(s.A[i])*dp[i-1]) / den
+		dp[i] = (float64(s.D[i]) - float64(float64(s.A[i])*dp[i-1])) / den
 	}
 	x := make([]float32, n)
 	acc := dp[n-1]
 	x[n-1] = float32(acc)
 	for i := n - 2; i >= 0; i-- {
-		acc = dp[i] - cp[i]*float64(x[i+1])
+		acc = dp[i] - float64(cp[i]*float64(x[i+1]))
 		x[i] = float32(acc)
 	}
 	return x, nil
@@ -128,13 +128,13 @@ func (s System) SolveCR() ([]float32, error) {
 			if ip < n {
 				k2 = c[i] / b[ip]
 			}
-			newB := b[i] - c[im]*k1
-			newD := d[i] - d[im]*k1
+			newB := b[i] - float32(c[im]*k1)
+			newD := d[i] - float32(d[im]*k1)
 			newA := -a[im] * k1
 			newC := float32(0)
 			if ip < n {
-				newB -= a[ip] * k2
-				newD -= d[ip] * k2
+				newB -= float32(a[ip] * k2)
+				newD -= float32(d[ip] * k2)
 				newC = -c[ip] * k2
 			}
 			a[i], b[i], c[i], d[i] = newA, newB, newC, newD
@@ -150,9 +150,9 @@ func (s System) SolveCR() ([]float32, error) {
 			if i == n-1 {
 				continue
 			}
-			num := d[i] - c[i]*x[i+step]
+			num := d[i] - float32(c[i]*x[i+step])
 			if i-step >= 0 {
-				num -= a[i] * x[i-step]
+				num -= float32(a[i] * x[i-step])
 			}
 			x[i] = num / b[i]
 		}
@@ -166,12 +166,12 @@ func (s System) Residual(x []float32) float64 {
 	n := s.Size()
 	var maxR, maxD float64
 	for i := 0; i < n; i++ {
-		r := float64(s.B[i]) * float64(x[i])
+		r := float64(float64(s.B[i]) * float64(x[i]))
 		if i > 0 {
-			r += float64(s.A[i]) * float64(x[i-1])
+			r += float64(float64(s.A[i]) * float64(x[i-1]))
 		}
 		if i < n-1 {
-			r += float64(s.C[i]) * float64(x[i+1])
+			r += float64(float64(s.C[i]) * float64(x[i+1]))
 		}
 		r -= float64(s.D[i])
 		if math.Abs(r) > maxR {
