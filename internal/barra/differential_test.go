@@ -24,26 +24,43 @@ func TestRandomProgramDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(2024))
 	const trials = 80
 	for trial := 0; trial < trials; trial++ {
-		prog, outBase := randomALUProgram(rng)
-		grid, block := 2, 80 // the third warp has 16 lanes
-		mem := NewMemory(grid * block * workRegs * 4)
-		if _, err := Run(gpu.GTX285(), Launch{Prog: prog, Grid: grid, Block: block}, mem, nil); err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		for blockID := 0; blockID < grid; blockID++ {
-			wants := interpretBlock(prog, blockID, block, grid)
-			for tid := 0; tid < block; tid++ {
-				want := wants[tid]
-				for r := 0; r < workRegs; r++ {
-					addr := outBase + uint32(((blockID*block+tid)*workRegs+r)*4)
-					got, err := mem.Load32(addr)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got != want[r] {
-						t.Fatalf("trial %d block %d thread %d r%d: sim %#x vs ref %#x\nprogram:\n%s",
-							trial, blockID, tid, r, got, want[r], progText(prog))
-					}
+		diffProgram(t, trial, randomALUProgram(rng), nil, false)
+	}
+}
+
+// diffGrid blocks of diffBlock threads run each differential program;
+// the third warp of each block has 16 lanes.
+const diffGrid, diffBlock = 2, 80
+
+// diffProgram runs prog over the global words init, zero when nil,
+// and compares every thread's dumped registers with interpretBlock's.
+// With nanLoose a lane whose reference is a NaN need only be a NaN;
+// every other lane must match bit for bit.
+func diffProgram(t *testing.T, trial int, prog *isa.Program, init []uint32, nanLoose bool) {
+	t.Helper()
+	const grid, block = diffGrid, diffBlock
+	if init == nil {
+		init = make([]uint32, grid*block*workRegs)
+	}
+	mem := NewMemory(len(init) * 4)
+	if err := mem.WriteWords(0, init); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(gpu.GTX285(), Launch{Prog: prog, Grid: grid, Block: block}, mem, nil); err != nil {
+		t.Fatalf("trial %d: %v", trial, err)
+	}
+	isNaN := func(u uint32) bool { f := math.Float32frombits(u); return f != f }
+	for blockID := 0; blockID < grid; blockID++ {
+		wants := interpretBlock(prog, blockID, block, grid, init[blockID*block*workRegs:])
+		for tid := 0; tid < block; tid++ {
+			for r, want := range wants[tid] {
+				got, err := mem.Load32(uint32(((blockID*block+tid)*workRegs + r) * 4))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want && !(nanLoose && isNaN(got) && isNaN(want)) {
+					t.Fatalf("trial %d block %d thread %d r%d: sim %#x vs ref %#x\nprogram:\n%s",
+						trial, blockID, tid, r, got, want, progText(prog))
 				}
 			}
 		}
@@ -59,7 +76,7 @@ const smemWords = 96
 // randomALUProgram builds a straight-line program of predicated ALU
 // and shared-memory work on registers r0..r5, ending with a coalesced
 // dump of all six to global memory.
-func randomALUProgram(rng *rand.Rand) (*isa.Program, uint32) {
+func randomALUProgram(rng *rand.Rand) *isa.Program {
 	b := kbuild.New("difftest")
 	b.SharedBytes(2 * smemWords * 4)
 	// r0..r5 are the working set, preallocated.
@@ -263,7 +280,114 @@ func randomALUProgram(rng *rand.Rand) (*isa.Program, uint32) {
 		b.GstOff(addr, work+isa.Reg(r), uint32(r*4))
 	}
 	b.Exit()
-	return b.MustProgram(), 0
+	return b.MustProgram()
+}
+
+// TestNonFiniteFloatDifferential runs random float programs whose
+// operands include infinities, NaNs, signed zeros, denormals and
+// values whose products overflow or underflow against the scalar
+// interpreter, so the full-mask float kernels and their masked loops
+// are checked on inf handling and NaN production too. Which payload a
+// NaN result keeps depends on the operand order each compiler picks
+// for a commutative add or multiply, so a lane whose reference is a
+// NaN need only be a NaN; every other lane must match bit for bit.
+func TestNonFiniteFloatDifferential(t *testing.T) {
+	rng := rand.New(rand.NewSource(2027))
+	const trials = 24
+	for trial := 0; trial < trials; trial++ {
+		prog := randomFloatProgram(rng)
+		// Half the words are special, half random floats below 2 in
+		// magnitude.
+		init := make([]uint32, diffGrid*diffBlock*workRegs)
+		for i := range init {
+			init[i] = rng.Uint32() &^ (1 << 30)
+			if rng.Intn(2) == 0 {
+				init[i] = specialFloats[rng.Intn(len(specialFloats))]
+			}
+		}
+		diffProgram(t, trial, prog, init, true)
+	}
+}
+
+// specialFloats are the non-finite trials' float operands: both
+// infinities, NaNs of either sign (quiet with and without a payload,
+// and signalling), signed zeros, denormals, the largest finite
+// values, ordinary values, and ±2^100 and 2^-100, whose products
+// overflow to infinity or underflow to zero.
+var specialFloats = []uint32{
+	0x7f800000, 0xff800000,
+	0x7fc00000, 0xffc00000, 0x7fc12345, 0x7f800001,
+	0x00000000, 0x80000000,
+	0x00000001, 0x807fffff,
+	0x7f7fffff, 0xff7fffff,
+	0x3f800000, 0xbfc00000, 0x40490fdb,
+	0x71800000, 0xf1800000, 0x0d800000,
+}
+
+// randomFloatProgram builds a straight-line program of predicated
+// float work on r0..r5: each thread loads its six words of global
+// memory, runs FADD, FMUL, FMAD, FNMAD, MOV and FSETP-guarded updates
+// on them with registers and specialFloats immediates as operands,
+// and stores them back. Only float ops and moves touch the working
+// registers, so whether a value is a NaN never depends on a payload.
+func randomFloatProgram(rng *rand.Rand) *isa.Program {
+	b := kbuild.New("difftest-float")
+	work := b.Regs(workRegs)
+	tid, ntid, cta, flat, addr := b.Reg(), b.Reg(), b.Reg(), b.Reg(), b.Reg()
+	b.S2R(tid, isa.SRTid)
+	b.S2R(ntid, isa.SRNtid)
+	b.S2R(cta, isa.SRCtaid)
+	b.IMad(flat, cta, ntid, tid)
+	b.IMulImm(addr, flat, workRegs*4)
+	for r := 0; r < workRegs; r++ {
+		b.GldOff(work+isa.Reg(r), addr, uint32(r*4))
+	}
+
+	reg := func() isa.Reg { return work + isa.Reg(rng.Intn(workRegs)) }
+	src := func() isa.Operand {
+		if rng.Intn(4) == 0 {
+			return isa.Imm()
+		}
+		return isa.R(reg())
+	}
+	guard := func(in *isa.Instruction) {
+		if rng.Intn(3) == 0 {
+			in.Guard, in.GuardNeg = isa.Pred(rng.Intn(isa.NumPreds)), rng.Intn(2) == 0
+		}
+	}
+	n := 6 + rng.Intn(20)
+	for i := 0; i < n; i++ {
+		imm := specialFloats[rng.Intn(len(specialFloats))]
+		switch rng.Intn(4) {
+		case 0, 1:
+			in := isa.Instruction{Op: []isa.Opcode{isa.OpFADD, isa.OpFMUL, isa.OpFMAD, isa.OpFNMAD}[rng.Intn(4)], Guard: isa.PT,
+				Dst: reg(), SrcA: isa.R(reg()), SrcB: src(), Imm: imm}
+			if in.Op == isa.OpFMAD || in.Op == isa.OpFNMAD {
+				in.SrcC = isa.R(reg())
+			}
+			guard(&in)
+			b.Emit(in)
+		case 2:
+			// A float compare, then a move it guards.
+			p := isa.Pred(rng.Intn(isa.NumPreds))
+			in := isa.Instruction{Op: isa.OpFSETP, Guard: isa.PT, PDst: p, Cmp: isa.CmpOp(rng.Intn(isa.NumCmps)),
+				SrcA: isa.R(reg()), SrcB: src(), Imm: imm}
+			guard(&in)
+			b.Emit(in)
+			mv := b.Pos()
+			b.Mov(reg(), reg())
+			b.Guarded(mv, p, rng.Intn(2) == 0)
+		default:
+			in := isa.Instruction{Op: isa.OpMOV, Guard: isa.PT, Dst: reg(), SrcA: src(), Imm: imm}
+			guard(&in)
+			b.Emit(in)
+		}
+	}
+	for r := 0; r < workRegs; r++ {
+		b.GstOff(addr, work+isa.Reg(r), uint32(r*4))
+	}
+	b.Exit()
+	return b.MustProgram()
 }
 
 func progText(p *isa.Program) string {
@@ -285,8 +409,9 @@ func progText(p *isa.Program) string {
 // in lockstep, one instruction at a time, so a shared-memory load sees
 // every store of the instructions before it; the executor runs one
 // warp at a time instead, which agrees because each warp touches only
-// its own threads' shared words.
-func interpretBlock(p *isa.Program, blockID, blockDim, gridDim int) [][]uint32 {
+// its own threads' shared words. init holds the block's global words
+// before the run, workRegs per thread.
+func interpretBlock(p *isa.Program, blockID, blockDim, gridDim int, init []uint32) [][]uint32 {
 	regs := make([][]uint32, blockDim)
 	preds := make([][]bool, blockDim)
 	out := make([][]uint32, blockDim)
@@ -294,6 +419,7 @@ func interpretBlock(p *isa.Program, blockID, blockDim, gridDim int) [][]uint32 {
 		regs[t] = make([]uint32, p.RegsPerThread)
 		preds[t] = make([]bool, isa.NumPreds)
 		out[t] = make([]uint32, workRegs)
+		copy(out[t], init[t*workRegs:])
 	}
 	shared := make([]uint32, p.SharedMemBytes/4)
 	for pc := 0; pc < len(p.Code); pc++ {
@@ -401,8 +527,12 @@ func interpretStep(in isa.Instruction, regs []uint32, preds []bool, out, shared 
 	case isa.OpISETP:
 		preds[in.PDst] = cmp(int32(a) < int32(bb), a == bb)
 	case isa.OpFSETP:
-		// Finite operands only, so "not less and not equal" is greater.
-		preds[in.PDst] = cmp(f32(a) < f32(bb), f32(a) == f32(bb))
+		// A NaN operand leaves the pair unordered: only NE holds.
+		if x, y := f32(a), f32(bb); x != x || y != y {
+			preds[in.PDst] = in.Cmp == isa.CmpNE
+		} else {
+			preds[in.PDst] = cmp(x < y, x == y)
+		}
 	case isa.OpFADD:
 		regs[in.Dst] = math.Float32bits(f32(a) + f32(bb))
 	case isa.OpFMUL:
@@ -421,6 +551,9 @@ func interpretStep(in isa.Instruction, regs []uint32, preds []bool, out, shared 
 		shared[(a+in.Imm)/4] = bb
 	case isa.OpSLD:
 		regs[in.Dst] = shared[(a+in.Imm)/4]
+	case isa.OpGLD:
+		// A thread loads only its own words, at the dump's offsets.
+		regs[in.Dst] = out[in.Imm/4%workRegs]
 	case isa.OpGST:
 		// The dump: recover the register index from the offset.
 		out[in.Imm/4%workRegs] = bb

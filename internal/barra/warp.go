@@ -819,10 +819,11 @@ func (w *Warp) exec(in *isa.Instruction, active LaneMask, pc int, addrs *[gpu.Wa
 			w.regs[i], w.regs[i+ws] = uint32(v), uint32(v>>32)
 		}
 
-	// The memory opcodes' full-mask kernels are the per-lane loop
-	// without its mask test, with the alignment and bounds checks
-	// inlined: a failing lane returns the error the per-lane loop
-	// gives, after the same lanes before it.
+	// The full-mask kernels of GLD (untracked), SLD and SST are the
+	// per-lane loop without its mask test, with the alignment and
+	// bounds checks inlined: a failing lane returns the error the
+	// per-lane loop gives, after the same lanes before it. GST, in no
+	// built-in kernel's hot mix, keeps only the per-lane loop.
 	case isa.OpGLD:
 		d := w.regCol(in.Dst)
 		a := w.regCol(in.SrcA.Reg) // memory addresses are always registers
@@ -875,22 +876,6 @@ func (w *Warp) exec(in *isa.Instruction, active LaneMask, pc int, addrs *[gpu.Wa
 		a := w.regCol(in.SrcA.Reg)
 		b := w.srcView(in.SrcB, in.Imm, 1)
 		imm := in.Imm
-		if g := w.global; full && g.writers == nil {
-			as, words, u := col(a), g.words, w.undo
-			for l := range as {
-				addr := as[l] + imm
-				addrs[l] = addr
-				i := addr >> 2
-				if addr&3 != 0 || int(i) >= len(words) {
-					return fmt.Errorf("barra: %q pc=%d lane=%d: %w", w.prog.Name, pc, l, g.check(addr))
-				}
-				if u != nil {
-					*u = append(*u, i, words[i]) //gpuperf:alloc-ok undo log reuses per-worker capacity across blocks; growth amortizes to zero
-				}
-				words[i] = b.at(l)
-			}
-			break
-		}
 		for l := 0; l < ws; l++ {
 			if active>>uint(l)&1 == 0 {
 				continue
@@ -974,67 +959,49 @@ func (w *Warp) exec(in *isa.Instruction, active LaneMask, pc int, addrs *[gpu.Wa
 // no lane reads another lane's word.
 
 func iaddFull(d, a, b *[gpu.WarpSize]uint32) {
-	for l := 0; l <= len(d)-4; l += 4 {
+	for l := range d {
 		d[l] = a[l] + b[l]
-		d[l+1] = a[l+1] + b[l+1]
-		d[l+2] = a[l+2] + b[l+2]
-		d[l+3] = a[l+3] + b[l+3]
 	}
 }
 
 func iaddImmFull(d, a *[gpu.WarpSize]uint32, b uint32) {
-	for l := 0; l <= len(d)-4; l += 4 {
+	for l := range d {
 		d[l] = a[l] + b
-		d[l+1] = a[l+1] + b
-		d[l+2] = a[l+2] + b
-		d[l+3] = a[l+3] + b
 	}
 }
 
 func imadFull(d, a, b, c *[gpu.WarpSize]uint32) {
-	for l := 0; l <= len(d)-4; l += 4 {
+	for l := range d {
 		d[l] = a[l]*b[l] + c[l]
-		d[l+1] = a[l+1]*b[l+1] + c[l+1]
-		d[l+2] = a[l+2]*b[l+2] + c[l+2]
-		d[l+3] = a[l+3]*b[l+3] + c[l+3]
 	}
 }
 
 func imadImmFull(d, a *[gpu.WarpSize]uint32, b uint32, c *[gpu.WarpSize]uint32) {
-	for l := 0; l <= len(d)-4; l += 4 {
+	for l := range d {
 		d[l] = a[l]*b + c[l]
-		d[l+1] = a[l+1]*b + c[l+1]
-		d[l+2] = a[l+2]*b + c[l+2]
-		d[l+3] = a[l+3]*b + c[l+3]
 	}
 }
 
 func andImmFull(d, a *[gpu.WarpSize]uint32, b uint32) {
-	for l := 0; l <= len(d)-4; l += 4 {
+	for l := range d {
 		d[l] = a[l] & b
-		d[l+1] = a[l+1] & b
-		d[l+2] = a[l+2] & b
-		d[l+3] = a[l+3] & b
 	}
 }
 
 func shlFull(d, a *[gpu.WarpSize]uint32, sh uint32) {
-	for l := 0; l <= len(d)-4; l += 4 {
+	for l := range d {
 		d[l] = a[l] << sh
-		d[l+1] = a[l+1] << sh
-		d[l+2] = a[l+2] << sh
-		d[l+3] = a[l+3] << sh
 	}
 }
 
 func shrFull(d, a *[gpu.WarpSize]uint32, sh uint32) {
-	for l := 0; l <= len(d)-4; l += 4 {
+	for l := range d {
 		d[l] = a[l] >> sh
-		d[l+1] = a[l+1] >> sh
-		d[l+2] = a[l+2] >> sh
-		d[l+3] = a[l+3] >> sh
 	}
 }
+
+// The float kernels are unrolled ×4, which BenchmarkWarpStep's
+// fmad-smem leg showed to pay; unrolling the integer kernels did not.
 
 func fmadFull(d, a, b, c *[gpu.WarpSize]uint32) {
 	for l := 0; l <= len(d)-4; l += 4 {
