@@ -9,16 +9,17 @@
 // the predicted time, the speedup over the factual baseline, and a
 // §4-style explanation grounded in the run's own statistics.
 //
-// Every cataloged scenario is a pure stat/occupancy transform
-// (model.AnalyzeWith) over the statistics of a single functional
-// run: one simulation answers the whole portfolio. Changes the
-// transforms cannot express — a different block size or tile, an
-// algorithmic rewrite — require resimulating a rebuilt workload; the
-// registry's kernel-variant families serve those, as examples/advisor
-// shows. Scenario evaluations fan out
-// across goroutines; results are deterministic for any fan-out width
-// because each scenario's arithmetic depends only on the shared
-// stats and calibration.
+// Every cataloged scenario is a pure transform over the statistics
+// of a single functional run: the model rerun under a stat or
+// occupancy override (model.AnalyzeWith), or, for ideal overlap, the
+// baseline recombined (model.Estimate.Overlapped). One simulation
+// answers the whole portfolio. Changes the transforms cannot express
+// — a different block size or tile, an algorithmic rewrite — require
+// resimulating a rebuilt workload; the registry's kernel-variant
+// families serve those, as examples/advisor shows. Scenario
+// evaluations fan out across goroutines; results are deterministic
+// for any fan-out width because each scenario's arithmetic depends
+// only on the shared stats and calibration.
 package advise
 
 import (
@@ -107,11 +108,10 @@ func Run(cal *timing.Calibration, l barra.Launch, stats *barra.Stats, opt *Optio
 	}
 
 	evals := []func() (ScenarioResult, error){
-		func() (ScenarioResult, error) { return evalCoalescing(cal, l, stats, base) },
-		func() (ScenarioResult, error) { return evalConflictFree(cal, l, stats, base) },
-		func() (ScenarioResult, error) { return evalNoDivergence(cal, l, stats, base) },
-		func() (ScenarioResult, error) { return evalIdealOverlap(cal, l, stats, base) },
 		func() (ScenarioResult, error) { return evalOccupancySweep(cal, l, stats, base) },
+	}
+	for _, sc := range scenarios {
+		evals = append(evals, func() (ScenarioResult, error) { return evalScenario(cal, l, stats, base, sc) })
 	}
 
 	results := make([]ScenarioResult, len(evals))
@@ -155,116 +155,102 @@ func speedup(base, what float64) float64 {
 	return base / what
 }
 
-func evalCoalescing(cal *timing.Calibration, l barra.Launch, stats *barra.Stats, base *model.Estimate) (ScenarioResult, error) {
-	est, err := model.AnalyzeWith(cal, l, stats, model.Overrides{PerfectCoalescing: true})
-	if err != nil {
-		return ScenarioResult{}, err
-	}
-	r := ScenarioResult{
-		Scenario:         PerfectCoalescing,
-		Title:            "perfect global-memory coalescing",
-		PredictedSeconds: est.TotalSeconds,
-		Speedup:          speedup(base.TotalSeconds, est.TotalSeconds),
-		Estimate:         est,
-	}
-	eff := stats.CoalescingEfficiency()
-	tpr := stats.TxPerRequest()
-	switch {
-	case eff >= 0.999:
-		r.Explanation = "global accesses already coalesce perfectly: every fetched byte is useful"
-	case r.Speedup < 1.005:
-		r.Explanation = fmt.Sprintf(
-			"only %.0f%% of fetched global bytes are useful (%.2f transactions per half-warp request), but global memory is not the limiter — coalescing alone moves the predicted time by under 1%%",
-			eff*100, tpr)
-	default:
-		r.Explanation = fmt.Sprintf(
-			"only %.0f%% of fetched global bytes are useful (%.2f transactions per half-warp request); restructuring the access pattern so each half-warp fills whole segments cuts global-memory time %.2fx",
-			eff*100, tpr, safeRatio(base.Component[model.CompGlobal], est.Component[model.CompGlobal]))
-	}
-	return r, nil
+// scenario is one row of the stat-transform portfolio: the overrides
+// the model reruns under, and the explanation of the verdict. The row
+// with no overrides, ideal overlap, changes no statistic but the
+// combination rule: its estimate is the baseline recombined with
+// every stage overlapped.
+type scenario struct {
+	key, title string
+	ov         model.Overrides
+	// explain grounds the verdict in the run's statistics, given the
+	// baseline, the counterfactual estimate and its speedup.
+	explain func(stats *barra.Stats, base, est *model.Estimate, speedup float64) string
 }
 
-func evalConflictFree(cal *timing.Calibration, l barra.Launch, stats *barra.Stats, base *model.Estimate) (ScenarioResult, error) {
-	est, err := model.AnalyzeWith(cal, l, stats, model.Overrides{ConflictFreeShared: true})
-	if err != nil {
-		return ScenarioResult{}, err
-	}
-	r := ScenarioResult{
-		Scenario:         ConflictFreeShared,
-		Title:            "conflict-free shared memory",
-		PredictedSeconds: est.TotalSeconds,
-		Speedup:          speedup(base.TotalSeconds, est.TotalSeconds),
-		Estimate:         est,
-	}
-	factor := stats.BankConflictFactor()
-	switch {
-	case factor <= 1.001:
-		r.Explanation = "shared-memory accesses are already conflict-free"
-	case r.Speedup < 1.005:
-		r.Explanation = fmt.Sprintf(
-			"bank conflicts inflate shared transactions %.2fx (worst observed degree %d-way), but shared memory is not the limiter — padding alone moves the predicted time by under 1%%",
-			factor, worstConflictDegree(stats))
-	default:
-		r.Explanation = fmt.Sprintf(
-			"bank conflicts inflate shared transactions %.2fx (worst observed degree %d-way); padding the shared layout to spread the stride across banks cuts shared-memory time %.2fx",
-			factor, worstConflictDegree(stats),
-			safeRatio(base.Component[model.CompShared], est.Component[model.CompShared]))
-	}
-	return r, nil
+var scenarios = []scenario{
+	{PerfectCoalescing, "perfect global-memory coalescing", model.Overrides{PerfectCoalescing: true},
+		func(stats *barra.Stats, base, est *model.Estimate, speedup float64) string {
+			eff, tpr := stats.CoalescingEfficiency(), stats.TxPerRequest()
+			switch {
+			case eff >= 0.999:
+				return "global accesses already coalesce perfectly: every fetched byte is useful"
+			case speedup < 1.005:
+				return fmt.Sprintf(
+					"only %.0f%% of fetched global bytes are useful (%.2f transactions per half-warp request), but global memory is not the limiter — coalescing alone moves the predicted time by under 1%%",
+					eff*100, tpr)
+			}
+			return fmt.Sprintf(
+				"only %.0f%% of fetched global bytes are useful (%.2f transactions per half-warp request); restructuring the access pattern so each half-warp fills whole segments cuts global-memory time %.2fx",
+				eff*100, tpr, safeRatio(base.Component[model.CompGlobal], est.Component[model.CompGlobal]))
+		}},
+	{ConflictFreeShared, "conflict-free shared memory", model.Overrides{ConflictFreeShared: true},
+		func(stats *barra.Stats, base, est *model.Estimate, speedup float64) string {
+			factor := stats.BankConflictFactor()
+			switch {
+			case factor <= 1.001:
+				return "shared-memory accesses are already conflict-free"
+			case speedup < 1.005:
+				return fmt.Sprintf(
+					"bank conflicts inflate shared transactions %.2fx (worst observed degree %d-way), but shared memory is not the limiter — padding alone moves the predicted time by under 1%%",
+					factor, worstConflictDegree(stats))
+			}
+			return fmt.Sprintf(
+				"bank conflicts inflate shared transactions %.2fx (worst observed degree %d-way); padding the shared layout to spread the stride across banks cuts shared-memory time %.2fx",
+				factor, worstConflictDegree(stats),
+				safeRatio(base.Component[model.CompShared], est.Component[model.CompShared]))
+		}},
+	{NoDivergence, "no branch divergence", model.Overrides{NoDivergence: true},
+		func(stats *barra.Stats, base, est *model.Estimate, speedup float64) string {
+			over := stats.DivergenceOverhead()
+			switch {
+			case over <= 0.001:
+				return "warps issue no instructions on divergent paths"
+			case speedup < 1.005:
+				return fmt.Sprintf(
+					"%.0f%% of warp instructions issue on divergent paths, but the instruction pipeline is not the limiter — restructuring the branches moves the predicted time by under 1%%",
+					over*100)
+			}
+			return fmt.Sprintf(
+				"%.0f%% of warp instructions issue on divergent paths with partially idle lanes; restructuring so whole warps take one side cuts instruction time %.2fx",
+				over*100, safeRatio(base.Component[model.CompInstruction], est.Component[model.CompInstruction]))
+		}},
+	{IdealOverlap, "ideal cross-stage overlap", model.Overrides{},
+		func(stats *barra.Stats, base, est *model.Estimate, speedup float64) string {
+			switch {
+			case !base.Serialized:
+				return "multiple resident blocks already overlap the barrier-delimited stages"
+			case speedup < 1.005:
+				return fmt.Sprintf(
+					"one resident block per SM serializes the %d barrier-delimited stages, but their bottlenecks coincide — overlap alone moves the predicted time by under 1%%",
+					len(base.Stages))
+			}
+			return fmt.Sprintf(
+				"one resident block per SM serializes %d barrier-delimited stages with differing bottlenecks; fitting a second block (or fusing stages) lets them overlap, hiding %.2fx of the staged time",
+				len(base.Stages), speedup)
+		}},
 }
 
-func evalNoDivergence(cal *timing.Calibration, l barra.Launch, stats *barra.Stats, base *model.Estimate) (ScenarioResult, error) {
-	est, err := model.AnalyzeWith(cal, l, stats, model.Overrides{NoDivergence: true})
-	if err != nil {
-		return ScenarioResult{}, err
+// evalScenario evaluates one row of the portfolio against the
+// baseline.
+func evalScenario(cal *timing.Calibration, l barra.Launch, stats *barra.Stats, base *model.Estimate, sc scenario) (ScenarioResult, error) {
+	var est *model.Estimate
+	if sc.ov == (model.Overrides{}) {
+		est = base.Overlapped()
+	} else {
+		var err error
+		if est, err = model.AnalyzeWith(cal, l, stats, sc.ov); err != nil {
+			return ScenarioResult{}, err
+		}
 	}
 	r := ScenarioResult{
-		Scenario:         NoDivergence,
-		Title:            "no branch divergence",
+		Scenario:         sc.key,
+		Title:            sc.title,
 		PredictedSeconds: est.TotalSeconds,
 		Speedup:          speedup(base.TotalSeconds, est.TotalSeconds),
 		Estimate:         est,
 	}
-	over := stats.DivergenceOverhead()
-	switch {
-	case over <= 0.001:
-		r.Explanation = "warps issue no instructions on divergent paths"
-	case r.Speedup < 1.005:
-		r.Explanation = fmt.Sprintf(
-			"%.0f%% of warp instructions issue on divergent paths, but the instruction pipeline is not the limiter — restructuring the branches moves the predicted time by under 1%%",
-			over*100)
-	default:
-		r.Explanation = fmt.Sprintf(
-			"%.0f%% of warp instructions issue on divergent paths with partially idle lanes; restructuring so whole warps take one side cuts instruction time %.2fx",
-			over*100, safeRatio(base.Component[model.CompInstruction], est.Component[model.CompInstruction]))
-	}
-	return r, nil
-}
-
-func evalIdealOverlap(cal *timing.Calibration, l barra.Launch, stats *barra.Stats, base *model.Estimate) (ScenarioResult, error) {
-	est, err := model.AnalyzeWith(cal, l, stats, model.Overrides{ForceOverlap: true})
-	if err != nil {
-		return ScenarioResult{}, err
-	}
-	r := ScenarioResult{
-		Scenario:         IdealOverlap,
-		Title:            "ideal cross-stage overlap",
-		PredictedSeconds: est.TotalSeconds,
-		Speedup:          speedup(base.TotalSeconds, est.TotalSeconds),
-		Estimate:         est,
-	}
-	switch {
-	case !base.Serialized:
-		r.Explanation = "multiple resident blocks already overlap the barrier-delimited stages"
-	case r.Speedup < 1.005:
-		r.Explanation = fmt.Sprintf(
-			"one resident block per SM serializes the %d barrier-delimited stages, but their bottlenecks coincide — overlap alone moves the predicted time by under 1%%",
-			len(base.Stages))
-	default:
-		r.Explanation = fmt.Sprintf(
-			"one resident block per SM serializes %d barrier-delimited stages with differing bottlenecks; fitting a second block (or fusing stages) lets them overlap, hiding %.2fx of the staged time",
-			len(base.Stages), r.Speedup)
-	}
+	r.Explanation = sc.explain(stats, base, est, r.Speedup)
 	return r, nil
 }
 
@@ -281,19 +267,8 @@ func evalIdealOverlap(cal *timing.Calibration, l barra.Launch, stats *barra.Stat
 // kernel, which is the registry variant families' job, not a stat
 // transform's.
 func evalOccupancySweep(cal *timing.Calibration, l barra.Launch, stats *barra.Stats, base *model.Estimate) (ScenarioResult, error) {
-	cfg := cal.Config()
 	occ := base.Occupancy
-	ceiling := cfg.MaxBlocksPerSM
-	if occ.WarpsPerBlock > 0 {
-		if m := cfg.MaxWarpsPerSM / occ.WarpsPerBlock; m < ceiling {
-			ceiling = m
-		}
-	}
-	if l.Block > 0 {
-		if m := cfg.MaxThreadsPerSM / l.Block; m < ceiling {
-			ceiling = m
-		}
-	}
+	ceiling := model.BlockCeiling(cal.Config(), l.Block)
 	if occ.BlocksBySmem > 0 && occ.BlocksBySmem < ceiling {
 		ceiling = occ.BlocksBySmem
 	}

@@ -118,7 +118,7 @@ type Estimate struct {
 	// Stages carries the per-stage breakdown.
 	Stages []StageEstimate
 	// Serialized is true when one resident block per SM forces
-	// stages to run back to back.
+	// stages to run back to back (never on an Overlapped copy).
 	Serialized bool
 	// TotalSeconds is the predicted execution time: the bottleneck
 	// component when overlapped, or the sum of stage bottlenecks
@@ -171,16 +171,23 @@ type Overrides struct {
 	// the diverged issues minus the DivActiveLanes/warpSize full
 	// warps they would occupy when restructured.
 	NoDivergence bool
-	// ForceOverlap treats barrier-delimited stages as overlapped even
-	// with a single resident block per SM — the upside of any change
-	// that lets stages of different blocks interleave.
-	ForceOverlap bool
 	// ResidentBlocks, when > 0, forces the occupancy computation to
-	// assume that many resident blocks per SM (capped by the device's
-	// thread, warp and block ceilings and by the grid) — modeling a
-	// kernel whose per-block resource demand was trimmed until the
-	// target occupancy fit.
+	// assume that many resident blocks per SM (capped by BlockCeiling
+	// and by the grid) — modeling a kernel whose per-block resource
+	// demand was trimmed until the target occupancy fit.
 	ResidentBlocks int
+}
+
+// BlockCeiling is the most blocks of threadsPerBlock threads one SM
+// of cfg can hold whatever their register and shared-memory demand:
+// the architectural block, warp and thread limits, which no source
+// change can lift.
+func BlockCeiling(cfg gpu.Config, threadsPerBlock int) int {
+	if threadsPerBlock <= 0 {
+		return cfg.MaxBlocksPerSM
+	}
+	warps := (threadsPerBlock + gpu.WarpSize - 1) / gpu.WarpSize
+	return min(cfg.MaxBlocksPerSM, cfg.MaxWarpsPerSM/warps, cfg.MaxThreadsPerSM/threadsPerBlock)
 }
 
 // Analyze runs the model for one launch whose dynamic statistics
@@ -230,26 +237,9 @@ func AnalyzeWith(cal *timing.Calibration, l barra.Launch, stats *barra.Stats, ov
 	if ov.ResidentBlocks > 0 {
 		// Counterfactual occupancy: assume the kernel's per-block
 		// resource demand were trimmed until b blocks fit, bounded by
-		// the ceilings no source change can lift — threads, warps,
-		// the architectural block limit, and the grid itself.
-		b := ov.ResidentBlocks
-		if m := cfg.MaxBlocksPerSM; b > m {
-			b = m
-		}
-		if occ.WarpsPerBlock > 0 {
-			if m := cfg.MaxWarpsPerSM / occ.WarpsPerBlock; b > m {
-				b = m
-			}
-		}
-		if m := cfg.MaxThreadsPerSM / l.Block; b > m {
-			b = m
-		}
-		if b > gridBlocks {
-			b = gridBlocks
-		}
-		if b < 1 {
-			b = 1
-		}
+		// the ceilings no source change can lift and by the grid
+		// itself.
+		b := max(min(ov.ResidentBlocks, BlockCeiling(cfg, l.Block), gridBlocks), 1)
 		occ.Blocks = b
 		occ.ActiveWarps = b * occ.WarpsPerBlock
 		occ.Limiter = "counterfactual override"
@@ -261,7 +251,7 @@ func AnalyzeWith(cal *timing.Calibration, l barra.Launch, stats *barra.Stats, ov
 		Density:              stats.InstructionDensity(),
 		CoalescingEfficiency: stats.CoalescingEfficiency(),
 		BankConflictFactor:   stats.BankConflictFactor(),
-		Serialized:           occ.Blocks == 1 && !ov.ForceOverlap,
+		Serialized:           occ.Blocks == 1,
 	}
 
 	// Global memory: one synthetic-benchmark bandwidth for the whole
@@ -312,23 +302,43 @@ func AnalyzeWith(cal *timing.Calibration, l barra.Launch, stats *barra.Stats, ov
 	e.NextBottleneck = e.Component.Second()
 	e.InstrThroughputAtWarps = cal.InstrThroughput(isa.ClassII, occ.ActiveWarps) * scale
 	e.SharedBandwidthAtWarps = cal.SharedBandwidth(occ.ActiveWarps) * scale
+	e.combine()
+	return e, nil
+}
 
+// combine is the model's combination rule (§3), the only code that
+// turns stage times into TotalSeconds and UpperBoundSeconds: the
+// whole-program bottleneck time when the warps of several resident
+// blocks overlap the stages, the sum of each stage's bottleneck time
+// when one block per SM serializes them, and the fully serial sum of
+// every component time as the upper bound.
+func (e *Estimate) combine() {
+	e.TotalSeconds = 0
 	if e.Serialized {
-		// One block per SM: stages run back to back, each limited by
-		// its own bottleneck.
 		for _, st := range e.Stages {
 			e.TotalSeconds += st.Times.Max()
 		}
 	} else {
 		e.TotalSeconds = e.Component.Max()
 	}
+	e.UpperBoundSeconds = 0
 	for c := Component(0); int(c) < NumComponents; c++ {
 		e.UpperBoundSeconds += e.Component[c]
 	}
 	if e.UpperBoundSeconds < e.TotalSeconds {
 		e.UpperBoundSeconds = e.TotalSeconds
 	}
-	return e, nil
+}
+
+// Overlapped returns a copy of e recombined with its stages
+// overlapped even where one resident block per SM serializes them:
+// the upside of any change that lets stages of different blocks
+// interleave. The component and stage times stay e's.
+func (e *Estimate) Overlapped() *Estimate {
+	o := *e
+	o.Serialized = false
+	o.combine()
+	return &o
 }
 
 // effectiveStage returns one stage's counters after applying the

@@ -501,9 +501,10 @@ func TestResidentBlocksOverride(t *testing.T) {
 	}
 }
 
-// TestForceOverlapOverride: a serialized kernel's ideal-overlap time
-// is the whole-program bottleneck, never more than the staged sum.
-func TestForceOverlapOverride(t *testing.T) {
+// TestOverlappedEstimate: a serialized estimate recombined with its
+// stages overlapped takes the whole-program bottleneck, never more
+// than the staged sum, and keeps every component time.
+func TestOverlappedEstimate(t *testing.T) {
 	c := cal(t)
 	l := barra.Launch{Prog: conflictedSharedKernel(t), Grid: 60, Block: 256}
 	stats := runStats(t, c, l, 4096)
@@ -511,12 +512,9 @@ func TestForceOverlapOverride(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	overlap, err := AnalyzeWith(c, l, stats, Overrides{ResidentBlocks: 1, ForceOverlap: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if overlap.Serialized {
-		t.Error("ForceOverlap left the estimate serialized")
+	overlap := serial.Overlapped()
+	if !serial.Serialized || overlap.Serialized {
+		t.Errorf("serialized %v, recombined %v; want true, false", serial.Serialized, overlap.Serialized)
 	}
 	if overlap.TotalSeconds > serial.TotalSeconds {
 		t.Errorf("ideal overlap %.4g ms exceeds the serialized %.4g ms",
@@ -524,5 +522,8 @@ func TestForceOverlapOverride(t *testing.T) {
 	}
 	if overlap.TotalSeconds != overlap.Component.Max() {
 		t.Errorf("ideal overlap should be the component max")
+	}
+	if overlap.Component != serial.Component || overlap.UpperBoundSeconds != serial.UpperBoundSeconds {
+		t.Errorf("recombination moved the component times or the upper bound")
 	}
 }
