@@ -546,14 +546,6 @@ func (w *Warp) exec(in *isa.Instruction, active LaneMask, pc int, addrs *[gpu.Wa
 		a := w.srcView(in.SrcA, in.Imm, 0)
 		b := w.srcView(in.SrcB, in.Imm, 1)
 		c := w.srcView(in.SrcC, in.Imm, 2)
-		if full && a.m&c.m != 0 {
-			if b.m != 0 {
-				imadFull(col(d), col(a.s), col(b.s), col(c.s))
-			} else {
-				imadImmFull(col(d), col(a.s), b.s[0], col(c.s))
-			}
-			break
-		}
 		for l := 0; l < ws; l++ {
 			if active>>uint(l)&1 != 0 {
 				d[l] = a.at(l)*b.at(l) + c.at(l)
@@ -662,13 +654,6 @@ func (w *Warp) exec(in *isa.Instruction, active LaneMask, pc int, addrs *[gpu.Wa
 		d := w.regCol(in.Dst)
 		a := w.srcView(in.SrcA, in.Imm, 0)
 		b := w.srcView(in.SrcB, in.Imm, 1)
-		if full && a.m&b.m != 0 {
-			ds, as, bs := col(d), col(a.s), col(b.s)
-			for l := range ds {
-				ds[l] = u32(f32(as[l]) + f32(bs[l]))
-			}
-			break
-		}
 		for l := 0; l < ws; l++ {
 			if active>>uint(l)&1 != 0 {
 				d[l] = math.Float32bits(a.fat(l) + b.fat(l))
@@ -967,18 +952,6 @@ func iaddFull(d, a, b *[gpu.WarpSize]uint32) {
 func iaddImmFull(d, a *[gpu.WarpSize]uint32, b uint32) {
 	for l := range d {
 		d[l] = a[l] + b
-	}
-}
-
-func imadFull(d, a, b, c *[gpu.WarpSize]uint32) {
-	for l := range d {
-		d[l] = a[l]*b[l] + c[l]
-	}
-}
-
-func imadImmFull(d, a *[gpu.WarpSize]uint32, b uint32, c *[gpu.WarpSize]uint32) {
-	for l := range d {
-		d[l] = a[l]*b + c[l]
 	}
 }
 
