@@ -7,7 +7,8 @@
 // combinations; only wall clock changes. Every sub-benchmark reports
 // a blocks/s metric, and replayed/op, simulated/op and batched/op: the
 // last run's replay and batched-stepping counters (Stats.Engine),
-// exact on any host.
+// exact on any host. TestRunParallelEngineStats pins the replay legs'
+// counters.
 //
 //	go test -run - -bench BenchmarkRunParallel -benchtime 2x
 package gpuperf
@@ -31,16 +32,25 @@ const benchBlockRows = 175104
 // blocks.
 const benchMatmulN = 512
 
-func BenchmarkRunParallel(b *testing.B) {
-	cfg := gpu.GTX285()
+// benchLeg is one of the benchmark's launches. Both kernels write
+// only their output arrays (C, y), so one memory image serves every
+// run: re-running rewrites the same values.
+type benchLeg struct {
+	kernel string
+	l      barra.Launch
+	mem    *barra.Memory
+}
 
+// benchLegs builds the benchmark's matmul16 and ELL SpMV launches.
+func benchLegs(tb testing.TB) []benchLeg {
+	tb.Helper()
 	m, err := sparse.GenQCDLike(benchBlockRows, 9, rand.New(rand.NewSource(42)))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	sp, err := kernels.NewSpMV(kernels.ELL, m)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	x := make([]float32, m.Rows())
 	rng := rand.New(rand.NewSource(43))
@@ -49,30 +59,45 @@ func BenchmarkRunParallel(b *testing.B) {
 	}
 	spMem, err := sp.NewMemory(x)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	spLaunch := sp.Launch()
 	if spLaunch.Grid < 4096 {
-		b.Fatalf("benchmark grid %d below the 4096-block target", spLaunch.Grid)
+		tb.Fatalf("benchmark grid %d below the 4096-block target", spLaunch.Grid)
 	}
-
-	mm, err := DefaultRegistry().Build(cfg, "matmul16", Params{Size: benchMatmulN, Seed: 42})
+	mm, err := DefaultRegistry().Build(gpu.GTX285(), "matmul16", Params{Size: benchMatmulN, Seed: 42})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	return []benchLeg{{"matmul16", mm.Launch, mm.Mem}, {"spmv-ell", spLaunch, spMem}}
+}
 
-	// Both kernels write only their output arrays (C, y), so one
-	// memory image is reused across iterations: re-running rewrites
-	// the same values and the timed region is pure simulation.
-	legs := []struct {
-		kernel string
-		l      barra.Launch
-		mem    *barra.Memory
-	}{
-		{"matmul16", mm.Launch, mm.Mem},
-		{"spmv-ell", spLaunch, spMem},
+// TestRunParallelEngineStats pins the exact engine counters the
+// benchmark's replay legs report, at P ∈ {1, 2}: one block simulated
+// and every other block replayed, and the batched runs and the
+// instructions they covered. A change that stops replay from
+// engaging, or changes how much of a launch runs batched, fails here.
+func TestRunParallelEngineStats(t *testing.T) {
+	want := map[string]barra.EngineStats{
+		"matmul16": {BlocksSimulated: 1, BlocksReplayed: 255, BatchedRuns: 262656, BatchedInstrs: 4280320},
+		"spmv-ell": {BlocksSimulated: 1, BlocksReplayed: 4103, BatchedRuns: 902880, BatchedInstrs: 2347488},
 	}
-	for _, leg := range legs {
+	for _, leg := range benchLegs(t) {
+		for _, p := range []int{1, 2} {
+			st, err := barra.Run(gpu.GTX285(), leg.l, leg.mem, &barra.Options{Parallelism: p})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Engine != want[leg.kernel] {
+				t.Errorf("%s P=%d: Engine = %+v, want %+v", leg.kernel, p, st.Engine, want[leg.kernel])
+			}
+		}
+	}
+}
+
+func BenchmarkRunParallel(b *testing.B) {
+	cfg := gpu.GTX285()
+	for _, leg := range benchLegs(b) {
 		for _, mode := range []string{"replay", "noreplay"} {
 			for _, p := range []int{1, runtime.NumCPU()} {
 				b.Run(fmt.Sprintf("%s/%s/p%d", leg.kernel, mode, p), func(b *testing.B) {

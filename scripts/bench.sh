@@ -38,7 +38,7 @@ mkdir -p "$(dirname "$OUT")"
 TMP="$(mktemp)"
 trap 'rm -f "$TMP"' EXIT
 
-NPROC="$(go env GOMAXPROCS 2>/dev/null || nproc || echo 1)"
+NPROC="$(nproc 2>/dev/null || echo 1)"
 if [ "${NPROC}" -le 1 ]; then
   echo "==================================================================" >&2
   echo "WARNING: this host exposes only 1 CPU. The P=NumCPU legs collapse" >&2
