@@ -268,7 +268,7 @@ func evalScenario(cal *timing.Calibration, l barra.Launch, stats *barra.Stats, b
 // transform's.
 func evalOccupancySweep(cal *timing.Calibration, l barra.Launch, stats *barra.Stats, base *model.Estimate) (ScenarioResult, error) {
 	occ := base.Occupancy
-	ceiling := model.BlockCeiling(cal.Config(), l.Block)
+	ceiling := model.BlockCeiling(cal.Config(), l)
 	if occ.BlocksBySmem > 0 && occ.BlocksBySmem < ceiling {
 		ceiling = occ.BlocksBySmem
 	}

@@ -178,16 +178,12 @@ type Overrides struct {
 	ResidentBlocks int
 }
 
-// BlockCeiling is the most blocks of threadsPerBlock threads one SM
-// of cfg can hold whatever their register and shared-memory demand:
-// the architectural block, warp and thread limits, which no source
-// change can lift.
-func BlockCeiling(cfg gpu.Config, threadsPerBlock int) int {
-	if threadsPerBlock <= 0 {
-		return cfg.MaxBlocksPerSM
-	}
-	warps := (threadsPerBlock + gpu.WarpSize - 1) / gpu.WarpSize
-	return min(cfg.MaxBlocksPerSM, cfg.MaxWarpsPerSM/warps, cfg.MaxThreadsPerSM/threadsPerBlock)
+// BlockCeiling is the most blocks of the validated launch l that one
+// SM of cfg can hold whatever their register and shared-memory
+// demand: the architectural block, warp and thread limits, which no
+// source change can lift.
+func BlockCeiling(cfg gpu.Config, l barra.Launch) int {
+	return min(cfg.MaxBlocksPerSM, cfg.MaxWarpsPerSM/l.WarpsPerBlock(), cfg.MaxThreadsPerSM/l.Block)
 }
 
 // Analyze runs the model for one launch whose dynamic statistics
@@ -239,7 +235,7 @@ func AnalyzeWith(cal *timing.Calibration, l barra.Launch, stats *barra.Stats, ov
 		// resource demand were trimmed until b blocks fit, bounded by
 		// the ceilings no source change can lift and by the grid
 		// itself.
-		b := max(min(ov.ResidentBlocks, BlockCeiling(cfg, l.Block), gridBlocks), 1)
+		b := max(min(ov.ResidentBlocks, BlockCeiling(cfg, l), gridBlocks), 1)
 		occ.Blocks = b
 		occ.ActiveWarps = b * occ.WarpsPerBlock
 		occ.Limiter = "counterfactual override"
