@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"unsafe"
 
 	"gpuperf/internal/gpu"
 	"gpuperf/internal/isa"
@@ -465,9 +466,17 @@ func (w *Warp) pairAt(o isa.Operand, l int) float64 {
 // with m != 0) has 32 words; a broadcast view has one.
 func col(s []uint32) *[gpu.WarpSize]uint32 { return (*[gpu.WarpSize]uint32)(s) }
 
-// f32 and u32 move a word between its bit pattern and its float.
+// fcol views a 32-lane column as float32s, so a float kernel loads
+// each operand straight into a float register instead of moving its
+// bits through an integer one. It is the only unsafe conversion
+// outside the tests: [32]uint32 and [32]float32 have the same size
+// and alignment, and col has already checked the length.
+func fcol(s []uint32) *[gpu.WarpSize]float32 {
+	return (*[gpu.WarpSize]float32)(unsafe.Pointer(col(s)))
+}
+
+// f32 reads a word's bit pattern as a float.
 func f32(u uint32) float32 { return math.Float32frombits(u) }
-func u32(f float32) uint32 { return math.Float32bits(f) }
 
 // exec executes one predecoded non-control instruction for every
 // active lane, with the opcode dispatch and operand resolution
@@ -673,9 +682,9 @@ func (w *Warp) exec(in *isa.Instruction, active LaneMask, pc int, addrs *[gpu.Wa
 		a := w.srcView(in.SrcA, in.Imm, 0)
 		b := w.srcView(in.SrcB, in.Imm, 1)
 		if full && a.m&b.m != 0 {
-			ds, as, bs := col(d), col(a.s), col(b.s)
+			ds, as, bs := fcol(d), fcol(a.s), fcol(b.s)
 			for l := range ds {
-				ds[l] = u32(f32(as[l]) * f32(bs[l]))
+				ds[l] = as[l] * bs[l]
 			}
 			break
 		}
@@ -693,9 +702,9 @@ func (w *Warp) exec(in *isa.Instruction, active LaneMask, pc int, addrs *[gpu.Wa
 		// word kbuild.FMadS gives every dense-matmul FMAD.
 		if full && a.m&c.m != 0 {
 			if b.m != 0 {
-				fmadFull(col(d), col(a.s), col(b.s), col(c.s))
+				fmadFull(fcol(d), fcol(a.s), fcol(b.s), fcol(c.s))
 			} else {
-				fmadImmFull(col(d), col(a.s), f32(b.s[0]), col(c.s))
+				fmadImmFull(fcol(d), fcol(a.s), f32(b.s[0]), fcol(c.s))
 			}
 			break
 		}
@@ -710,7 +719,7 @@ func (w *Warp) exec(in *isa.Instruction, active LaneMask, pc int, addrs *[gpu.Wa
 		b := w.srcView(in.SrcB, in.Imm, 1)
 		c := w.srcView(in.SrcC, in.Imm, 2)
 		if full && a.m&b.m&c.m != 0 {
-			fnmadFull(col(d), col(a.s), col(b.s), col(c.s))
+			fnmadFull(fcol(d), fcol(a.s), fcol(b.s), fcol(c.s))
 			break
 		}
 		for l := 0; l < ws; l++ {
@@ -941,65 +950,76 @@ func (w *Warp) exec(in *isa.Instruction, active LaneMask, pc int, addrs *[gpu.Wa
 // The full-mask ALU kernels. Each computes one 32-lane column from
 // 32-lane columns and hoisted broadcast words. A destination may alias
 // a source column: lane l reads its sources before it writes d[l], and
-// no lane reads another lane's word.
+// no lane reads another lane's word. Each kernel touches every operand
+// once before its loop, so the pointers' nil checks run once per call
+// instead of once per lane.
 
 func iaddFull(d, a, b *[gpu.WarpSize]uint32) {
+	_, _, _ = d[0], a[0], b[0]
 	for l := range d {
 		d[l] = a[l] + b[l]
 	}
 }
 
 func iaddImmFull(d, a *[gpu.WarpSize]uint32, b uint32) {
+	_, _ = d[0], a[0]
 	for l := range d {
 		d[l] = a[l] + b
 	}
 }
 
 func andImmFull(d, a *[gpu.WarpSize]uint32, b uint32) {
+	_, _ = d[0], a[0]
 	for l := range d {
 		d[l] = a[l] & b
 	}
 }
 
 func shlFull(d, a *[gpu.WarpSize]uint32, sh uint32) {
+	_, _ = d[0], a[0]
 	for l := range d {
 		d[l] = a[l] << sh
 	}
 }
 
 func shrFull(d, a *[gpu.WarpSize]uint32, sh uint32) {
+	_, _ = d[0], a[0]
 	for l := range d {
 		d[l] = a[l] >> sh
 	}
 }
 
-// The float kernels are unrolled ×4, which BenchmarkWarpStep's
-// fmad-smem leg showed to pay; unrolling the integer kernels did not.
+// The float kernels work on fcol views and are unrolled ×4, which
+// BenchmarkWarpStep's fmad-smem leg showed to pay; unrolling the
+// integer kernels did not.
 
-func fmadFull(d, a, b, c *[gpu.WarpSize]uint32) {
+func fmadFull(d, a, b, c *[gpu.WarpSize]float32) {
+	_, _, _, _ = d[0], a[0], b[0], c[0]
 	for l := 0; l <= len(d)-4; l += 4 {
-		d[l] = u32(float32(f32(a[l])*f32(b[l])) + f32(c[l]))
-		d[l+1] = u32(float32(f32(a[l+1])*f32(b[l+1])) + f32(c[l+1]))
-		d[l+2] = u32(float32(f32(a[l+2])*f32(b[l+2])) + f32(c[l+2]))
-		d[l+3] = u32(float32(f32(a[l+3])*f32(b[l+3])) + f32(c[l+3]))
+		d[l] = float32(a[l]*b[l]) + c[l]
+		d[l+1] = float32(a[l+1]*b[l+1]) + c[l+1]
+		d[l+2] = float32(a[l+2]*b[l+2]) + c[l+2]
+		d[l+3] = float32(a[l+3]*b[l+3]) + c[l+3]
 	}
 }
 
-func fmadImmFull(d, a *[gpu.WarpSize]uint32, b float32, c *[gpu.WarpSize]uint32) {
+func fmadImmFull(d, a *[gpu.WarpSize]float32, b float32, c *[gpu.WarpSize]float32) {
+	_, _, _ = d[0], a[0], c[0]
 	for l := 0; l <= len(d)-4; l += 4 {
-		d[l] = u32(float32(f32(a[l])*b) + f32(c[l]))
-		d[l+1] = u32(float32(f32(a[l+1])*b) + f32(c[l+1]))
-		d[l+2] = u32(float32(f32(a[l+2])*b) + f32(c[l+2]))
-		d[l+3] = u32(float32(f32(a[l+3])*b) + f32(c[l+3]))
+		d[l] = float32(a[l]*b) + c[l]
+		d[l+1] = float32(a[l+1]*b) + c[l+1]
+		d[l+2] = float32(a[l+2]*b) + c[l+2]
+		d[l+3] = float32(a[l+3]*b) + c[l+3]
 	}
 }
 
-func fnmadFull(d, a, b, c *[gpu.WarpSize]uint32) {
+func fnmadFull(d, a, b, c *[gpu.WarpSize]float32) {
+	_, _, _, _ = d[0], a[0], b[0], c[0]
 	for l := 0; l <= len(d)-4; l += 4 {
-		d[l] = u32(f32(c[l]) - float32(f32(a[l])*f32(b[l])))
-		d[l+1] = u32(f32(c[l+1]) - float32(f32(a[l+1])*f32(b[l+1])))
-		d[l+2] = u32(f32(c[l+2]) - float32(f32(a[l+2])*f32(b[l+2])))
-		d[l+3] = u32(f32(c[l+3]) - float32(f32(a[l+3])*f32(b[l+3])))
+		d[l] = c[l] - float32(a[l]*b[l])
+		d[l+1] = c[l+1] - float32(a[l+1]*b[l+1])
+		d[l+2] = c[l+2] - float32(a[l+2]*b[l+2])
+		d[l+3] = c[l+3] - float32(a[l+3]*b[l+3])
 	}
 }
 

@@ -2,6 +2,8 @@ package kernels
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -25,6 +27,101 @@ func randMat(n int, seed int64) []float32 {
 }
 
 // --- matrix multiply -------------------------------------------------
+
+// mulRefColumns is the plain column walk MulRef's blocked walk must
+// reproduce bit for bit: one column of C and one k at a time, each
+// element's float64 sum kept in memory between k.
+func mulRefColumns(n int, a, b []float32) []float32 {
+	c := make([]float32, n*n)
+	acc := make([]float64, n)
+	for col := 0; col < n; col++ {
+		clear(acc)
+		for k := 0; k < n; k++ {
+			bv := float64(b[col*n+k])
+			for i, av := range a[k*n : (k+1)*n] {
+				acc[i] += float64(float64(av) * bv)
+			}
+		}
+		for i, v := range acc {
+			c[col*n+i] = float32(v)
+		}
+	}
+	return c
+}
+
+// cancellingMats returns column-major n×n A and B whose entries have
+// random signs and magnitudes spread over 2^±40, paired so that every
+// product A[i,k]·B[k,j] meets its negation at a partner k' (an odd n
+// leaves one k without): column k' of A repeats column k, and row k'
+// of B negates row k. Each element's exact sum is then zero or one
+// product, so its float32 result is mostly the float64 rounding of the
+// partial sums, and a change of summation order shows in its bits.
+// With independent wide-range entries the largest product dominates
+// every sum, and a reordering almost never survives float32 rounding.
+func cancellingMats(n int, seed int64) (a, b []float32) {
+	rng := rand.New(rand.NewSource(seed))
+	wide := func() []float32 {
+		m := make([]float32, n*n)
+		for i := range m {
+			m[i] = float32(math.Ldexp(1+rng.Float64(), rng.Intn(81)-40))
+			if rng.Intn(2) == 0 {
+				m[i] = -m[i]
+			}
+		}
+		return m
+	}
+	a, b = wide(), wide()
+	perm := rng.Perm(n)
+	for h := 0; h+1 < n; h += 2 {
+		k, k2 := perm[h], perm[h+1]
+		copy(a[k2*n:(k2+1)*n], a[k*n:(k+1)*n])
+		for j := 0; j < n; j++ {
+			b[j*n+k2] = -b[j*n+k]
+		}
+	}
+	return a, b
+}
+
+// TestMulRefBitExact: the blocked MulRef returns the column walk's
+// bits, across an odd last column (n = 1, 3, 5, 63) and every k tail
+// length (n mod 4 = 0, 1, 2, 3), on inputs that expose a reordered sum;
+// and it stops with the context's error once the context is done.
+func TestMulRefBitExact(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 5, 63, 64, 130, 256} {
+		a, b := cancellingMats(n, int64(n))
+		want := mulRefColumns(n, a, b)
+		got, err := MulRef(context.Background(), n, a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if g, w := math.Float32bits(got[i]), math.Float32bits(want[i]); g != w {
+				t.Fatalf("n=%d: C[%d,%d] = %v (%#08x), want %v (%#08x)", n, i%n, i/n, got[i], g, want[i], w)
+			}
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	a, b := randMat(64, 1), randMat(64, 2)
+	if c, err := MulRef(ctx, 64, a, b); !errors.Is(err, context.Canceled) || c != nil {
+		t.Fatalf("MulRef on a cancelled context = %d elements, %v; want nil, context.Canceled", len(c), err)
+	}
+}
+
+// BenchmarkMulRef times the float64 reference verify runs on every
+// matmul analyze, at the registry's default and paper-scale sizes.
+func BenchmarkMulRef(b *testing.B) {
+	for _, n := range []int{256, 512} {
+		x, y := randMat(n, 1), randMat(n, 2)
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			for b.Loop() {
+				if _, err := MulRef(context.Background(), n, x, y); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
 
 func TestMatmulCorrectness(t *testing.T) {
 	for _, tile := range []int{8, 16, 32} {

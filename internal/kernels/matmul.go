@@ -223,28 +223,81 @@ func (m *matmulData) ReadC(mem *barra.Memory) ([]float32, error) {
 }
 
 // MulRef computes the column-major product C = A·B on the CPU, for
-// verification: float64 accumulation in ascending k per element. It
-// works a column of C at a time and checks ctx before each, so an
-// abandoned request stops within one column (~n² multiply-adds)
-// instead of finishing the whole O(n³) product.
+// verification. Each element is the float64 sum, in ascending k, of
+// the products float64(A[i,k])·float64(B[k,j]), each rounded to
+// float64, and is rounded to float32 once at the end.
+//
+// A is converted to float64 once (8n² bytes, 2 MiB at n = 512). C is
+// then walked two columns at a time over blocks of four k: each
+// element's running sum stays in a register for the block's four
+// additions, and the four A values serve both columns. The additions
+// and their order are those of a plain k loop, so the result is the
+// same bits. MulRef checks ctx before each column pair, so an
+// abandoned request stops within ~2n² multiply-adds instead of
+// finishing the O(n³) product.
 func MulRef(ctx context.Context, n int, a, b []float32) ([]float32, error) {
+	a64 := make([]float64, n*n)
+	for i, v := range a[:n*n] {
+		a64[i] = float64(v)
+	}
 	c := make([]float32, n*n)
-	acc := make([]float64, n)
-	for col := 0; col < n; col++ {
+	acc := make([]float64, 2*n)
+	s0, s1 := acc[:n], acc[n:]
+	for j := 0; j < n; j += 2 {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		clear(acc)
-		for k := 0; k < n; k++ {
-			bv := float64(b[col*n+k])
-			arow := a[k*n : (k+1)*n]
-			for i, av := range arow {
-				acc[i] += float64(float64(av) * bv)
+		if j+1 == n {
+			// An odd n leaves one column: pair it with itself and
+			// keep the first copy.
+			mulCols(s0, s1, a64, b[j*n:(j+1)*n], b[j*n:(j+1)*n])
+			for i, v := range s0 {
+				c[j*n+i] = float32(v)
 			}
+			break
 		}
-		for i, v := range acc {
-			c[col*n+i] = float32(v)
+		mulCols(s0, s1, a64, b[j*n:(j+1)*n], b[(j+1)*n:(j+2)*n])
+		for i := range s0 {
+			c[j*n+i] = float32(s0[i])
+			c[(j+1)*n+i] = float32(s1[i])
 		}
 	}
 	return c, nil
+}
+
+// mulCols adds A·b0 to s0 and A·b1 to s1, where A is the n×n
+// column-major a and n = len(s0). Each product is rounded to float64
+// before it is added, so no platform fuses it into a multiply-add.
+func mulCols(s0, s1, a []float64, b0, b1 []float32) {
+	n := len(s0)
+	s1, b0, b1 = s1[:n], b0[:n], b1[:n]
+	k := 0
+	for ; k+4 <= n; k += 4 {
+		x0, x1, x2, x3 := float64(b0[k]), float64(b0[k+1]), float64(b0[k+2]), float64(b0[k+3])
+		y0, y1, y2, y3 := float64(b1[k]), float64(b1[k+1]), float64(b1[k+2]), float64(b1[k+3])
+		a0, a1, a2, a3 := a[k*n:][:n], a[(k+1)*n:][:n], a[(k+2)*n:][:n], a[(k+3)*n:][:n]
+		for i := range s0 {
+			p0, p1, p2, p3 := a0[i], a1[i], a2[i], a3[i]
+			u := s0[i]
+			u += float64(p0 * x0)
+			u += float64(p1 * x1)
+			u += float64(p2 * x2)
+			u += float64(p3 * x3)
+			s0[i] = u
+			v := s1[i]
+			v += float64(p0 * y0)
+			v += float64(p1 * y1)
+			v += float64(p2 * y2)
+			v += float64(p3 * y3)
+			s1[i] = v
+		}
+	}
+	for ; k < n; k++ {
+		x, y := float64(b0[k]), float64(b1[k])
+		for i, p := range a[k*n:][:n] {
+			s0[i] += float64(p * x)
+			s1[i] += float64(p * y)
+		}
+	}
 }

@@ -156,8 +156,9 @@ func (m *Blocked) MulDense(x []float32) ([]float32, error) {
 	}
 	y := make([]float32, n)
 	bs := m.BlockSize
+	acc := make([]float64, bs)
 	for q := 0; q < m.BlockRows; q++ {
-		acc := make([]float64, bs)
+		clear(acc)
 		for j, c := range m.Cols[q] {
 			blk := m.Vals[q][j]
 			for r := 0; r < bs; r++ {

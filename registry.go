@@ -291,8 +291,10 @@ func builtinSpecs() []KernelSpec {
 }
 
 // maxAbsDiff returns the worst absolute element difference, erroring
-// past tol (a loose fp32 sanity bound — the reference is float64-free
-// CPU arithmetic in a different summation order).
+// past tol, a loose fp32 sanity bound: the references (kernels.MulRef,
+// sparse.Blocked.MulDense) sum float64 products in float64 and round
+// once to float32, while the kernels accumulate in float32 in their own
+// order.
 func maxAbsDiff(got, want []float32, tol float64) (float64, error) {
 	if len(got) != len(want) {
 		return 0, fmt.Errorf("gpuperf: verify: %d results, want %d", len(got), len(want))

@@ -8,7 +8,8 @@
 # batched/op count of batched warp steps; its sub-benchmarks cover
 # every leg of the matrix: kernel ∈ {matmul16, spmv-ell} ×
 # mode ∈ {replay, noreplay} × P ∈ {1, NumCPU}) plus the per-layer
-# microbenchmarks (warp step, bank conflicts, coalescing), the timing
+# microbenchmarks (warp step, bank conflicts, coalescing), matmul's
+# float64 verification reference (BenchmarkMulRef), the timing
 # simulator (BenchmarkDeviceRun: winstr/s per golden kernel, plus the
 # event queue's deterministic pops/winstr and buckets/winstr), the §4.3
 # global-bandwidth run (BenchmarkGlobalBandwidth), a cold
@@ -53,6 +54,7 @@ fi
   go test -run - -bench BenchmarkWarpStep -benchmem ./internal/barra/
   go test -run - -bench BenchmarkBankTransactions -benchmem ./internal/bank/
   go test -run - -bench BenchmarkCoalesceHalfWarp -benchmem ./internal/coalesce/
+  go test -run - -bench BenchmarkMulRef -benchmem ./internal/kernels/
   go test -run - -bench BenchmarkDeviceRun -benchtime "$BENCHTIME" -benchmem ./internal/device/
   go test -run - -bench 'BenchmarkCalibrate|BenchmarkGlobalBandwidth' -benchtime "$BENCHTIME" -benchmem ./internal/timing/
   go test -run - -bench BenchmarkCacheHit -benchmem .
