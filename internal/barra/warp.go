@@ -950,40 +950,33 @@ func (w *Warp) exec(in *isa.Instruction, active LaneMask, pc int, addrs *[gpu.Wa
 // The full-mask ALU kernels. Each computes one 32-lane column from
 // 32-lane columns and hoisted broadcast words. A destination may alias
 // a source column: lane l reads its sources before it writes d[l], and
-// no lane reads another lane's word. Each kernel touches every operand
-// once before its loop, so the pointers' nil checks run once per call
-// instead of once per lane.
+// no lane reads another lane's word.
 
 func iaddFull(d, a, b *[gpu.WarpSize]uint32) {
-	_, _, _ = d[0], a[0], b[0]
 	for l := range d {
 		d[l] = a[l] + b[l]
 	}
 }
 
 func iaddImmFull(d, a *[gpu.WarpSize]uint32, b uint32) {
-	_, _ = d[0], a[0]
 	for l := range d {
 		d[l] = a[l] + b
 	}
 }
 
 func andImmFull(d, a *[gpu.WarpSize]uint32, b uint32) {
-	_, _ = d[0], a[0]
 	for l := range d {
 		d[l] = a[l] & b
 	}
 }
 
 func shlFull(d, a *[gpu.WarpSize]uint32, sh uint32) {
-	_, _ = d[0], a[0]
 	for l := range d {
 		d[l] = a[l] << sh
 	}
 }
 
 func shrFull(d, a *[gpu.WarpSize]uint32, sh uint32) {
-	_, _ = d[0], a[0]
 	for l := range d {
 		d[l] = a[l] >> sh
 	}
@@ -991,7 +984,10 @@ func shrFull(d, a *[gpu.WarpSize]uint32, sh uint32) {
 
 // The float kernels work on fcol views and are unrolled ×4, which
 // BenchmarkWarpStep's fmad-smem leg showed to pay; unrolling the
-// integer kernels did not.
+// integer kernels did not. Each touches its operands once before the
+// loop, so the pointers' nil checks run once per call instead of in
+// every unrolled step. The same hoist in the integer kernels read no
+// faster on the alu leg and slower on cmp, so they do without it.
 
 func fmadFull(d, a, b, c *[gpu.WarpSize]float32) {
 	_, _, _, _ = d[0], a[0], b[0], c[0]
