@@ -247,20 +247,12 @@ func MulRef(ctx context.Context, n int, a, b []float32) ([]float32, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
+		j1 := min(j+1, n-1) // an odd n pairs its last column with itself
 		clear(acc)
-		if j+1 == n {
-			// An odd n leaves one column: pair it with itself and
-			// keep the first copy.
-			mulCols(s0, s1, a64, b[j*n:(j+1)*n], b[j*n:(j+1)*n])
-			for i, v := range s0 {
-				c[j*n+i] = float32(v)
-			}
-			break
-		}
-		mulCols(s0, s1, a64, b[j*n:(j+1)*n], b[(j+1)*n:(j+2)*n])
+		mulCols(s0, s1, a64, b[j*n:(j+1)*n], b[j1*n:(j1+1)*n])
 		for i := range s0 {
 			c[j*n+i] = float32(s0[i])
-			c[(j+1)*n+i] = float32(s1[i])
+			c[j1*n+i] = float32(s1[i])
 		}
 	}
 	return c, nil
